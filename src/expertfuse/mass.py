@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -130,8 +131,8 @@ def mass_from_entries(
 
     Entries are a mapping or an iterable of pairs; elements may be given
     as FocalElement values or canonical text.  Duplicate elements are
-    summed.  Raises on negative weights, on totals off one beyond 1e-9,
-    and on closed-world mass assigned to ∅.
+    summed.  Raises on NaN or infinite weights, on negative weights, on
+    totals off one beyond 1e-9, and on closed-world mass assigned to ∅.
     """
     if isinstance(entries, Mapping):
         entries = entries.items()
@@ -141,6 +142,8 @@ def mass_from_entries(
             element = parse_element(frame, element)
         elif element.frame != frame:
             raise ValueError("entry element belongs to a different frame")
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite mass {value!r} on {format_element(element)}")
         if value < -PRUNE_THRESHOLD:
             raise ValueError(f"negative mass {value!r} on {format_element(element)}")
         accumulated[element.mask] = accumulated.get(element.mask, 0.0) + max(value, 0.0)

@@ -7,17 +7,16 @@ the two decisions differ, how conflict is distributed, and whether the
 known algebraic invariances hold.
 
 Two sampling laws are available.  Under ``"uniform"`` the singleton masses
-themselves are uniform on [0,1], kept when they sum to at most 1; this is
-the law on the constrained mass space E = [0,1]^n ∩ {Σ m(X) ≤ 1} and it is
-the default for the drivers because it reproduces the published
-decision-change rates.  Under ``"product"`` each mass is a product of a
-uniform proportion and a uniform certainty, filtered by the same sum
-constraint; it concentrates mass lower and yields clearly smaller change
-rates from three classes on.
+are uniform on the constrained mass space E = {m ≥ 0, Σ m(X) ≤ 1}.  They
+are drawn exactly as the first n parts of a flat Dirichlet on n + 1 parts:
+n + 1 standard exponentials divided by their sum, the last part being the
+mass left on Θ.  This law is the default for the drivers because it
+reproduces the published decision-change rates.  Under ``"product"`` each
+mass is a product of a uniform proportion and a uniform certainty, kept
+when the masses sum to at most 1; it concentrates mass lower and yields
+clearly smaller change rates from three classes on.
 
-Sampling draws candidates in a fixed stream order, so the accepted
-sequence depends only on the seed and the law, never on internal chunk
-sizes.  Everything here is deterministic given its arguments.
+Everything here is deterministic given its arguments.
 """
 
 from __future__ import annotations
@@ -37,8 +36,6 @@ SAMPLING_LAWS = ("uniform", "product")
 
 DECISION_TIE_TOLERANCE = 1e-12
 
-_MIN_CHUNK = 1 << 12
-_MAX_CHUNK = 1 << 19
 _DEFAULT_CHUNK = 1 << 16
 
 
@@ -55,43 +52,35 @@ def _check_law(law: str) -> None:
         raise ValueError(f"unknown sampling law {law!r}; expected one of {SAMPLING_LAWS}")
 
 
-def _candidate_masses(n: int, count: int, rng: np.random.Generator, law: str) -> np.ndarray:
-    """One chunk of candidate singleton-mass rows, in raw stream order."""
-    if law == "product":
-        u = rng.random((count, 2 * n))
-        return u[:, :n] * u[:, n:]
-    return rng.random((count, n))
-
-
 def _accepted_masses(
-    n: int,
-    count: int,
-    rng: np.random.Generator,
-    law: str,
-    chunk: int = _DEFAULT_CHUNK,
+    n: int, count: int, rng: np.random.Generator, law: str
 ) -> tuple[np.ndarray, int]:
-    """First `count` rows of the law's accepted stream, plus rows drawn.
+    """`count` singleton-mass rows drawn from the law, plus rows drawn.
 
-    Candidates are consumed in stream order and kept when their masses sum
-    to at most 1, so the returned rows do not depend on the chunk schedule.
-    The chunk grows toward the observed acceptance rate; for the uniform
-    law acceptance is 1/n!, which makes large chunks essential at n = 7.
+    Under the uniform law every drawn row is kept: n + 1 standard
+    exponentials normalized by their sum are a flat Dirichlet, whose
+    first n parts are uniform on E (Devroye, Non-Uniform Random Variate
+    Generation, 1986, ch. V).  Under the product law candidates are drawn
+    in fixed chunks and kept, in stream order, when they sum to at most 1.
     """
-    if count == 0:
-        return np.empty((0, n)), 0
-    parts: list[np.ndarray] = []
+    if law == "uniform":
+        e = rng.standard_exponential((count, n + 1))
+        rows = (e / e.sum(axis=1, keepdims=True))[:, :n]
+        # rounding can lift a row whose Θ part is ~1e-16 just past 1
+        over = rows.sum(axis=1) > 1.0
+        while over.any():
+            rows[over] = np.nextafter(rows[over], 0.0)
+            over = rows.sum(axis=1) > 1.0
+        return rows, count
+    parts = [np.empty((0, n))]
     got = 0
     drawn = 0
-    k = max(_MIN_CHUNK, min(_MAX_CHUNK, chunk))
     while got < count:
-        cand = _candidate_masses(n, k, rng, law)
-        drawn += k
-        keep = cand[cand.sum(axis=1) <= 1.0]
-        if len(keep):
-            parts.append(keep)
-            got += len(keep)
-        rate = max(got / drawn, 1.0 / math.factorial(n) / 4.0)
-        k = int(max(_MIN_CHUNK, min(_MAX_CHUNK, 1.2 * (count - got) / rate)))
+        u = rng.random((_DEFAULT_CHUNK, 2 * n))
+        drawn += _DEFAULT_CHUNK
+        cand = u[:, :n] * u[:, n:]
+        parts.append(cand[cand.sum(axis=1) <= 1.0])
+        got += len(parts[-1])
     return np.concatenate(parts)[:count], drawn
 
 
@@ -99,22 +88,14 @@ def sample_expert(n: int, rng: np.random.Generator, law: str = "product") -> Mas
     """One random expert: singleton masses plus the remainder on Θ.
 
     The default law draws a uniform proportion and a uniform certainty per
-    class and keeps their products when they sum to at most 1, retrying
-    otherwise.  Pass ``law="uniform"`` to draw the masses directly.
+    class and keeps their products when they sum to at most 1.  Pass
+    ``law="uniform"`` for masses uniform on E.
     """
     if n < 2:
         raise ValueError(f"need at least two classes, got {n}")
     _check_law(law)
     frame = letter_frame(n)
-    while True:
-        if law == "product":
-            p = rng.random(n)
-            c = rng.random(n)
-            m = p * c
-        else:
-            m = rng.random(n)
-        if m.sum() <= 1.0:
-            break
+    m = _accepted_masses(n, 1, rng, law)[0][0]
     masses = {frame.atom(i).mask: float(m[i]) for i in range(n)}
     masses[frame.full_mask] = float(1.0 - m.sum())
     return mass_from_masks(frame, masses, World.CLOSED)
@@ -219,6 +200,11 @@ def decision_change_rate(
     )
 
 
+def _class_count_seed(seed: int, n: int) -> np.random.SeedSequence:
+    """The stream `stability_table` and `conflict_density` draw for n classes."""
+    return np.random.SeedSequence(entropy=seed, spawn_key=(n,))
+
+
 @dataclass(frozen=True)
 class Histogram:
     n_classes: int
@@ -241,6 +227,9 @@ def conflict_density(
 ) -> Histogram:
     """Histogram of conjunctive conflict over sampled pairs on [0, 1].
 
+    Pairs come from the same seed-derived stream as the `stability_table`
+    row for `n` classes, so equal arguments describe the same pairs.
+
     With ``subset="decision_change"`` only pairs whose decision flips are
     counted.  Frequencies are normalized to sum to 1 over the counted
     pairs; zero pairs give an all-zero histogram.
@@ -254,7 +243,7 @@ def conflict_density(
     if subset not in HISTOGRAM_SUBSETS:
         raise ValueError(f"unknown subset {subset!r}; expected one of {HISTOGRAM_SUBSETS}")
     _check_law(law)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_class_count_seed(seed, n))
     rows, _ = _accepted_masses(n, 2 * n_samples, rng, law)
     choice_conj, choice_pcr, conflict = pair_decisions(rows[0::2], rows[1::2])
     if subset == "decision_change":
@@ -361,6 +350,5 @@ def stability_table(
     """
     results = []
     for n in class_counts:
-        sub_seed = np.random.SeedSequence(entropy=seed, spawn_key=(n,))
-        results.append(decision_change_rate(n, n_samples, sub_seed, law=law))
+        results.append(decision_change_rate(n, n_samples, _class_count_seed(seed, n), law=law))
     return results

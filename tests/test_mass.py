@@ -59,6 +59,19 @@ def test_negative_mass_rejected():
         mass_from_entries(FRAME, {"A": -0.2, "Θ": 1.2})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_mass_rejected(value):
+    with pytest.raises(ValueError, match=f"non-finite mass {value!r} on A"):
+        mass_from_entries(FRAME, [("A", value), ("Θ", 1.0)])
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_json_mass_rejected(token):
+    text = '{"frame": ["A", "B", "C"], "model": "shafer", "masses": {"B": %s, "Θ": 1.0}}'
+    with pytest.raises(ValueError, match="non-finite mass .* on B"):
+        MassFunction.from_json(text % token)
+
+
 def test_closed_world_rejects_mass_on_empty():
     with pytest.raises(ValueError, match="closed world"):
         mass_from_entries(FRAME, {"∅": 0.3, "Θ": 0.7})
