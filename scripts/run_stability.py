@@ -11,11 +11,7 @@ import argparse
 import csv
 from pathlib import Path
 
-from expertfuse.stability import (
-    SAMPLING_LAWS,
-    conflict_density,
-    stability_table,
-)
+from expertfuse.stability import SAMPLING_LAWS, rate_and_histograms
 
 
 def main() -> None:
@@ -30,7 +26,10 @@ def main() -> None:
                         help="output path stem")
     args = parser.parse_args()
 
-    results = stability_table(args.classes, args.samples, args.seed, law=args.law)
+    # one draw per class count gives its table row and both histograms
+    drawn = [rate_and_histograms(n, args.samples, args.seed, args.bins, args.law)
+             for n in args.classes]
+    results = [row for row, _, _ in drawn]
     print(f"{'n':>3} {'pairs':>9} {'change_rate':>12} {'ci':>8} "
           f"{'mean_conflict':>14} {'mean|changed':>13}")
     table_path = args.stem.with_suffix(".csv")
@@ -45,11 +44,7 @@ def main() -> None:
                              repr(r.change_rate), repr(r.ci_halfwidth)))
     print(f"wrote {table_path}")
 
-    for n in args.classes:
-        full = conflict_density(n, args.samples, args.bins, "all",
-                                args.seed, args.law)
-        flipped = conflict_density(n, args.samples, args.bins, "decision_change",
-                                   args.seed, args.law)
+    for n, (_, full, flipped) in zip(args.classes, drawn):
         hist_path = args.stem.parent / f"{args.stem.name}_hist_{n}.csv"
         with open(hist_path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")

@@ -78,6 +78,7 @@ from .stability import (
     invariance_check,
     letter_frame,
     pair_decisions,
+    rate_and_histograms,
     sample_expert,
     stability_table,
 )
@@ -111,7 +112,8 @@ __all__ = [
     "criterion_value", "decide", "pignistic", "plausibility",
     "Histogram", "InvarianceCase", "SAMPLING_LAWS", "StabilityResult",
     "conflict_density", "decision_change_rate", "invariance_check",
-    "letter_frame", "pair_decisions", "sample_expert", "stability_table",
+    "letter_frame", "pair_decisions", "rate_and_histograms", "sample_expert",
+    "stability_table",
     "ConflictMatrix", "Corpus", "CorpusError", "DecisionDifference",
     "conflict_matrix", "decision_difference", "generate_demo_corpus",
     "load_annotations", "parse_annotations", "tile_mass",

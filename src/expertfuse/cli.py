@@ -22,7 +22,7 @@ from .expert_models import CertaintyWeights, DEFAULT_WEIGHTS
 from .fusion import RULE_NAMES, combine, redistribute_conjunctions
 from .lattice import FocalElement, Model
 from .mass import MassFunction
-from .stability import SAMPLING_LAWS, conflict_density, stability_table
+from .stability import SAMPLING_LAWS, rate_and_histograms, stability_table
 
 SEED_ENV_VAR = "EXPERTFUSE_SEED"
 DEFAULT_SEED = 2026
@@ -173,9 +173,15 @@ def _parse_class_counts(text: str) -> list[int]:
 def cmd_simulate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     counts = _parse_class_counts(args.classes)
-    if args.histogram and len(counts) != 1:
-        raise ValueError("--histogram needs a single class count")
-    results = stability_table(counts, args.samples, seed, law=args.law)
+    if args.histogram:
+        if len(counts) != 1:
+            raise ValueError("--histogram needs a single class count")
+        row, full, flipped = rate_and_histograms(
+            counts[0], args.samples, seed, args.bins, args.law
+        )
+        results = [row]
+    else:
+        results = stability_table(counts, args.samples, seed, law=args.law)
     print(f"{'n':>3}  {'samples':>9}  {'change_rate':>11}  {'ci':>8}")
     for r in results:
         print(f"{r.n_classes:>3}  {r.accepted_pairs:>9}  {r.change_rate:>11.4f}  "
@@ -189,9 +195,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                     (r.n_classes, r.accepted_pairs, repr(r.change_rate), repr(r.ci_halfwidth))
                 )
     if args.histogram:
-        n = counts[0]
-        full = conflict_density(n, args.samples, args.bins, "all", seed, args.law)
-        flipped = conflict_density(n, args.samples, args.bins, "decision_change", seed, args.law)
         with open(args.histogram, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(("bin_low", "bin_high", "freq_all", "freq_change"))
@@ -230,14 +233,14 @@ def cmd_corpus(args: argparse.Namespace) -> int:
                 f"corpus has {len(found)} experts; pass --experts to pick two"
             )
         expert_i, expert_j = found
-    rule_a, rule_b = (r.strip() for r in args.rules.split(","))
-    for rule in (rule_a, rule_b):
-        if rule not in RULE_NAMES:
-            raise ValueError(f"unknown rule {rule!r}; expected one of {', '.join(RULE_NAMES)}")
-    matrix = conflict_matrix(corpus, expert_i, expert_j, weights)
+    rules = [r.strip() for r in args.rules.split(",")]
+    if len(rules) != 2:
+        raise ValueError(f"--rules needs two comma-separated rule names, got {args.rules!r}")
+    rule_a, rule_b = rules
     diff = decision_difference(
         corpus, weights, rule_a, rule_b, experts=(expert_i, expert_j)
     )
+    matrix = conflict_matrix(corpus, expert_i, expert_j, weights)
     labels = matrix.labels
     width = max(len("class"), max(len(lab) for lab in labels))
     print(

@@ -22,8 +22,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .decision import Criterion, decide
 from .expert_models import (
+    CERTAINTY_LEVELS,
     DEFAULT_WEIGHTS,
     AnnotationEntry,
     CertaintyWeights,
@@ -31,13 +31,18 @@ from .expert_models import (
     build_generalized_m5,
     sediment_frame,
 )
-from .fusion import combine
-from .lattice import Frame
+from .fusion import RULE_NAMES
+from .lattice import Frame, Model
 from .mass import MassFunction
+from .stability import pair_decisions
 
 CSV_HEADER = ("tile_id", "expert_id", "class", "certainty_level", "proportion")
 
 _SUM_TOLERANCE = 1e-9
+
+# The two-expert closed form behind each rule name; PCR6 equals PCR5 for
+# two experts.
+_CLOSED_FORMS = {"conjunctive": "conjunctive", "pcr5": "pcr", "pcr6": "pcr"}
 
 
 class CorpusError(ValueError):
@@ -160,6 +165,61 @@ def tile_mass(
     return build_generalized_m5(annotation, weights, frame)
 
 
+def _singleton_masses(
+    corpus: Corpus,
+    expert_i: str,
+    expert_j: str,
+    weights: CertaintyWeights,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both experts' generalized-model singleton masses, one row per tile.
+
+    Column k is class k of the frame; Θ is each row's remainder.  Shares
+    add in entry order as in `build_generalized_m5`, so each entry equals
+    that function's class mass before it is assembled into a mass
+    function.  Rows follow the first appearance of each tile for either
+    expert, so swapping the experts swaps the two arrays.  The closed forms
+    the arrays feed assume disjoint classes, so a free frame is refused.
+    """
+    frame = corpus.frame
+    if frame.model is not Model.SHAFER:
+        raise ValueError(
+            f"corpus statistics need an exclusive frame, got the {frame.model.value} model"
+        )
+    notes: dict[str, dict[str, TileAnnotation]] = {expert_i: {}, expert_j: {}}
+    order: dict[str, None] = {}
+    for ann in corpus.annotations:
+        by_tile = notes.get(ann.expert_id)
+        if by_tile is not None:
+            by_tile[ann.tile_id] = ann
+            order.setdefault(ann.tile_id)
+    notes_i, notes_j = notes[expert_i], notes[expert_j]
+    if not notes_i:
+        raise ValueError(f"unknown expert {expert_i!r}")
+    if not notes_j:
+        raise ValueError(f"unknown expert {expert_j!r}")
+    if notes_i.keys() != notes_j.keys():
+        raise ValueError(f"experts {expert_i!r} and {expert_j!r} annotate different tiles")
+    index = {label: k for k, label in enumerate(frame.labels)}
+    scale = {level: weights.weight(level) for level in CERTAINTY_LEVELS}
+
+    def masses(by_tile: dict[str, TileAnnotation]) -> np.ndarray:
+        rows = []
+        for tile in order:
+            row = [0.0] * frame.n_classes
+            for label, level, proportion in by_tile[tile].entries:
+                k = index.get(label)
+                if k is None:
+                    raise ValueError(f"unknown class label {label!r}")
+                row[k] += proportion * scale[level]
+            rows.append(row)
+        out = np.array(rows)
+        if (out.sum(axis=1) > 1.0 + _SUM_TOLERANCE).any():
+            raise ValueError("class masses exceed 1; check proportions and weights")
+        return out
+
+    return masses(notes_i), masses(notes_j)
+
+
 @dataclass(frozen=True)
 class ConflictMatrix:
     """Mean per-tile singleton disagreement between two experts, ×10⁴.
@@ -209,31 +269,15 @@ def conflict_matrix(
     weights: CertaintyWeights = DEFAULT_WEIGHTS,
 ) -> ConflictMatrix:
     """Class-pair conflict between two experts, averaged over shared tiles."""
-    tiles_i = corpus.tiles_of(expert_i)
-    tiles_j = corpus.tiles_of(expert_j)
-    if not tiles_i:
-        raise ValueError(f"unknown expert {expert_i!r}")
-    if not tiles_j:
-        raise ValueError(f"unknown expert {expert_j!r}")
-    if set(tiles_i) != set(tiles_j):
-        raise ValueError(f"experts {expert_i!r} and {expert_j!r} annotate different tiles")
-    frame = corpus.frame
-    n = frame.n_classes
-    totals = np.zeros((n, n))
-    for tile in tiles_i:
-        m_i = tile_mass(corpus.annotation(tile, expert_i), weights, frame)
-        m_j = tile_mass(corpus.annotation(tile, expert_j), weights, frame)
-        row = np.array([m_i.value_of_mask(frame.atom(k).mask) for k in range(n)])
-        col = np.array([m_j.value_of_mask(frame.atom(k).mask) for k in range(n)])
-        outer = np.outer(row, col)
-        np.fill_diagonal(outer, 0.0)
-        totals += outer
-    totals *= ConflictMatrix.SCALE / len(tiles_i)
+    a, b = _singleton_masses(corpus, expert_i, expert_j, weights)
+    totals = (a[:, :, None] * b[:, None, :]).sum(axis=0)
+    np.fill_diagonal(totals, 0.0)
+    totals *= ConflictMatrix.SCALE / len(a)
     return ConflictMatrix(
-        labels=frame.labels,
+        labels=corpus.frame.labels,
         expert_i=expert_i,
         expert_j=expert_j,
-        tile_count=len(tiles_i),
+        tile_count=len(a),
         values=tuple(tuple(float(v) for v in row) for row in totals),
     )
 
@@ -275,8 +319,14 @@ def decision_difference(
 
     Both experts' masses are combined under each rule and decided by
     maximum pignistic probability over the singletons, ties resolved to
-    the lowest class index under both rules alike.
+    the lowest class index under both rules alike.  The masses put weight
+    on singletons and Θ only, so each rule runs in its two-expert closed
+    form (`stability.pair_decisions`), which equals the object-level
+    `combine` followed by `decide`.
     """
+    for rule in (rule_a, rule_b):
+        if rule not in _CLOSED_FORMS:
+            raise ValueError(f"unknown rule {rule!r}; expected one of {', '.join(RULE_NAMES)}")
     if experts is None:
         experts = corpus.experts
         if len(experts) != 2:
@@ -285,31 +335,15 @@ def decision_difference(
             )
     if len(experts) != 2:
         raise ValueError("decision difference compares exactly two experts")
-    expert_i, expert_j = experts
-    tiles_i = corpus.tiles_of(expert_i)
-    tiles_j = corpus.tiles_of(expert_j)
-    if not tiles_i:
-        raise ValueError(f"unknown expert {expert_i!r}")
-    if not tiles_j:
-        raise ValueError(f"unknown expert {expert_j!r}")
-    if set(tiles_i) != set(tiles_j):
-        raise ValueError(f"experts {expert_i!r} and {expert_j!r} annotate different tiles")
-    frame = corpus.frame
-    atoms = frame.atoms()
+    a, b = _singleton_masses(corpus, experts[0], experts[1], weights)
     differing = 0
-    for tile in tiles_i:
-        pair = [
-            tile_mass(corpus.annotation(tile, expert_i), weights, frame),
-            tile_mass(corpus.annotation(tile, expert_j), weights, frame),
-        ]
-        chosen_a = decide(combine(pair, rule_a), Criterion.PIGNISTIC, atoms).chosen
-        chosen_b = decide(combine(pair, rule_b), Criterion.PIGNISTIC, atoms).chosen
-        if chosen_a.mask != chosen_b.mask:
-            differing += 1
+    if _CLOSED_FORMS[rule_a] != _CLOSED_FORMS[rule_b]:
+        choice_conj, choice_pcr, _ = pair_decisions(a, b)
+        differing = int(np.count_nonzero(choice_conj != choice_pcr))
     return DecisionDifference(
         rule_a=rule_a,
         rule_b=rule_b,
-        tiles=len(tiles_i),
+        tiles=len(a),
         differing=differing,
     )
 

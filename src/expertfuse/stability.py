@@ -29,14 +29,17 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from .decision import TIE_TOLERANCE
 from .lattice import Frame, Model, make_frame
 from .mass import MassFunction, World, mass_from_masks
 
 SAMPLING_LAWS = ("uniform", "product")
 
-DECISION_TIE_TOLERANCE = 1e-12
-
 _DEFAULT_CHUNK = 1 << 16
+
+# Pairs per pass of the pair kernels: large enough to amortize numpy's
+# per-call cost, small enough to keep each pass's arrays in cache.
+_KERNEL_BLOCK = 1 << 12
 
 
 @lru_cache(maxsize=None)
@@ -104,47 +107,94 @@ def sample_expert(n: int, rng: np.random.Generator, law: str = "product") -> Mas
 def _conjunctive_parts(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized conjunctive rule on singleton+Θ masses.
 
-    Rows of `a` and `b` hold singleton masses; Θ takes the remainder.
-    Returns combined singleton masses, the combined Θ mass, and the
-    conflict, all per row.
+    The kernels are class-major: ``a[k]`` holds the first expert's mass
+    on class k for every pair, so each step runs over contiguous memory.
+    Θ takes each pair's remainder.  Returns the combined singleton masses
+    (class-major), the combined Θ mass and the conflict, per pair.
     """
-    ta = 1.0 - a.sum(axis=1, keepdims=True)
-    tb = 1.0 - b.sum(axis=1, keepdims=True)
-    s = a * b + a * tb + ta * b
-    theta = (ta * tb)[:, 0]
-    conflict = np.maximum(a.sum(axis=1) * b.sum(axis=1) - (a * b).sum(axis=1), 0.0)
-    return s, theta, conflict
+    sa = a.sum(axis=0)
+    sb = b.sum(axis=0)
+    ta = 1.0 - sa
+    tb = 1.0 - sb
+    s = a * b
+    conflict = np.maximum(sa * sb - s.sum(axis=0), 0.0)
+    s += a * tb
+    s += ta * b
+    return s, ta * tb, conflict
 
 
-def _pcr5_parts(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized pairwise proportional redistribution on singleton+Θ masses."""
-    s, theta, _ = _conjunctive_parts(a, b)
+def _pcr5_parts(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Vectorized pairwise proportional redistribution on singleton+Θ masses.
+
+    Class-major like `_conjunctive_parts`, whose singleton masses `s` are
+    the starting point: each conflicting product a_i·b_j (i ≠ j) returns
+    to classes i and j in proportion to a_i and b_j.  The Θ mass is the
+    conjunctive one.
+    """
     p = s.copy()
-    n = a.shape[1]
+    n = len(a)
     for i in range(n):
+        ai = a[i]
         for j in range(n):
             if i == j:
                 continue
-            ai = a[:, i]
-            bj = b[:, j]
+            bj = b[j]
             denom = ai + bj
             shared = ai * bj / np.where(denom > 0.0, denom, 1.0)
-            p[:, i] += ai * shared
-            p[:, j] += bj * shared
-    return p, theta
+            p[i] += ai * shared
+            p[j] += bj * shared
+    return p
+
+
+def _pignistic_choice(values: np.ndarray) -> np.ndarray:
+    """Per pair, the lowest class index within the tie tolerance of the maximum.
+
+    `values` is class-major and is overwritten; this is the choice
+    `decision.decide` makes among the singletons.
+    """
+    gap = np.subtract(values.max(axis=0), values, out=values)
+    return (gap <= TIE_TOLERANCE).argmax(axis=0)
+
+
+def _decide_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`pair_decisions` on class-major masses."""
+    s, theta, conflict = _conjunctive_parts(a, b)
+    p = _pcr5_parts(a, b, s)
+    theta_share = theta / len(a)
+    kept = s.sum(axis=0) + theta
+    if not kept.all():
+        raise ValueError("pignistic probability is undefined under total conflict")
+    s += theta_share
+    s /= kept
+    p += theta_share
+    return _pignistic_choice(s), _pignistic_choice(p), conflict
 
 
 def pair_decisions(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row argmax class under both rules, plus the conjunctive conflict.
+    """Per-row pignistic decision under both rules, plus the conjunctive conflict.
 
-    Maximizing the pignistic probability over singletons reduces to the
-    singleton-mass argmax here: with only singleton and Θ focal elements,
-    every singleton receives the same Θ share and the same normalizer.
-    Ties resolve to the lowest class index on both sides.
+    Rows of `a` and `b` hold two experts' singleton masses, Θ taking the
+    remainder.  The conjunctive rule and PCR5, which equals PCR6 for two
+    experts, are evaluated in closed form; each singleton's pignistic
+    probability is its combined mass plus an n-th of the Θ mass, divided
+    by the mass left off ∅.  The decision follows `decision.decide`: the
+    lowest class index within the tie tolerance of the maximum.  A row
+    whose conjunctive combination puts all mass on ∅ has no pignistic
+    decision and raises ValueError.
+
+    Rows go through the kernels in fixed-size blocks, which bounds their
+    temporaries whatever the row count; every row's result is the same
+    as in one pass.
     """
-    s, _, conflict = _conjunctive_parts(a, b)
-    p, _ = _pcr5_parts(a, b)
-    return s.argmax(axis=1), p.argmax(axis=1), conflict
+    choice_conj = np.empty(len(a), dtype=np.intp)
+    choice_pcr = np.empty(len(a), dtype=np.intp)
+    conflict = np.empty(len(a))
+    for start in range(0, len(a), _KERNEL_BLOCK):
+        rows = slice(start, start + _KERNEL_BLOCK)
+        choice_conj[rows], choice_pcr[rows], conflict[rows] = _decide_pairs(
+            np.ascontiguousarray(a[rows].T), np.ascontiguousarray(b[rows].T)
+        )
+    return choice_conj, choice_pcr, conflict
 
 
 @dataclass(frozen=True)
@@ -163,6 +213,47 @@ class StabilityResult:
             raise ValueError("change rate must lie in [0, 1]")
 
 
+class _PairSample(NamedTuple):
+    """Conjunctive conflict and decision flip of every sampled pair, plus rows drawn."""
+
+    conflict: np.ndarray
+    change: np.ndarray
+    drawn: int
+
+
+def _sample_pairs(
+    n: int, n_samples: int, seed: int | np.random.SeedSequence, law: str
+) -> _PairSample:
+    rng = np.random.default_rng(seed)
+    rows, drawn = _accepted_masses(n, 2 * n_samples, rng, law)
+    choice_conj, choice_pcr, conflict = pair_decisions(rows[0::2], rows[1::2])
+    return _PairSample(conflict, choice_conj != choice_pcr, drawn)
+
+
+def _check_rate_args(n: int, n_samples: int, law: str) -> None:
+    if n < 2:
+        raise ValueError(f"need at least two classes, got {n}")
+    if n_samples < 1:
+        raise ValueError("need at least one accepted pair")
+    _check_law(law)
+
+
+def _rate_row(n: int, n_samples: int, sample: _PairSample) -> StabilityResult:
+    rate = float(sample.change.mean())
+    ci = 1.96 * math.sqrt(rate * (1.0 - rate) / n_samples)
+    changed = sample.conflict[sample.change]
+    return StabilityResult(
+        n_classes=n,
+        requested_pairs=n_samples,
+        accepted_pairs=n_samples,
+        candidate_draws=sample.drawn,
+        change_rate=rate,
+        ci_halfwidth=ci,
+        mean_conflict=float(sample.conflict.mean()),
+        mean_conflict_changed=float(changed.mean()) if len(changed) else float("nan"),
+    )
+
+
 def decision_change_rate(
     n: int,
     n_samples: int,
@@ -174,34 +265,13 @@ def decision_change_rate(
     `n_samples` counts accepted pairs, so every class count runs at equal
     statistical power.  The half-width is the 95% normal approximation.
     """
-    if n < 2:
-        raise ValueError(f"need at least two classes, got {n}")
-    if n_samples < 1:
-        raise ValueError("need at least one accepted pair")
-    _check_law(law)
-    rng = np.random.default_rng(seed)
-    rows, drawn = _accepted_masses(n, 2 * n_samples, rng, law)
-    a = rows[0::2]
-    b = rows[1::2]
-    choice_conj, choice_pcr, conflict = pair_decisions(a, b)
-    change = choice_conj != choice_pcr
-    rate = float(change.mean())
-    ci = 1.96 * math.sqrt(rate * (1.0 - rate) / n_samples)
-    changed = conflict[change]
-    return StabilityResult(
-        n_classes=n,
-        requested_pairs=n_samples,
-        accepted_pairs=n_samples,
-        candidate_draws=drawn,
-        change_rate=rate,
-        ci_halfwidth=ci,
-        mean_conflict=float(conflict.mean()),
-        mean_conflict_changed=float(changed.mean()) if len(changed) else float("nan"),
-    )
+    _check_rate_args(n, n_samples, law)
+    return _rate_row(n, n_samples, _sample_pairs(n, n_samples, seed, law))
 
 
 def _class_count_seed(seed: int, n: int) -> np.random.SeedSequence:
-    """The stream `stability_table` and `conflict_density` draw for n classes."""
+    """The stream `stability_table`, `conflict_density` and
+    `rate_and_histograms` draw for n classes."""
     return np.random.SeedSequence(entropy=seed, spawn_key=(n,))
 
 
@@ -243,11 +313,14 @@ def conflict_density(
     if subset not in HISTOGRAM_SUBSETS:
         raise ValueError(f"unknown subset {subset!r}; expected one of {HISTOGRAM_SUBSETS}")
     _check_law(law)
-    rng = np.random.default_rng(_class_count_seed(seed, n))
-    rows, _ = _accepted_masses(n, 2 * n_samples, rng, law)
-    choice_conj, choice_pcr, conflict = pair_decisions(rows[0::2], rows[1::2])
+    sample = _sample_pairs(n, n_samples, _class_count_seed(seed, n), law)
+    return _histogram(n, sample, bins, subset)
+
+
+def _histogram(n: int, sample: _PairSample, bins: int, subset: str) -> Histogram:
+    conflict = sample.conflict
     if subset == "decision_change":
-        conflict = conflict[choice_conj != choice_pcr]
+        conflict = conflict[sample.change]
     counts, edges = np.histogram(conflict, bins=bins, range=(0.0, 1.0))
     total = int(counts.sum())
     freqs = counts / total if total else np.zeros(bins)
@@ -257,6 +330,30 @@ def conflict_density(
         bin_edges=tuple(float(e) for e in edges),
         frequencies=tuple(float(f) for f in freqs),
         count=total,
+    )
+
+
+def rate_and_histograms(
+    n: int,
+    n_samples: int,
+    seed: int,
+    bins: int = 20,
+    law: str = "uniform",
+) -> tuple[StabilityResult, Histogram, Histogram]:
+    """One class count's table row and both conflict histograms, from one draw.
+
+    The three results equal ``stability_table([n], n_samples, seed, law)[0]``
+    and the ``"all"`` and ``"decision_change"`` `conflict_density`
+    histograms for the same arguments, for the sampling cost of one.
+    """
+    _check_rate_args(n, n_samples, law)
+    if bins < 1:
+        raise ValueError("need at least one bin")
+    sample = _sample_pairs(n, n_samples, _class_count_seed(seed, n), law)
+    return (
+        _rate_row(n, n_samples, sample),
+        _histogram(n, sample, bins, "all"),
+        _histogram(n, sample, bins, "decision_change"),
     )
 
 
@@ -310,28 +407,27 @@ def invariance_check(
     if not parts:
         return []
     rows = np.concatenate(parts)[:n_samples]
+    x, y, z = rows.T
     if constraint == "across":
-        a = rows[:, (0, 1)]
-        b = np.column_stack((rows[:, 2], rows[:, 0]))
+        a = np.stack((x, y))
+        b = np.stack((z, x))
     else:
-        a = np.column_stack((rows[:, 0], rows[:, 0]))
-        b = rows[:, (1, 2)]
+        a = np.stack((x, x))
+        b = np.stack((y, z))
     s, _, _ = _conjunctive_parts(a, b)
-    p, _ = _pcr5_parts(a, b)
-    tie = (np.abs(s[:, 0] - s[:, 1]) <= DECISION_TIE_TOLERANCE) | (
-        np.abs(p[:, 0] - p[:, 1]) <= DECISION_TIE_TOLERANCE
-    )
-    differ = (s.argmax(axis=1) != p.argmax(axis=1)) & ~tie
+    p = _pcr5_parts(a, b, s)
+    tie = (np.abs(s[0] - s[1]) <= TIE_TOLERANCE) | (np.abs(p[0] - p[1]) <= TIE_TOLERANCE)
+    differ = (s.argmax(axis=0) != p.argmax(axis=0)) & ~tie
     out: list[InvarianceCase] = []
     for idx in np.flatnonzero(differ):
         out.append(
             InvarianceCase(
-                m1_a=float(a[idx, 0]),
-                m1_b=float(a[idx, 1]),
-                m2_a=float(b[idx, 0]),
-                m2_b=float(b[idx, 1]),
-                consensus_choice=int(s[idx].argmax()),
-                pcr5_choice=int(p[idx].argmax()),
+                m1_a=float(a[0, idx]),
+                m1_b=float(a[1, idx]),
+                m2_a=float(b[0, idx]),
+                m2_b=float(b[1, idx]),
+                consensus_choice=int(s[:, idx].argmax()),
+                pcr5_choice=int(p[:, idx].argmax()),
             )
         )
     return out

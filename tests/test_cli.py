@@ -15,6 +15,7 @@ from expertfuse import (
     build_m1,
     build_m4,
     build_m5,
+    conflict_density,
     generate_demo_corpus,
     mass_from_entries,
     make_frame,
@@ -240,6 +241,21 @@ class TestSimulate:
         assert float(rows[-1]["bin_high"]) == 1.0
         assert sum(float(r["freq_all"]) for r in rows) == pytest.approx(1.0)
 
+    def test_histogram_run_prints_the_plain_table(self, tmp_path, capsys):
+        argv = ["simulate", "--classes", "4", "--samples", "300", "--seed", "3"]
+        main(argv + ["--out", str(tmp_path / "plain.csv")])
+        plain = capsys.readouterr().out
+        main(argv + ["--out", str(tmp_path / "with.csv"), "--bins", "7",
+                     "--histogram", str(tmp_path / "hist.csv")])
+        assert capsys.readouterr().out == plain
+        assert (tmp_path / "with.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        rows = list(csv.DictReader((tmp_path / "hist.csv").open()))
+        full = conflict_density(4, 300, 7, "all", 3)
+        flipped = conflict_density(4, 300, 7, "decision_change", 3)
+        assert [float(r["freq_all"]) for r in rows] == list(full.frequencies)
+        assert [float(r["freq_change"]) for r in rows] == list(flipped.frequencies)
+        assert [float(r["bin_low"]) for r in rows] == list(full.bin_edges[:-1])
+
     def test_histogram_needs_one_class_count(self, tmp_path, capsys):
         code = main(
             [
@@ -315,6 +331,11 @@ class TestCorpus:
     def test_rule_and_weight_validation(self, corpus_file, capsys):
         assert main(["corpus", str(corpus_file), "--rules", "conjunctive,votes"]) == 1
         assert "unknown rule" in capsys.readouterr().err
+        for rules in ("conjunctive", "conjunctive,pcr5,pcr6", ""):
+            assert main(["corpus", str(corpus_file), "--rules", rules]) == 1
+            err = capsys.readouterr().err
+            assert "--rules needs two comma-separated rule names" in err
+            assert "unpack" not in err
         assert main(["corpus", str(corpus_file), "--weights", "1,0.5"]) == 1
         assert "three comma-separated" in capsys.readouterr().err
         assert main(["corpus", str(corpus_file), "--weights", "0.2,0.5,0.9"]) == 1

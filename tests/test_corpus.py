@@ -6,18 +6,28 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from expertfuse import (
+    DEFAULT_WEIGHTS,
     CertaintyWeights,
+    Corpus,
     CorpusError,
+    Model,
+    TileAnnotation,
+    combine,
     combine_conjunctive,
     conflict_matrix,
+    decide,
     decision_difference,
     generate_demo_corpus,
     load_annotations,
     make_frame,
     parse_annotations,
+    sediment_frame,
     tile_mass,
 )
 from expertfuse.corpus import DEMO_EXPERTS, DEMO_SEED, DEMO_TILES
@@ -249,3 +259,168 @@ class TestDemoCorpus:
     def test_single_class_tiles_agree_under_both_rules(self):
         corpus = parse_annotations(generate_demo_corpus(300, DEMO_SEED))
         assert decision_difference(corpus).differing == 0
+
+
+def _object_route(corpus, experts, weights=DEFAULT_WEIGHTS, rules=("conjunctive", "pcr6")):
+    """Conflict matrix and flip count of the per-tile reference path.
+
+    Each tile's masses come from `tile_mass`, are combined with `combine`
+    under both rules and decided with `decide`.
+    """
+    frame = corpus.frame
+    atoms = frame.atoms()
+    tiles = corpus.tiles_of(experts[0])
+    totals = np.zeros((frame.n_classes, frame.n_classes))
+    differing = 0
+    for tile in tiles:
+        pair = [tile_mass(corpus.annotation(tile, e), weights, frame) for e in experts]
+        outer = np.outer(*([m.value(atom) for atom in atoms] for m in pair))
+        np.fill_diagonal(outer, 0.0)
+        totals += outer
+        picks = [decide(combine(pair, rule), "pignistic", atoms).chosen for rule in rules]
+        differing += picks[0].mask != picks[1].mask
+    return totals * 1e4 / len(tiles), differing
+
+
+def _assert_matches_object_route(corpus, experts, weights=DEFAULT_WEIGHTS,
+                                 rules=("conjunctive", "pcr6")):
+    expected_matrix, expected_differing = _object_route(corpus, experts, weights, rules)
+    matrix = conflict_matrix(corpus, *experts, weights)
+    np.testing.assert_allclose(matrix.values, expected_matrix, rtol=1e-12, atol=0.0)
+    diff = decision_difference(corpus, weights, *rules, experts=experts)
+    assert diff.differing == expected_differing
+    return diff
+
+
+def _uniform_corpus_text(seed, tiles, labels, entries):
+    """Two experts; each annotation splits a uniform-law row over `entries`
+    parts, floored to 4 decimals, each part on a random label and level."""
+    rng = np.random.default_rng(seed)
+    e = rng.standard_exponential((2 * tiles, entries + 1))
+    parts = np.floor(e[:, :entries] / e.sum(axis=1, keepdims=True) * 1e4) / 1e4
+    lines = [HEADER]
+    for row in range(2 * tiles):
+        tile, expert = f"t{row // 2:04d}", f"e{row % 2 + 1}"
+        for p in parts[row]:
+            label = labels[rng.integers(len(labels))]
+            lines.append(f"{tile},{expert},{label},{rng.integers(1, 4)},{p:.4f}")
+    return "\n".join(lines) + "\n"
+
+
+class TestArraysMatchTheObjectRoute:
+    """The array kernels against tile_mass → combine → decide, tile by tile."""
+
+    def test_demo_corpus(self, repo_root):
+        corpus = load_annotations(str(repo_root / "data" / "demo_corpus.csv"))
+        diff = _assert_matches_object_route(corpus, DEMO_EXPERTS)
+        assert diff.differing == 0
+
+    def test_dense_corpus(self):
+        labels = sediment_frame().labels
+        corpus = parse_annotations(_uniform_corpus_text(1, 600, labels, len(labels)))
+        for rules in (("conjunctive", "pcr6"), ("pcr5", "conjunctive")):
+            diff = _assert_matches_object_route(corpus, ("e1", "e2"), rules=rules)
+            assert diff.differing > 0
+
+    def test_a_class_at_two_certainty_levels(self):
+        # five parts over three labels: every annotation repeats a class
+        corpus = parse_annotations(_uniform_corpus_text(2, 400, ("rock", "sand", "silt"), 5))
+        repeated = {
+            (a.tile_id, a.expert_id)
+            for a in corpus.annotations
+            if len({e.label for e in a.entries}) < len(a.entries)
+        }
+        assert len(repeated) == len(corpus.annotations)
+        levels = {tuple(sorted({e.level for e in a.entries if e.label == "sand"}))
+                  for a in corpus.annotations}
+        assert any(len(found) > 1 for found in levels)
+        for weights in (DEFAULT_WEIGHTS, CertaintyWeights(1.0, 0.86, 0.6)):
+            _assert_matches_object_route(corpus, ("e1", "e2"), weights)
+
+    def test_mirrored_halves_tie_to_the_lowest_class(self):
+        text = f"{HEADER}\nt1,e1,A,1,0.5\nt1,e1,B,1,0.5\nt1,e2,B,2,0.5\nt1,e2,A,2,0.5\n"
+        corpus = parse_annotations(text, frame=make_frame(("A", "B", "C")))
+        diff = _assert_matches_object_route(corpus, ("e1", "e2"))
+        assert diff.differing == 0
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 5000),
+                st.integers(0, 5000),
+                st.sampled_from((1, 2, 3)),
+                st.sampled_from((1, 2, 3)),
+                st.sampled_from((0, 0, 1, -1, 3)),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.sampled_from((DEFAULT_WEIGHTS, CertaintyWeights(1.0, 1.0, 1.0),
+                         CertaintyWeights(1.0, 0.86, 0.6))),
+    )
+    def test_exact_and_near_ties(self, tiles, weights):
+        # the second expert mirrors the first, exactly or a few 1e-4 off
+        lines = [HEADER]
+        for t, (x, y, level_x, level_y, nudge) in enumerate(tiles):
+            y_mirror = min(max(y + nudge, 0), 5000)
+            lines += [
+                f"t{t},e1,A,{level_x},{x / 1e4:.4f}",
+                f"t{t},e1,B,{level_y},{y / 1e4:.4f}",
+                f"t{t},e2,A,{level_y},{y_mirror / 1e4:.4f}",
+                f"t{t},e2,B,{level_x},{x / 1e4:.4f}",
+            ]
+        corpus = parse_annotations(lines, frame=make_frame(("A", "B", "C")))
+        for rules in (("conjunctive", "pcr6"), ("pcr5", "conjunctive")):
+            _assert_matches_object_route(corpus, ("e1", "e2"), weights, rules)
+
+    def test_swapping_experts_transposes_exactly_in_any_file_order(self):
+        # the second expert's rows come in reverse tile order
+        text = _uniform_corpus_text(3, 60, sediment_frame().labels, 7)
+        header, *rows = text.splitlines()
+        first = [r for r in rows if ",e1," in r]
+        second = [r for r in rows if ",e2," in r]
+        corpus = parse_annotations([header, *first, *reversed(second)])
+        _assert_matches_object_route(corpus, ("e1", "e2"))
+        forward = conflict_matrix(corpus, "e1", "e2")
+        backward = conflict_matrix(corpus, "e2", "e1")
+        assert forward.values == tuple(zip(*backward.values))
+
+
+class TestArrayRouteRejections:
+    def test_unknown_rule(self, small_corpus):
+        with pytest.raises(ValueError, match="unknown rule 'votes'; expected one of"):
+            decision_difference(small_corpus, rule_b="votes")
+        with pytest.raises(ValueError, match="unknown rule 'Conjunctive'"):
+            decision_difference(small_corpus, rule_a="Conjunctive")
+
+    def test_free_frame_is_refused(self):
+        frame = make_frame(("A", "B"), Model.FREE)
+        corpus = parse_annotations(f"{HEADER}\nt1,e1,A,1,0.5\nt1,e2,B,1,0.5\n", frame=frame)
+        with pytest.raises(ValueError, match="exclusive frame, got the free model"):
+            conflict_matrix(corpus, "e1", "e2")
+        with pytest.raises(ValueError, match="exclusive frame, got the free model"):
+            decision_difference(corpus)
+
+    def test_unknown_label_in_a_built_corpus(self):
+        corpus = Corpus(
+            frame=sediment_frame(),
+            annotations=(
+                TileAnnotation("t1", "e1", (("lava", 1, 0.5),)),
+                TileAnnotation("t1", "e2", (("sand", 1, 0.5),)),
+            ),
+        )
+        with pytest.raises(ValueError, match="unknown class label 'lava'"):
+            tile_mass(corpus.annotation("t1", "e1"))
+        with pytest.raises(ValueError, match="unknown class label 'lava'"):
+            conflict_matrix(corpus, "e1", "e2")
+        with pytest.raises(ValueError, match="unknown class label 'lava'"):
+            decision_difference(corpus)
+
+    def test_total_conflict_has_no_decision(self):
+        corpus = parse_annotations(f"{HEADER}\nt1,e1,A,1,1.0\nt1,e2,B,1,1.0\n",
+                                   frame=make_frame(("A", "B")))
+        flat = CertaintyWeights(1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="total conflict"):
+            _object_route(corpus, ("e1", "e2"), flat)
+        with pytest.raises(ValueError, match="total conflict"):
+            decision_difference(corpus, weights=flat)

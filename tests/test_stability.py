@@ -17,6 +17,7 @@ from expertfuse import (
     letter_frame,
     mass_from_entries,
     pair_decisions,
+    rate_and_histograms,
     sample_expert,
     stability_table,
 )
@@ -190,6 +191,23 @@ class TestPairKernels:
             assert choice_pcr[k] == expected[1]
             assert conflict[k] == pytest.approx(expected[2], abs=1e-12)
 
+    def test_mirrored_experts_tie_to_the_lowest_class(self):
+        # b mirrors a, so both rules tie between A and B up to rounding
+        rows, _ = _accepted_masses(2, 40, np.random.default_rng(4), "uniform")
+        a = np.column_stack((rows[:, 0], rows[:, 1], np.zeros(40)))
+        b = a[:, (1, 0, 2)]
+        choice_conj, choice_pcr, _ = pair_decisions(a, b)
+        assert (choice_conj == 0).all()
+        assert (choice_pcr == 0).all()
+        for k in range(40):
+            assert self._object_route(a[k], b[k], 3)[:2] == (0, 0)
+
+    def test_total_conflict_has_no_decision(self):
+        a = np.array([[0.2, 0.3], [1.0, 0.0]])
+        b = np.array([[0.5, 0.1], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="total conflict"):
+            pair_decisions(a, b)
+
     def test_identical_experts_never_flip(self):
         rows, _ = _accepted_masses(3, 40, np.random.default_rng(2), "uniform")
         choice_conj, choice_pcr, _ = pair_decisions(rows, rows)
@@ -279,6 +297,26 @@ class TestConflictDensity:
             conflict_density(3, 10, bins=0)
         with pytest.raises(ValueError):
             conflict_density(3, -1)
+
+
+class TestRateAndHistograms:
+    @pytest.mark.parametrize("law", ["uniform", "product"])
+    def test_equals_the_separate_draws(self, law):
+        row, full, flipped = rate_and_histograms(4, 1500, 12, bins=13, law=law)
+        assert row == stability_table([4], 1500, 12, law=law)[0]
+        assert full == conflict_density(4, 1500, 13, "all", 12, law)
+        assert flipped == conflict_density(4, 1500, 13, "decision_change", 12, law)
+        assert flipped.count == round(row.change_rate * 1500)
+
+    def test_argument_validation(self):
+        with pytest.raises(ValueError, match="bin"):
+            rate_and_histograms(3, 10, 0, bins=0)
+        with pytest.raises(ValueError, match="accepted pair"):
+            rate_and_histograms(3, 0, 0)
+        with pytest.raises(ValueError, match="two classes"):
+            rate_and_histograms(1, 10, 0)
+        with pytest.raises(ValueError, match="law"):
+            rate_and_histograms(3, 10, 0, law="beta")
 
 
 class TestInvariance:
