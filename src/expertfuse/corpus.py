@@ -8,7 +8,8 @@ Rows group by (tile, expert) into annotations; each annotation becomes a
 mass function through the generalized proportion-times-certainty model.
 On top of that the module offers the class-pair conflict matrix between
 two experts and the fraction of tiles on which two combination rules
-reach different decisions.
+reach different decisions.  Parsing fills one column per entry field, and
+both statistics run on arrays built from those columns.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -49,30 +50,152 @@ class CorpusError(ValueError):
     """Malformed annotation input; the message carries the line number."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class _Columns:
+    """A corpus's entries, one array element per entry in file order.
+
+    `keys` holds the (tile, expert) pair of each annotation in order of
+    first appearance; `annotation` maps each entry to its index there.
+    """
+
+    keys: tuple[tuple[str, str], ...]
+    annotation: np.ndarray
+    class_index: np.ndarray
+    level: np.ndarray
+    proportion: np.ndarray
+
+    @classmethod
+    def from_lists(
+        cls,
+        keys: Iterable[tuple[str, str]],
+        annotation: list[int],
+        class_index: list[int],
+        level: list[int],
+        proportion: list[float],
+    ) -> "_Columns":
+        return cls(
+            keys=tuple(keys),
+            annotation=np.array(annotation, dtype=np.intp),
+            class_index=np.array(class_index, dtype=np.intp),
+            level=np.array(level, dtype=np.intp),
+            proportion=np.array(proportion, dtype=np.float64),
+        )
+
+    @classmethod
+    def from_annotations(
+        cls, annotations: Sequence[TileAnnotation], frame: Frame
+    ) -> "_Columns":
+        keys = _distinct_keys(annotations)
+        class_of = {label: k for k, label in enumerate(frame.labels)}
+        owners, classes, levels, proportions = [], [], [], []
+        for owner, ann in enumerate(annotations):
+            for label, level, proportion in ann.entries:
+                k = class_of.get(label)
+                if k is None:
+                    raise ValueError(f"unknown class label {label!r}")
+                owners.append(owner)
+                classes.append(k)
+                levels.append(level)
+                proportions.append(proportion)
+        return cls.from_lists(keys, owners, classes, levels, proportions)
+
+    def annotations(self, frame: Frame) -> tuple[TileAnnotation, ...]:
+        labels = frame.labels
+        groups: list[list[AnnotationEntry]] = [[] for _ in self.keys]
+        for owner, k, level, proportion in zip(
+            self.annotation.tolist(),
+            self.class_index.tolist(),
+            self.level.tolist(),
+            self.proportion.tolist(),
+        ):
+            groups[owner].append(AnnotationEntry(labels[k], level, proportion))
+        return tuple(
+            TileAnnotation(tile_id, expert_id, tuple(entries))
+            for (tile_id, expert_id), entries in zip(self.keys, groups)
+        )
+
+
+def _distinct_keys(annotations: Iterable[TileAnnotation]) -> tuple[tuple[str, str], ...]:
+    keys: dict[tuple[str, str], None] = {}
+    for ann in annotations:
+        key = (ann.tile_id, ann.expert_id)
+        if key in keys:
+            raise ValueError(
+                f"tile {ann.tile_id!r} has two annotations by expert {ann.expert_id!r}"
+            )
+        keys[key] = None
+    return tuple(keys)
+
+
 class Corpus:
-    """Validated annotations over one frame, in file order."""
+    """Validated annotations over one frame, in file order.
+
+    A parsed corpus keeps its entries as columns and builds `annotations`
+    from them on first use.  A corpus built from annotation objects derives
+    its columns on the first statistic, which rejects an unknown label or
+    a second annotation for one (tile, expert).  Instances are immutable.
+    """
 
     frame: Frame
-    annotations: tuple[TileAnnotation, ...]
+
+    def __init__(self, frame: Frame, annotations: Iterable[TileAnnotation]) -> None:
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "annotations", tuple(annotations))
+
+    @classmethod
+    def _from_columns(cls, frame: Frame, columns: _Columns) -> "Corpus":
+        corpus = cls.__new__(cls)
+        object.__setattr__(corpus, "frame", frame)
+        object.__setattr__(corpus, "_columns", columns)
+        return corpus
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Corpus):
+            return NotImplemented
+        return self.frame == other.frame and self.annotations == other.annotations
+
+    def __hash__(self) -> int:
+        return hash((self.frame, self.annotations))
+
+    def __repr__(self) -> str:
+        built = vars(self).get("annotations")
+        count = len(built) if built is not None else len(self._columns.keys)
+        return f"Corpus(frame={self.frame!r}, annotations=<{count} annotations>)"
+
+    # Exactly one of `annotations` and `_columns` is set at construction;
+    # each is derived from the other on first use.
+
+    @cached_property
+    def annotations(self) -> tuple[TileAnnotation, ...]:
+        return self._columns.annotations(self.frame)
+
+    @cached_property
+    def _columns(self) -> _Columns:
+        return _Columns.from_annotations(self.annotations, self.frame)
+
+    @cached_property
+    def _keys(self) -> tuple[tuple[str, str], ...]:
+        if "_columns" in vars(self):
+            return self._columns.keys
+        return _distinct_keys(self.annotations)
 
     @cached_property
     def _index(self) -> dict[tuple[str, str], TileAnnotation]:
-        return {(a.tile_id, a.expert_id): a for a in self.annotations}
+        return dict(zip(self._keys, self.annotations))
 
     @property
     def tiles(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for ann in self.annotations:
-            seen.setdefault(ann.tile_id, None)
-        return tuple(seen)
+        return tuple(dict.fromkeys(tile for tile, _ in self._keys))
 
     @property
     def experts(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for ann in self.annotations:
-            seen.setdefault(ann.expert_id, None)
-        return tuple(seen)
+        return tuple(dict.fromkeys(expert for _, expert in self._keys))
 
     def annotation(self, tile_id: str, expert_id: str) -> TileAnnotation:
         try:
@@ -83,7 +206,7 @@ class Corpus:
             ) from None
 
     def tiles_of(self, expert_id: str) -> tuple[str, ...]:
-        return tuple(a.tile_id for a in self.annotations if a.expert_id == expert_id)
+        return tuple(tile for tile, expert in self._keys if expert == expert_id)
 
 
 def parse_annotations(
@@ -110,25 +233,30 @@ def parse_annotations(
     if tuple(h.strip() for h in header) != CSV_HEADER:
         raise CorpusError(f"line 1: bad header {','.join(header)!r}, "
                           f"expected {','.join(CSV_HEADER)}")
-    groups: dict[tuple[str, str], list[AnnotationEntry]] = {}
-    sums: dict[tuple[str, str], float] = {}
+    class_of = {label: k for k, label in enumerate(frame.labels)}
+    ids: dict[tuple[str, str], int] = {}
+    sums: list[float] = []
+    owners: list[int] = []
+    classes: list[int] = []
+    levels: list[int] = []
+    proportions: list[float] = []
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != len(CSV_HEADER):
             raise CorpusError(f"line {lineno}: expected {len(CSV_HEADER)} fields, got {len(row)}")
-        tile_id, expert_id, label, level_text, proportion_text = (f.strip() for f in row)
-        try:
-            frame.label_index(label)
-        except ValueError:
-            raise CorpusError(f"line {lineno}: unknown class {label!r}") from None
+        tile_id, expert_id, label, level_text, proportion_text = map(str.strip, row)
+        k = class_of.get(label)
+        if k is None:
+            raise CorpusError(f"line {lineno}: unknown class {label!r}")
         try:
             level = int(level_text)
         except ValueError:
             raise CorpusError(f"line {lineno}: certainty level {level_text!r} "
                               "is not an integer") from None
-        if level not in (1, 2, 3):
-            raise CorpusError(f"line {lineno}: certainty level must be 1, 2 or 3, got {level}")
+        if level not in CERTAINTY_LEVELS:
+            raise CorpusError(f"line {lineno}: certainty level must be 1, 2 or 3, "
+                              f"got {level}")
         try:
             proportion = float(proportion_text)
         except ValueError:
@@ -137,19 +265,23 @@ def parse_annotations(
         if not 0.0 <= proportion <= 1.0:
             raise CorpusError(f"line {lineno}: proportion must lie in [0, 1], got {proportion}")
         key = (tile_id, expert_id)
-        new_sum = sums.get(key, 0.0) + proportion
+        owner = ids.get(key)
+        if owner is None:
+            owner = ids[key] = len(sums)
+            sums.append(0.0)
+        new_sum = sums[owner] + proportion
         if new_sum > 1.0 + _SUM_TOLERANCE:
             raise CorpusError(
                 f"line {lineno}: proportions for tile {tile_id!r} by expert "
                 f"{expert_id!r} sum to {new_sum:.6g} > 1"
             )
-        sums[key] = new_sum
-        groups.setdefault(key, []).append(AnnotationEntry(label, level, proportion))
-    annotations = tuple(
-        TileAnnotation(tile_id, expert_id, tuple(entries))
-        for (tile_id, expert_id), entries in groups.items()
-    )
-    return Corpus(frame=frame, annotations=annotations)
+        sums[owner] = new_sum
+        owners.append(owner)
+        classes.append(k)
+        levels.append(level)
+        proportions.append(proportion)
+    columns = _Columns.from_lists(ids, owners, classes, levels, proportions)
+    return Corpus._from_columns(frame, columns)
 
 
 def load_annotations(path: str, frame: Frame | None = None) -> Corpus:
@@ -173,8 +305,9 @@ def _singleton_masses(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both experts' generalized-model singleton masses, one row per tile.
 
-    Column k is class k of the frame; Θ is each row's remainder.  Shares
-    add in entry order as in `build_generalized_m5`, so each entry equals
+    Column k is class k of the frame; Θ is each row's remainder.  One
+    `np.add.at` per expert adds `proportion × weight(level)` in entry order
+    starting from 0.0, as `build_generalized_m5` does, so each entry equals
     that function's class mass before it is assembled into a mass
     function.  Rows follow the first appearance of each tile for either
     expert, so swapping the experts swaps the two arrays.  The closed forms
@@ -185,39 +318,38 @@ def _singleton_masses(
         raise ValueError(
             f"corpus statistics need an exclusive frame, got the {frame.model.value} model"
         )
-    notes: dict[str, dict[str, TileAnnotation]] = {expert_i: {}, expert_j: {}}
-    order: dict[str, None] = {}
-    for ann in corpus.annotations:
-        by_tile = notes.get(ann.expert_id)
-        if by_tile is not None:
-            by_tile[ann.tile_id] = ann
-            order.setdefault(ann.tile_id)
-    notes_i, notes_j = notes[expert_i], notes[expert_j]
-    if not notes_i:
-        raise ValueError(f"unknown expert {expert_i!r}")
-    if not notes_j:
-        raise ValueError(f"unknown expert {expert_j!r}")
-    if notes_i.keys() != notes_j.keys():
+    columns = corpus._columns
+    keys = columns.keys
+    order: dict[str, int] = {}
+    for tile, expert in keys:
+        if expert == expert_i or expert == expert_j:
+            order.setdefault(tile, len(order))
+    owned = {
+        expert: [owner for owner, key in enumerate(keys) if key[1] == expert]
+        for expert in (expert_i, expert_j)
+    }
+    for expert in (expert_i, expert_j):
+        if not owned[expert]:
+            raise ValueError(f"unknown expert {expert!r}")
+    # Keys are distinct, so two experts share their tile set exactly when
+    # each annotates every tile of the union.
+    if any(len(owners) != len(order) for owners in owned.values()):
         raise ValueError(f"experts {expert_i!r} and {expert_j!r} annotate different tiles")
-    index = {label: k for k, label in enumerate(frame.labels)}
-    scale = {level: weights.weight(level) for level in CERTAINTY_LEVELS}
+    scale = np.array([0.0] + [weights.weight(level) for level in CERTAINTY_LEVELS])
+    share = columns.proportion * scale[columns.level]
 
-    def masses(by_tile: dict[str, TileAnnotation]) -> np.ndarray:
-        rows = []
-        for tile in order:
-            row = [0.0] * frame.n_classes
-            for label, level, proportion in by_tile[tile].entries:
-                k = index.get(label)
-                if k is None:
-                    raise ValueError(f"unknown class label {label!r}")
-                row[k] += proportion * scale[level]
-            rows.append(row)
-        out = np.array(rows)
+    def masses(owners: list[int]) -> np.ndarray:
+        row_of = np.full(len(keys), -1, dtype=np.intp)
+        row_of[owners] = [order[keys[owner][0]] for owner in owners]
+        rows = row_of[columns.annotation]
+        mine = rows >= 0
+        out = np.zeros((len(order), frame.n_classes))
+        np.add.at(out, (rows[mine], columns.class_index[mine]), share[mine])
         if (out.sum(axis=1) > 1.0 + _SUM_TOLERANCE).any():
             raise ValueError("class masses exceed 1; check proportions and weights")
         return out
 
-    return masses(notes_i), masses(notes_j)
+    return masses(owned[expert_i]), masses(owned[expert_j])
 
 
 @dataclass(frozen=True)

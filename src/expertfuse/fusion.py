@@ -13,12 +13,17 @@ experts in the order given) so results are reproducible bit for bit.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Sequence
 
 from .lattice import Frame, Model, _minimal_cells, make_frame
 from .mass import MassFunction, World, mass_from_masks
 
 RULE_NAMES = ("conjunctive", "pcr5", "pcr6")
+
+# Most focal-element tuples `combine_pcr6` will enumerate.  Six experts with
+# eight focal elements each would be 262 144 tuples, about half a second.
+_PCR6_TUPLE_LIMIT = 100_000
 
 
 def _check_frames(masses: Sequence[MassFunction], minimum: int) -> Frame:
@@ -84,10 +89,17 @@ def combine_pcr6(masses: Sequence[MassFunction]) -> MassFunction:
     For every tuple of focal elements (one per expert) with empty meet, the
     product mass goes back to each participating element, in proportion to
     that expert's mass against the sum over the whole tuple.  Enumeration
-    runs over focal elements only, so cost is the product of focal counts.
+    runs over focal elements only, so cost is the product of focal counts;
+    a product above `_PCR6_TUPLE_LIMIT` is refused.
     """
     frame = _check_frames(masses, 2)
     _check_no_empty(masses)
+    tuples = math.prod(len(m.pairs) for m in masses)
+    if tuples > _PCR6_TUPLE_LIMIT:
+        raise ValueError(
+            f"PCR6 would enumerate {tuples} focal-element tuples, "
+            f"over the limit of {_PCR6_TUPLE_LIMIT}"
+        )
     acc: dict[int, float] = {}
     for tup in itertools.product(*(m.pairs for m in masses)):
         meet = tup[0][0]

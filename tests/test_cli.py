@@ -340,6 +340,13 @@ class TestCorpus:
         assert "three comma-separated" in capsys.readouterr().err
         assert main(["corpus", str(corpus_file), "--weights", "0.2,0.5,0.9"]) == 1
         assert "c3 <= c2 <= c1" in capsys.readouterr().err
+        for weights in ("1,nan,0.3", "inf,0.5,0.3", "1,0.5,-inf"):
+            assert main(["corpus", str(corpus_file), "--weights", weights]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "error: certainty weights must satisfy 0 < c3 <= c2 <= c1 <= 1\n"
+            )
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["corpus", str(tmp_path / "nowhere.csv")]) == 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from expertfuse import (
     DEFAULT_WEIGHTS,
+    AnnotationEntry,
     CertaintyWeights,
     Corpus,
     CorpusError,
@@ -109,6 +111,8 @@ class TestParseErrors:
     def test_level_not_an_integer(self):
         with pytest.raises(CorpusError, match="line 2: certainty level 'high'"):
             parse_annotations(f"{HEADER}\nt1,e1,sand,high,0.5\n")
+        with pytest.raises(CorpusError, match=r"^line 2: certainty level '1\.0' is not"):
+            parse_annotations(f"{HEADER}\nt1,e1,sand,1.0,0.5\n")
 
     def test_level_out_of_ladder(self):
         with pytest.raises(CorpusError, match="line 2: certainty level must be 1, 2 or 3"):
@@ -121,6 +125,12 @@ class TestParseErrors:
     def test_proportion_out_of_range(self):
         with pytest.raises(CorpusError, match=r"line 2: proportion must lie in \[0, 1\]"):
             parse_annotations(f"{HEADER}\nt1,e1,sand,1,1.5\n")
+        # non-finite values, on line 3 after a blank line
+        for text in ("nan", "inf", "-inf"):
+            with pytest.raises(
+                CorpusError, match=rf"^line 3: proportion must lie in \[0, 1\], got {text}$"
+            ):
+                parse_annotations(f"{HEADER}\n\nt1,e1,sand,1,{text}\n")
 
     def test_group_proportions_capped_at_one(self):
         text = f"{HEADER}\nt1,e1,sand,1,0.7\nt1,e1,silt,1,0.4\n"
@@ -129,6 +139,90 @@ class TestParseErrors:
 
     def test_corpus_error_is_a_value_error(self):
         assert issubclass(CorpusError, ValueError)
+
+
+_TILE_IDS = ("t1", "t 2", "t,3", 'q"4', "é5")
+_LEVEL_SPELLINGS = ("{}", "0{}", "+{}", " {} ")
+
+
+@st.composite
+def _annotation_rows(draw):
+    """Valid CSV rows as text fields, spelled and padded in the ways the
+    format allows; each (tile, expert) group keeps its proportions ≤ 1."""
+    labels = sediment_frame().labels
+    sums: dict[tuple[str, str], int] = {}
+    rows = []
+    for _ in range(draw(st.integers(0, 25))):
+        tile = draw(st.sampled_from(_TILE_IDS))
+        expert = draw(st.sampled_from(("e1", "e2", "e3")))
+        parts = draw(st.integers(0, 1000 - sums.get((tile, expert), 0)))
+        sums[(tile, expert)] = sums.get((tile, expert), 0) + parts
+        fields = [
+            tile,
+            expert,
+            draw(st.sampled_from(labels)),
+            draw(st.sampled_from(_LEVEL_SPELLINGS)).format(draw(st.integers(1, 3))),
+            draw(st.sampled_from((f"{parts / 1000}", f"{parts / 1000:.4f}", f"{parts}e-3"))),
+        ]
+        pads = draw(st.lists(st.sampled_from(("", " ", "  ")), min_size=10, max_size=10))
+        rows.append([pads[2 * i] + f + pads[2 * i + 1] for i, f in enumerate(fields)])
+    return rows
+
+
+def _csv_text(rows, quoting, blank_after):
+    out = io.StringIO()
+    writer = csv.writer(out, quoting=quoting, lineterminator="\n")
+    writer.writerow(HEADER.split(","))
+    for i, row in enumerate(rows):
+        writer.writerow(row)
+        if i in blank_after:
+            out.write("\n")
+    return out.getvalue()
+
+
+def _grouped_with_csv(text):
+    """Annotations the plain way: csv rows, stripped, grouped in order."""
+    groups: dict[tuple[str, str], list[AnnotationEntry]] = {}
+    for row in list(csv.reader(io.StringIO(text)))[1:]:
+        if row:
+            tile, expert, label, level, proportion = (f.strip() for f in row)
+            groups.setdefault((tile, expert), []).append(
+                AnnotationEntry(label, int(level), float(proportion))
+            )
+    return tuple(TileAnnotation(t, e, tuple(entries)) for (t, e), entries in groups.items())
+
+
+class TestColumnsMatchAPlainGrouping:
+    @given(
+        _annotation_rows(),
+        st.sampled_from((csv.QUOTE_MINIMAL, csv.QUOTE_ALL)),
+        st.sets(st.integers(0, 25), max_size=4),
+    )
+    def test_annotations_entry_for_entry(self, rows, quoting, blank_after):
+        text = _csv_text(rows, quoting, blank_after)
+        expected = _grouped_with_csv(text)
+        corpus = parse_annotations(text)
+        assert corpus.annotations == expected
+        assert corpus.tiles == tuple(dict.fromkeys(a.tile_id for a in expected))
+        assert corpus.experts == tuple(dict.fromkeys(a.expert_id for a in expected))
+        for expert in corpus.experts:
+            assert corpus.tiles_of(expert) == tuple(
+                a.tile_id for a in expected if a.expert_id == expert
+            )
+
+    def test_padded_quoted_and_respelled_fields(self):
+        text = (
+            f"{HEADER}\n"
+            '" t,1 ",e1,"sand ",02,0.25\n'
+            "\n"
+            "t2 , e1 ,silt,+3, 0.5\n"
+            't2,e1,"silt"," 1 ",.125\n'
+        )
+        corpus = parse_annotations(text)
+        assert corpus.annotations == (
+            TileAnnotation("t,1", "e1", (("sand", 2, 0.25),)),
+            TileAnnotation("t2", "e1", (("silt", 3, 0.5), ("silt", 1, 0.125))),
+        )
 
 
 class TestConflictMatrix:
@@ -424,3 +518,63 @@ class TestArrayRouteRejections:
             _object_route(corpus, ("e1", "e2"), flat)
         with pytest.raises(ValueError, match="total conflict"):
             decision_difference(corpus, weights=flat)
+
+    def test_two_annotations_for_one_tile_and_expert(self):
+        corpus = Corpus(
+            frame=sediment_frame(),
+            annotations=(
+                TileAnnotation("t1", "e1", (("sand", 1, 0.5),)),
+                TileAnnotation("t1", "e1", (("silt", 1, 0.9),)),
+                TileAnnotation("t1", "e2", (("silt", 1, 0.5),)),
+            ),
+        )
+        message = "^tile 't1' has two annotations by expert 'e1'$"
+        with pytest.raises(ValueError, match=message):
+            conflict_matrix(corpus, "e1", "e2")
+        with pytest.raises(ValueError, match=message):
+            decision_difference(corpus)
+        with pytest.raises(ValueError, match=message):
+            corpus.tiles_of("e1")
+        with pytest.raises(ValueError, match=message):
+            corpus.annotation("t1", "e1")
+
+
+class TestBuiltAndParsedCorpora:
+    def test_a_built_corpus_gives_the_parsed_statistics(self):
+        text = _uniform_corpus_text(4, 200, ("rock", "sand", "silt"), 5)
+        parsed = parse_annotations(text)
+        built = Corpus(frame=parsed.frame, annotations=parsed.annotations)
+        assert built == parsed
+        assert built.tiles == parsed.tiles
+        assert built.experts == parsed.experts
+        assert conflict_matrix(built, "e1", "e2") == conflict_matrix(parsed, "e1", "e2")
+        assert decision_difference(built) == decision_difference(parsed)
+
+    def test_parsing_and_statistics_build_no_annotation_objects(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError(f"built {self!r}")
+
+        monkeypatch.setattr(TileAnnotation, "__post_init__", refuse)
+        corpus = parse_annotations(_uniform_corpus_text(2, 50, ("rock", "sand"), 3))
+        assert corpus.experts == ("e1", "e2")
+        assert len(corpus.tiles) == len(corpus.tiles_of("e1")) == 50
+        conflict_matrix(corpus, "e1", "e2")
+        decision_difference(corpus)
+        repr(corpus)
+        with pytest.raises(AssertionError, match="built TileAnnotation"):
+            corpus.annotations
+
+    def test_repr_names_the_frame_and_the_annotation_count(self, small_corpus):
+        built = Corpus(frame=small_corpus.frame, annotations=small_corpus.annotations)
+        for corpus in (parse_annotations(SMALL), built):
+            assert repr(corpus) == (
+                f"Corpus(frame={small_corpus.frame!r}, annotations=<4 annotations>)"
+            )
+
+    def test_corpus_is_immutable(self, small_corpus):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            small_corpus.frame = sediment_frame()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            small_corpus.annotations = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del small_corpus.frame

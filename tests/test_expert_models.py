@@ -52,6 +52,15 @@ class TestDeclarations:
         with pytest.raises(ValueError):
             ExpertDeclaration.says_both(1.3, 0.5, 0.5)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_rejected(self, value):
+        with pytest.raises(ValueError, match=r"c_a must lie in \[0, 1\]"):
+            ExpertDeclaration.says_a(value)
+        with pytest.raises(ValueError, match=r"p_a must lie in \[0, 1\]"):
+            ExpertDeclaration.says_both(value, 0.5, 0.5)
+        with pytest.raises(ValueError, match=r"c_b must lie in \[0, 1\]"):
+            ExpertDeclaration.says_both(0.5, 0.5, value)
+
 
 class TestSingleExpertMasses:
     """Mass tables for the two running declarations, model by model."""
@@ -176,6 +185,12 @@ class TestCertaintyWeights:
         with pytest.raises(ValueError):
             CertaintyWeights(0.5, 0.4, 0.0)
         CertaintyWeights(1.0, 1.0, 1.0)  # flat is allowed
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weights_rejected(self, value):
+        for weights in ((value, 0.5, 0.3), (1.0, value, 0.3), (1.0, 0.5, value)):
+            with pytest.raises(ValueError, match="c3 <= c2 <= c1"):
+                CertaintyWeights(*weights)
 
 
 class TestGeneralizedModel:

@@ -181,6 +181,23 @@ class TestPcr6:
         for element, value in conj.focal_elements():
             assert fused6.value_of_mask(element.mask) == pytest.approx(value, abs=0)
 
+    @staticmethod
+    def _spread(focal_count):
+        """A mass on the first `focal_count` elements of {A, B, C, D}."""
+        frame = make_frame(("A", "B", "C", "D"))
+        elements = ("A", "B", "C", "D", "A∪B", "C∪D", "A∪C", "Θ")[:focal_count]
+        return mass_from_entries(frame, {e: 1.0 / focal_count for e in elements})
+
+    def test_five_experts_with_six_focal_elements_combine(self):
+        fused = combine_pcr6([self._spread(6)] * 5)  # 7776 tuples
+        assert fused.total() == pytest.approx(1.0, abs=1e-12)
+
+    def test_six_experts_with_eight_focal_elements_are_refused(self):
+        with pytest.raises(ValueError, match="262144 focal-element tuples.*limit of 100000"):
+            combine_pcr6([self._spread(8)] * 6)
+        with pytest.raises(ValueError, match="262144 focal-element tuples"):
+            combine([self._spread(8)] * 6, "pcr6")
+
 
 class TestRedistribution:
     def test_running_example_composed_with_pcr5(self, expert_one, expert_two):
