@@ -31,7 +31,7 @@ class Criterion(enum.Enum):
 def _resolve(m: MassFunction, x: FocalElement | str) -> FocalElement:
     if isinstance(x, str):
         return parse_element(m.frame, x)
-    if x.frame != m.frame:
+    if x.frame is not m.frame and x.frame != m.frame:
         raise ValueError("element and mass live on different frames")
     return x
 
@@ -63,9 +63,8 @@ def pignistic(m: MassFunction, x: FocalElement | str) -> float:
         raise ValueError("pignistic probability is undefined under total conflict")
     mask = el.mask
     total = 0.0
-    for y, v in m.pairs:
-        if y:
-            total += (y & mask).bit_count() / y.bit_count() * v
+    for y, v, card in m._cards:
+        total += (y & mask).bit_count() / card * v
     return total / denom
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .lattice import Frame, Model, make_frame
 from .mass import MassFunction, World, mass_from_entries
@@ -235,10 +235,3 @@ def build_generalized_m5(
     entries.append(("Θ", max(1.0 - total, 0.0)))
     return mass_from_entries(frame, entries, World.CLOSED)
 
-
-def annotation_from_rows(
-    tile_id: str,
-    expert_id: str,
-    rows: Sequence[tuple[str, int, float]],
-) -> TileAnnotation:
-    return TileAnnotation(tile_id, expert_id, tuple(AnnotationEntry(*r) for r in rows))

@@ -12,9 +12,8 @@ experts in the order given) so results are reproducible bit for bit.
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .lattice import Frame, Model, _minimal_cells, make_frame
 from .mass import MassFunction, World, mass_from_masks
@@ -31,7 +30,7 @@ def _check_frames(masses: Sequence[MassFunction], minimum: int) -> Frame:
         raise ValueError(f"combination needs at least {minimum} masses, got {len(masses)}")
     frame = masses[0].frame
     for m in masses[1:]:
-        if m.frame != frame:
+        if m.frame is not frame and m.frame != frame:
             raise ValueError("all masses must share one frame")
     return frame
 
@@ -100,21 +99,31 @@ def combine_pcr6(masses: Sequence[MassFunction]) -> MassFunction:
             f"PCR6 would enumerate {tuples} focal-element tuples, "
             f"over the limit of {_PCR6_TUPLE_LIMIT}"
         )
+    # Walk the tuples in product order, carrying each prefix's meet,
+    # product, mass sum and elements over experts 0..M-2, so every tuple
+    # adds one factor and one term to the same running values the tuple-wise
+    # sums would build: ((v0·v1)·v2)… and ((v0+v1)+v2)…, bit for bit.
+    prefixes = [(x, v, v, ((x, v),)) for x, v in masses[0].pairs]
+    for m in masses[1:-1]:
+        prefixes = [
+            (meet & y, product * vy, total + vy, elements + ((y, vy),))
+            for meet, product, total, elements in prefixes
+            for y, vy in m.pairs
+        ]
+    last = masses[-1].pairs
     acc: dict[int, float] = {}
-    for tup in itertools.product(*(m.pairs for m in masses)):
-        meet = tup[0][0]
-        product = tup[0][1]
-        for x, v in tup[1:]:
-            meet &= x
-            product *= v
-        if meet:
-            acc[meet] = acc.get(meet, 0.0) + product
-            continue
-        total = sum(v for _, v in tup)
-        for x, v in tup:
-            denom = total  # v + sum of the other experts' masses in the tuple
-            if denom > 0.0:
-                acc[x] = acc.get(x, 0.0) + v * product / denom
+    for prefix_meet, prefix_product, prefix_total, elements in prefixes:
+        for y, vy in last:
+            product = prefix_product * vy
+            meet = prefix_meet & y
+            if meet:
+                acc[meet] = acc.get(meet, 0.0) + product
+                continue
+            total = prefix_total + vy  # sum of every expert's mass in the tuple
+            if total > 0.0:
+                for x, v in elements:
+                    acc[x] = acc.get(x, 0.0) + v * product / total
+                acc[y] = acc.get(y, 0.0) + vy * product / total
     return mass_from_masks(frame, acc, World.CLOSED)
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 EMPTY_TEXT = "∅"   # ∅
@@ -36,6 +36,12 @@ JOIN_TEXT = "∪"    # ∪
 _RESERVED_IN_LABELS = (MEET_TEXT, JOIN_TEXT, ",")
 
 _FREE_ENUMERATION_LIMIT = 4
+
+# Most classes a free frame may have.  Its 2ⁿ − 1 cells make the full mask
+# and every atom mask 2ⁿ − 1 bits wide, and building an atom walks all 2ⁿ
+# label masks: one atom took ~7 ms at 12 classes, ~0.2 s at 16 and ~5 s at
+# 18, and 26 classes never finish.
+_FREE_FRAME_LIMIT = 12
 
 
 class Model(enum.Enum):
@@ -63,42 +69,64 @@ def _validate_labels(labels: tuple[str, ...]) -> None:
 
 @dataclass(frozen=True)
 class Frame:
-    """Ordered class labels plus the model they are interpreted under."""
+    """Ordered class labels plus the model they are interpreted under.
+
+    ``n_cells``, ``full_mask`` and the label index are fixed at
+    construction; a free frame holds 2ⁿ − 1 cells, so one with more than
+    ``_FREE_FRAME_LIMIT`` classes is refused.
+    """
 
     labels: tuple[str, ...]
     model: Model = Model.SHAFER
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(self.labels))
-        _validate_labels(self.labels)
+        labels = tuple(self.labels)
+        object.__setattr__(self, "labels", labels)
+        _validate_labels(labels)
         if not isinstance(self.model, Model):
             raise TypeError("model must be a Model")
+        if self.model is Model.SHAFER:
+            n_cells = len(labels)
+        elif len(labels) > _FREE_FRAME_LIMIT:
+            raise ValueError(
+                f"free frames support at most {_FREE_FRAME_LIMIT} classes "
+                f"({len(labels)} given)"
+            )
+        else:
+            n_cells = (1 << len(labels)) - 1
+        object.__setattr__(self, "n_cells", n_cells)
+        object.__setattr__(self, "full_mask", (1 << n_cells) - 1)
+        object.__setattr__(self, "_index", {label: i for i, label in enumerate(labels)})
 
     @property
     def n_classes(self) -> int:
         return len(self.labels)
 
-    @property
-    def n_cells(self) -> int:
+    @cached_property
+    def _atom_masks(self) -> tuple[int, ...]:
+        """Cell mask of each class on its own, in label order."""
         if self.model is Model.SHAFER:
-            return len(self.labels)
-        return (1 << len(self.labels)) - 1
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n_cells) - 1
+            return tuple(1 << i for i in range(self.n_classes))
+        masks = []
+        for index in range(self.n_classes):
+            mask = 0
+            for t in range(1, (1 << self.n_classes)):
+                if t & (1 << index):
+                    mask |= 1 << (t - 1)
+            masks.append(mask)
+        return tuple(masks)
 
     def label_index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._index[label]
+        except KeyError:
             raise ValueError(f"unknown class label {label!r}") from None
 
     def atom(self, index: int) -> "FocalElement":
         """The element carrying class ``index`` on its own."""
         if not 0 <= index < self.n_classes:
             raise ValueError(f"class index {index} out of range")
-        return FocalElement(self, _atom_mask(self, index))
+        return FocalElement(self, self._atom_masks[index])
 
     def atoms(self) -> tuple["FocalElement", ...]:
         return tuple(self.atom(i) for i in range(self.n_classes))
@@ -115,17 +143,6 @@ class Frame:
     def __repr__(self) -> str:
         names = ",".join(self.labels)
         return f"Frame([{names}], {self.model.value})"
-
-
-@lru_cache(maxsize=None)
-def _atom_mask(frame: Frame, index: int) -> int:
-    if frame.model is Model.SHAFER:
-        return 1 << index
-    mask = 0
-    for t in range(1, (1 << frame.n_classes)):
-        if t & (1 << index):
-            mask |= 1 << (t - 1)
-    return mask
 
 
 def _is_upward_closed(frame: Frame, mask: int) -> bool:
@@ -201,7 +218,7 @@ class FocalElement:
             remaining ^= low
 
     def _require_same_frame(self, other: "FocalElement") -> None:
-        if self.frame != other.frame:
+        if self.frame is not other.frame and self.frame != other.frame:
             raise ValueError("elements belong to different frames")
 
     def __str__(self) -> str:
@@ -212,9 +229,19 @@ class FocalElement:
 
 
 def make_frame(labels: Iterable[str], model: Model | str = Model.SHAFER) -> Frame:
+    """The frame of these labels and model; equal requests share one object."""
     if isinstance(model, str):
         model = Model(model)
-    return Frame(tuple(labels), model)
+    labels = tuple(labels)
+    try:
+        return _interned_frame(labels, model)
+    except TypeError:  # an unhashable label: let Frame say what is wrong
+        return Frame(labels, model)
+
+
+@lru_cache(maxsize=1024)
+def _interned_frame(labels: tuple[str, ...], model: Model) -> Frame:
+    return Frame(labels, model)
 
 
 def atom(frame: Frame, index: int) -> FocalElement:
@@ -284,12 +311,12 @@ def format_element(element: FocalElement) -> str:
     if element.mask == frame.full_mask:
         return THETA_TEXT
     if frame.model is Model.SHAFER:
-        groups = [[i] for i in range(frame.n_classes) if element.mask & (1 << i)]
-    else:
-        groups = []
-        for t in _minimal_cells(frame, element.mask):
-            groups.append([i for i in range(frame.n_classes) if t & (1 << i)])
-        groups.sort()
+        mask = element.mask
+        return JOIN_TEXT.join(label for i, label in enumerate(frame.labels) if mask >> i & 1)
+    groups = []
+    for t in _minimal_cells(frame, element.mask):
+        groups.append([i for i in range(frame.n_classes) if t & (1 << i)])
+    groups.sort()
     return JOIN_TEXT.join(MEET_TEXT.join(frame.labels[i] for i in g) for g in groups)
 
 
@@ -313,6 +340,6 @@ def parse_element(frame: Frame, text: str) -> FocalElement:
             name = token.strip()
             if not name:
                 raise ValueError(f"malformed element text {text!r}")
-            group_mask &= _atom_mask(frame, frame.label_index(name))
+            group_mask &= frame._atom_masks[frame.label_index(name)]
         mask |= group_mask
     return FocalElement(frame, mask)

@@ -39,8 +39,13 @@ class MassFunction:
     def _by_mask(self) -> dict[int, float]:
         return dict(self.pairs)
 
+    @cached_property
+    def _cards(self) -> tuple[tuple[int, float, int], ...]:
+        """(mask, weight, cell count) of each non-empty focal element."""
+        return tuple((mask, v, mask.bit_count()) for mask, v in self.pairs if mask)
+
     def value(self, element: FocalElement) -> float:
-        if element.frame != self.frame:
+        if element.frame is not self.frame and element.frame != self.frame:
             raise ValueError("element belongs to a different frame")
         return self._by_mask.get(element.mask, 0.0)
 
@@ -83,15 +88,28 @@ class MassFunction:
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "MassFunction":
+        """Read the ``to_json_dict`` layout; any malformed field is a ValueError."""
+        if not isinstance(payload, Mapping):
+            raise ValueError(f"mass JSON must be an object, not {type(payload).__name__}")
         try:
             labels = payload["frame"]
             model = payload["model"]
             masses = payload["masses"]
         except KeyError as exc:
             raise ValueError(f"mass JSON is missing the {exc.args[0]!r} key") from None
+        if not isinstance(labels, (list, tuple)) or not all(
+            isinstance(label, str) for label in labels
+        ):
+            raise ValueError(f"mass JSON 'frame' must be a list of class labels, not {labels!r}")
+        if not isinstance(masses, Mapping):
+            raise ValueError(f"mass JSON 'masses' must be an object, not {masses!r}")
         world = World(payload.get("world", "closed"))
         frame = make_frame(labels, Model(model))
-        entries = [(parse_element(frame, text), v) for text, v in masses.items()]
+        entries = []
+        for text, v in masses.items():
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"mass JSON 'masses' value for {text!r} is not a number: {v!r}")
+            entries.append((parse_element(frame, text), v))
         return mass_from_entries(frame, entries, world)
 
     @classmethod
@@ -140,7 +158,7 @@ def mass_from_entries(
     for element, value in entries:
         if isinstance(element, str):
             element = parse_element(frame, element)
-        elif element.frame != frame:
+        elif element.frame is not frame and element.frame != frame:
             raise ValueError("entry element belongs to a different frame")
         if not math.isfinite(value):
             raise ValueError(f"non-finite mass {value!r} on {format_element(element)}")

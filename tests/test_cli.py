@@ -121,6 +121,14 @@ class TestFuse:
         assert main(["fuse", str(mass_dir / "missing.json"), str(mass_dir / "m1_one.json")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_masses_given_as_a_list_fail_with_the_path(self, mass_dir, capsys):
+        path = mass_dir / "masses_as_list.json"
+        path.write_text('{"frame": ["A", "B"], "model": "shafer", "masses": [["A", 1.0]]}',
+                        encoding="utf-8")
+        assert main(["fuse", str(path), str(mass_dir / "m1_one.json")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: mass JSON 'masses' must be an object, not [['A', 1.0]]\n"
+
 
 class TestDecide:
     def test_defaults_to_pignistic_over_classes(self, mass_dir, capsys):

@@ -223,3 +223,47 @@ def test_mass_criterion_agrees_with_raw_lookup(values):
     report = decide(m, "mass", AB.atoms())
     assert report.value(AB.atom(0)) == m.value(AB.atom(0))
     assert report.value(AB.atom(1)) == m.value(AB.atom(1))
+
+
+def reference_pignistic(m, x):
+    """The pignistic sum element by element, each cardinality counted afresh."""
+    denom = 1.0 - m.value_of_mask(0)
+    total = 0.0
+    for y, v in m.pairs:
+        if y:
+            total += (y & x.mask).bit_count() / y.bit_count() * v
+    return total / denom
+
+
+PIGNISTIC_FRAMES = (
+    make_frame(("A", "B", "C")),
+    make_frame(("A", "B", "C", "D")),
+    AB_FREE,
+    make_frame(("A", "B", "C"), Model.FREE),
+)
+PIGNISTIC_ELEMENTS = {frame: enumerate_elements(frame) for frame in PIGNISTIC_FRAMES}
+
+
+@st.composite
+def closed_and_open_masses(draw):
+    """A closed-world mass, or the open-world conjunctive result of 2–3 of them."""
+    frame = draw(st.sampled_from(PIGNISTIC_FRAMES))
+    elements = PIGNISTIC_ELEMENTS[frame]
+    masses = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        chosen = draw(st.lists(st.sampled_from(elements), min_size=1, max_size=6, unique=True))
+        weights = draw(
+            st.lists(st.floats(min_value=1e-3, max_value=1.0),
+                     min_size=len(chosen), max_size=len(chosen))
+        )
+        total = sum(weights)
+        masses.append(mass_from_entries(frame, zip(chosen, (w / total for w in weights))))
+    return masses[0] if len(masses) == 1 else combine_conjunctive(masses)
+
+
+@given(closed_and_open_masses())
+def test_pignistic_matches_the_element_by_element_reference_exactly(m):
+    if m.value_of_mask(0) >= 1.0:
+        return  # total conflict: pignistic is undefined, see TestFunctionalErrors
+    for x in PIGNISTIC_ELEMENTS[m.frame]:
+        assert pignistic(m, x) == reference_pignistic(m, x)

@@ -26,6 +26,7 @@ from expertfuse import (
     enumerate_elements,
     make_frame,
     mass_from_entries,
+    mass_from_masks,
     redistribute_conjunctions,
 )
 
@@ -277,3 +278,73 @@ def test_pcr_rules_stay_normalized_and_conflict_free(v1, v2):
 def test_pcr6_pair_matches_pcr5(v1, v2):
     m1, m2 = normalized(v1), normalized(v2)
     assert combine_pcr6([m1, m2]).isclose(combine_pcr5(m1, m2), tol=1e-12)
+
+
+def reference_pcr6(masses):
+    """PCR6 tuple by tuple, each tuple's meet, product and sum from scratch.
+
+    This is the plain definition `combine_pcr6` must reproduce bit for bit:
+    products ((v0·v1)·v2)…, sums ((v0+v1)+v2)… left to right (as `sum` adds
+    floats before Python 3.12), and the same accumulation order.
+    """
+    frame = masses[0].frame
+    acc = {}
+    for tup in itertools.product(*(m.pairs for m in masses)):
+        meet = tup[0][0]
+        product = tup[0][1]
+        for x, v in tup[1:]:
+            meet &= x
+            product *= v
+        if meet:
+            acc[meet] = acc.get(meet, 0.0) + product
+            continue
+        total = 0.0
+        for _, v in tup:
+            total += v
+        for x, v in tup:
+            if total > 0.0:
+                acc[x] = acc.get(x, 0.0) + v * product / total
+    return mass_from_masks(frame, acc, World.CLOSED)
+
+
+PCR6_FRAMES = (
+    make_frame(("A", "B")),
+    make_frame(("A", "B", "C")),
+    make_frame(("A", "B", "C", "D", "E")),
+    AB_FREE,
+    ABC_FREE,
+)
+PCR6_ELEMENTS = {frame: enumerate_elements(frame) for frame in PCR6_FRAMES}
+
+
+@st.composite
+def pcr6_inputs(draw):
+    """2–6 closed-world masses on one frame, at most 4 096 tuples."""
+    frame = draw(st.sampled_from(PCR6_FRAMES))
+    experts = draw(st.integers(min_value=2, max_value=6))
+    most = 8 if experts <= 3 else 4
+    masses = []
+    for _ in range(experts):
+        chosen = draw(
+            st.lists(st.sampled_from(PCR6_ELEMENTS[frame]), min_size=1, max_size=most,
+                     unique=True)
+        )
+        weights = draw(
+            st.lists(st.floats(min_value=1e-3, max_value=1.0),
+                     min_size=len(chosen), max_size=len(chosen))
+        )
+        total = sum(weights)
+        masses.append(mass_from_entries(frame, zip(chosen, (w / total for w in weights))))
+    return masses
+
+
+@given(pcr6_inputs())
+def test_pcr6_matches_the_tuple_by_tuple_reference_exactly(masses):
+    assert combine_pcr6(masses).pairs == reference_pcr6(masses).pairs
+
+
+def test_pcr6_reference_holds_on_the_heaviest_shapes():
+    spread = TestPcr6._spread
+    mixed = [spread(4), spread(5), spread(6), spread(3), spread(2), spread(7)]  # 5 040 tuples
+    for masses in ([spread(6)] * 5, mixed):
+        assert combine_pcr6(masses).pairs == reference_pcr6(masses).pairs

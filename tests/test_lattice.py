@@ -8,7 +8,9 @@ implementation is a bug in the bitmask bookkeeping.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import json
 
 import pytest
 from hypothesis import given
@@ -16,6 +18,8 @@ from hypothesis import strategies as st
 
 from expertfuse import (
     FocalElement,
+    Frame,
+    MassFunction,
     Model,
     atom,
     dsm_cardinality,
@@ -27,6 +31,7 @@ from expertfuse import (
     meet,
     parse_element,
 )
+from expertfuse import lattice
 
 LABELS = ("A", "B", "C", "D")
 
@@ -183,6 +188,51 @@ def test_free_enumeration_refuses_large_frames():
     frame = make_frame(("A", "B", "C", "D", "E"), Model.FREE)
     with pytest.raises(ValueError):
         enumerate_elements(frame)
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 4, 5])
+def test_free_frames_up_to_five_classes_build_and_parse(n_classes):
+    labels = tuple("ABCDE"[:n_classes])
+    frame = make_frame(labels, Model.FREE)
+    assert frame.n_cells == 2**n_classes - 1
+    last = labels[-1]
+    text = f"A∩{last}∪B" if n_classes > 2 else "A∩B"
+    element = parse_element(frame, text)
+    assert str(element) == text
+    assert parse_element(frame, "A") == frame.atom(0)
+
+
+def test_free_frames_past_the_limit_are_refused():
+    limit = lattice._FREE_FRAME_LIMIT
+    labels = tuple(f"c{i}" for i in range(limit + 1))
+    at_limit = make_frame(labels[:limit], Model.FREE)
+    assert at_limit.n_cells == 2**limit - 1
+    assert at_limit.atom(0).cardinality == 2 ** (limit - 1)
+    message = f"at most {limit} classes \\({limit + 1} given\\)"
+    with pytest.raises(ValueError, match=message):
+        make_frame(labels, Model.FREE)
+    with pytest.raises(ValueError, match=message):
+        Frame(labels, Model.FREE)
+    payload = {"frame": list(labels), "model": "free", "masses": {"Θ": 1.0}}
+    with pytest.raises(ValueError, match=message):
+        MassFunction.from_json(json.dumps(payload))
+    assert make_frame(tuple(f"c{i}" for i in range(26))).n_cells == 26  # exclusive: no limit
+
+
+def test_interned_built_and_replaced_frames_agree():
+    interned = make_frame(("A", "B", "C"), Model.FREE)
+    assert make_frame(["A", "B", "C"], "free") is interned
+    built = Frame(("A", "B", "C"), Model.FREE)
+    replaced = dataclasses.replace(make_frame(("A", "B", "C")), model=Model.FREE)
+    for frame in (built, replaced):
+        assert frame == interned and hash(frame) == hash(interned)
+        assert frame.full_mask == interned.full_mask == 0b1111111
+        assert frame.n_cells == interned.n_cells == 7
+        assert [a.mask for a in frame.atoms()] == [a.mask for a in interned.atoms()]
+        assert [frame.label_index(x) for x in "ABC"] == [0, 1, 2]
+        assert frame.atom(1) == interned.atom(1)
+        with pytest.raises(ValueError, match="unknown class label 'D'"):
+            frame.label_index("D")
 
 
 def test_shafer_scales_past_the_free_limit():

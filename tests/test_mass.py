@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -166,3 +168,92 @@ def test_any_nonnegative_vector_normalizes(values):
     m = mass_from_entries(FRAME, zip(elements, scaled))
     assert math.isclose(m.total(), 1.0, abs_tol=1e-12)
     assert all(v >= 0.0 for _, v in focal_elements(m))
+
+
+ROUND_TRIP_FRAMES = (
+    make_frame(("A",)),
+    FRAME,
+    make_frame(("A", "B", "C", "D")),
+    FREE,
+    make_frame(("A", "B", "C"), Model.FREE),
+)
+ROUND_TRIP_ELEMENTS = {
+    frame: enumerate_elements(frame, include_empty=True) for frame in ROUND_TRIP_FRAMES
+}
+
+
+@st.composite
+def dyadic_masses(draw):
+    """Closed or open masses whose weights are multiples of 2⁻¹⁰ summing to one."""
+    frame = draw(st.sampled_from(ROUND_TRIP_FRAMES))
+    world = draw(st.sampled_from(World))
+    elements = [
+        x for x in ROUND_TRIP_ELEMENTS[frame] if x.mask or world is World.OPEN
+    ]
+    chosen = draw(st.lists(st.sampled_from(elements), min_size=1, max_size=6, unique=True))
+    cuts = sorted(draw(st.lists(st.integers(1, 1023), min_size=len(chosen) - 1,
+                                max_size=len(chosen) - 1)))
+    counts = [b - a for a, b in zip([0, *cuts], [*cuts, 1024])]
+    return mass_from_entries(frame, zip(chosen, (c / 1024 for c in counts)), world)
+
+
+@given(dyadic_masses())
+def test_json_round_trip_is_exact(m):
+    restored = MassFunction.from_json(m.to_json())
+    assert restored.frame == m.frame
+    assert restored.world is m.world
+    assert restored.pairs == m.pairs
+
+
+def _payload(**fields):
+    payload = {"frame": ["A", "B"], "model": "shafer", "masses": {"A": 0.5, "Θ": 0.5}}
+    payload.update(fields)
+    return payload
+
+
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=5),
+)
+not_numbers = st.one_of(st.none(), st.booleans(), st.text(max_size=5), st.just([0.5]),
+                        st.just({"v": 0.5}))
+malformed_payloads = st.one_of(
+    st.one_of(json_scalars, st.lists(json_scalars, max_size=3)),  # not an object
+    json_scalars.map(lambda masses: _payload(masses=masses)),
+    st.lists(st.tuples(st.sampled_from(["A", "Θ"]), st.floats(0.0, 1.0)), max_size=2).map(
+        lambda pairs: _payload(masses=[list(p) for p in pairs])
+    ),
+    not_numbers.map(lambda v: _payload(masses={"A": v, "Θ": 0.5})),
+    st.text(min_size=1, max_size=4).map(lambda labels: _payload(frame=labels)),
+    st.lists(st.one_of(st.integers(), st.none()), min_size=1, max_size=3).map(
+        lambda labels: _payload(frame=labels)
+    ),
+    st.text(st.characters(exclude_characters="AB∅Θ∩∪"), min_size=1, max_size=3).map(
+        lambda label: _payload(masses={label: 0.5, "Θ": 0.5})  # not a label of the frame
+    ),
+    st.one_of(st.text(max_size=8), st.integers(), st.none(), st.just(["free"]))
+    .filter(lambda model: model not in ("shafer", "free"))
+    .map(lambda model: _payload(model=model)),
+)
+
+
+@given(malformed_payloads)
+def test_malformed_json_payloads_raise_value_error(payload):
+    with pytest.raises(ValueError):
+        MassFunction.from_json(json.dumps(payload, ensure_ascii=False))
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ([1, 2], "must be an object, not list"),
+        (_payload(masses=[["A", 1.0]]), "'masses' must be an object"),
+        (_payload(masses={"A": "0.5", "Θ": 0.5}), "value for 'A' is not a number: '0.5'"),
+        (_payload(masses={"A": None, "Θ": 0.5}), "value for 'A' is not a number: None"),
+        (_payload(masses={"A": True}), "value for 'A' is not a number: True"),
+        (_payload(frame="AB"), "'frame' must be a list of class labels, not 'AB'"),
+    ],
+)
+def test_malformed_json_names_the_field(payload, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MassFunction.from_json(json.dumps(payload))
