@@ -39,13 +39,13 @@ def _resolve(m: MassFunction, x: FocalElement | str) -> FocalElement:
 def credibility(m: MassFunction, x: FocalElement | str) -> float:
     """Mass of all non-empty elements contained in x."""
     mask = _resolve(m, x).mask
-    return sum(v for y, v in m.pairs if y and y & mask == y)
+    return sum([v for y, v in m.pairs if y and y & mask == y])
 
 
 def plausibility(m: MassFunction, x: FocalElement | str) -> float:
     """Mass of all elements whose meet with x is non-empty."""
     mask = _resolve(m, x).mask
-    return sum(v for y, v in m.pairs if y & mask)
+    return sum([v for y, v in m.pairs if y & mask])
 
 
 def pignistic(m: MassFunction, x: FocalElement | str) -> float:

@@ -43,6 +43,11 @@ _FREE_ENUMERATION_LIMIT = 4
 # 18, and 26 classes never finish.
 _FREE_FRAME_LIMIT = 12
 
+# Most entries each per-frame text memo holds; past it, results are
+# computed without being stored.  An entry depends only on the frame and
+# its key, so callers racing on one memo at worst store it twice.
+_MEMO_LIMIT = 4096
+
 
 class Model(enum.Enum):
     """World model of a frame: exclusive classes or no exclusivity at all."""
@@ -73,7 +78,9 @@ class Frame:
 
     ``n_cells``, ``full_mask`` and the label index are fixed at
     construction; a free frame holds 2ⁿ − 1 cells, so one with more than
-    ``_FREE_FRAME_LIMIT`` classes is refused.
+    ``_FREE_FRAME_LIMIT`` classes is refused.  Each frame also memoizes
+    the text of the masks it formats and the mask of the texts it parses,
+    up to ``_MEMO_LIMIT`` entries each.
     """
 
     labels: tuple[str, ...]
@@ -97,6 +104,8 @@ class Frame:
         object.__setattr__(self, "n_cells", n_cells)
         object.__setattr__(self, "full_mask", (1 << n_cells) - 1)
         object.__setattr__(self, "_index", {label: i for i, label in enumerate(labels)})
+        object.__setattr__(self, "_text_of_mask", {})
+        object.__setattr__(self, "_mask_of_text", {})
 
     @property
     def n_classes(self) -> int:
@@ -116,6 +125,19 @@ class Frame:
             masks.append(mask)
         return tuple(masks)
 
+    @cached_property
+    def _lacking(self) -> tuple[int, ...]:
+        """Per class, the cells whose label lacks it.
+
+        Adding class i to the label of cell t (bit t − 1) gives cell
+        t | 2ⁱ, which sits 2ⁱ bits higher when t lacks i.
+        """
+        return tuple(self.full_mask & ~atom for atom in self._atom_masks)
+
+    @cached_property
+    def _atoms(self) -> tuple["FocalElement", ...]:
+        return tuple(FocalElement(self, mask) for mask in self._atom_masks)
+
     def label_index(self, label: str) -> int:
         try:
             return self._index[label]
@@ -126,10 +148,10 @@ class Frame:
         """The element carrying class ``index`` on its own."""
         if not 0 <= index < self.n_classes:
             raise ValueError(f"class index {index} out of range")
-        return FocalElement(self, self._atom_masks[index])
+        return self._atoms[index]
 
     def atoms(self) -> tuple["FocalElement", ...]:
-        return tuple(self.atom(i) for i in range(self.n_classes))
+        return self._atoms
 
     def empty(self) -> "FocalElement":
         return FocalElement(self, 0)
@@ -145,19 +167,17 @@ class Frame:
         return f"Frame([{names}], {self.model.value})"
 
 
+def _supersets_by_one(frame: Frame, mask: int) -> int:
+    """Cells whose label adds one class to the label of a cell in mask."""
+    out = 0
+    for i, lacking in enumerate(frame._lacking):
+        out |= (mask & lacking) << (1 << i)
+    return out
+
+
 def _is_upward_closed(frame: Frame, mask: int) -> bool:
     # Closure under single-class label extensions implies full closure.
-    n = frame.n_classes
-    remaining = mask
-    while remaining:
-        low = remaining & -remaining
-        t = low.bit_length()  # cell at bit t-1 has label mask t
-        for i in range(n):
-            sup = t | (1 << i)
-            if sup != t and not mask & (1 << (sup - 1)):
-                return False
-        remaining ^= low
-    return True
+    return _supersets_by_one(frame, mask) & ~mask == 0
 
 
 @dataclass(frozen=True)
@@ -291,30 +311,42 @@ def enumerate_elements(frame: Frame, include_empty: bool = False) -> list[FocalE
 
 
 def _minimal_cells(frame: Frame, mask: int) -> list[int]:
-    """Label masks of the cells minimal under label inclusion."""
+    """Label masks of the cells minimal under label inclusion.
+
+    On a free frame ``mask`` must be upward-closed: a cell is then minimal
+    exactly when no cell one class smaller is present.
+    """
     if frame.model is Model.SHAFER:
         return [1 << i for i in range(frame.n_cells) if mask & (1 << i)]
+    remaining = mask & ~_supersets_by_one(frame, mask)
     labels = []
-    remaining = mask
     while remaining:
         low = remaining & -remaining
         labels.append(low.bit_length())
         remaining ^= low
-    return [t for t in labels if not any(s != t and s & t == s for s in labels)]
+    return labels
 
 
 def format_element(element: FocalElement) -> str:
     """Canonical text form: ∩ binds within groups, ∪ joins the groups."""
-    frame = element.frame
-    if element.mask == 0:
+    memo = element.frame._text_of_mask
+    text = memo.get(element.mask)
+    if text is None:
+        text = _mask_text(element.frame, element.mask)
+        if len(memo) < _MEMO_LIMIT:
+            memo[element.mask] = text
+    return text
+
+
+def _mask_text(frame: Frame, mask: int) -> str:
+    if mask == 0:
         return EMPTY_TEXT
-    if element.mask == frame.full_mask:
+    if mask == frame.full_mask:
         return THETA_TEXT
     if frame.model is Model.SHAFER:
-        mask = element.mask
         return JOIN_TEXT.join(label for i, label in enumerate(frame.labels) if mask >> i & 1)
     groups = []
-    for t in _minimal_cells(frame, element.mask):
+    for t in _minimal_cells(frame, mask):
         groups.append([i for i in range(frame.n_classes) if t & (1 << i)])
     groups.sort()
     return JOIN_TEXT.join(MEET_TEXT.join(frame.labels[i] for i in g) for g in groups)
@@ -326,13 +358,23 @@ def parse_element(frame: Frame, text: str) -> FocalElement:
     Accepts class names combined with ∩ and ∪ (∩ binding tighter), plus the
     two constants ∅ and Θ.  Whitespace around tokens is ignored.
     """
+    memo = frame._mask_of_text
+    mask = memo.get(text)
+    if mask is None:
+        mask = _text_mask(frame, text)
+        if len(memo) < _MEMO_LIMIT:
+            memo[text] = mask
+    return FocalElement(frame, mask)
+
+
+def _text_mask(frame: Frame, text: str) -> int:
     stripped = text.strip()
     if not stripped:
         raise ValueError("empty element text")
     if stripped == EMPTY_TEXT:
-        return frame.empty()
+        return 0
     if stripped == THETA_TEXT:
-        return frame.theta()
+        return frame.full_mask
     mask = 0
     for group in stripped.split(JOIN_TEXT):
         group_mask = frame.full_mask
@@ -342,4 +384,4 @@ def parse_element(frame: Frame, text: str) -> FocalElement:
                 raise ValueError(f"malformed element text {text!r}")
             group_mask &= frame._atom_masks[frame.label_index(name)]
         mask |= group_mask
-    return FocalElement(frame, mask)
+    return mask

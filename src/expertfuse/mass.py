@@ -160,7 +160,13 @@ def mass_from_entries(
             element = parse_element(frame, element)
         elif element.frame is not frame and element.frame != frame:
             raise ValueError("entry element belongs to a different frame")
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int past the float range, e.g. from JSON
+            raise ValueError(
+                f"mass on {format_element(element)} is too large for a float"
+            ) from None
+        if not finite:
             raise ValueError(f"non-finite mass {value!r} on {format_element(element)}")
         if value < -PRUNE_THRESHOLD:
             raise ValueError(f"negative mass {value!r} on {format_element(element)}")

@@ -129,6 +129,18 @@ class TestFuse:
         err = capsys.readouterr().err
         assert err == f"error: {path}: mass JSON 'masses' must be an object, not [['A', 1.0]]\n"
 
+    def test_integer_mass_too_large_for_a_float_fails_without_traceback(self, tmp_path):
+        paths = []
+        for name in ("a.json", "b.json"):
+            path = tmp_path / name
+            path.write_text('{"frame": ["A", "B"], "model": "shafer", "masses": {"Θ": 1%s}}'
+                            % ("0" * 400), encoding="utf-8")
+            paths.append(str(path))
+        proc = subprocess.run([sys.executable, "-m", "expertfuse", "fuse", *paths],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {paths[0]}: mass on Θ is too large for a float\n"
+
 
 class TestDecide:
     def test_defaults_to_pignistic_over_classes(self, mass_dir, capsys):

@@ -287,3 +287,134 @@ def test_idempotence_and_bounds(x):
     assert join(x, x) == x
     assert meet(x, FREE3.theta()) == x
     assert join(x, FREE3.empty()) == x
+
+
+# -- whole-mask free-lattice checks against the cell-by-cell loops ---------
+
+
+def loop_upward_closed(n_classes: int, mask: int) -> bool:
+    """Cell-by-cell closure check: every one-class extension is present."""
+    remaining = mask
+    while remaining:
+        low = remaining & -remaining
+        t = low.bit_length()  # cell at bit t-1 has label mask t
+        for i in range(n_classes):
+            sup = t | (1 << i)
+            if sup != t and not mask & (1 << (sup - 1)):
+                return False
+        remaining ^= low
+    return True
+
+
+def loop_minimal_cells(mask: int) -> list[int]:
+    """Label masks of the cells no other present cell's label is inside."""
+    labels = []
+    remaining = mask
+    while remaining:
+        low = remaining & -remaining
+        labels.append(low.bit_length())
+        remaining ^= low
+    return [t for t in labels if not any(s != t and s & t == s for s in labels)]
+
+
+def loop_upward_closure(n_classes: int, mask: int) -> int:
+    """Smallest upward-closed cell set containing mask."""
+    closed = mask
+    grown = True
+    while grown:
+        grown = False
+        for t in range(1, 1 << n_classes):
+            if closed & (1 << (t - 1)):
+                for i in range(n_classes):
+                    bit = 1 << ((t | (1 << i)) - 1)
+                    if not closed & bit:
+                        closed |= bit
+                        grown = True
+    return closed
+
+
+@pytest.mark.parametrize("n_classes", [1, 2, 3, 4])
+def test_whole_mask_checks_match_the_loops_on_every_mask(n_classes):
+    frame = make_frame(LABELS[:n_classes], Model.FREE)
+    for mask in range(frame.full_mask + 1):
+        closed = loop_upward_closed(n_classes, mask)
+        assert lattice._is_upward_closed(frame, mask) == closed
+        if closed:
+            assert lattice._minimal_cells(frame, mask) == loop_minimal_cells(mask)
+
+
+@given(st.integers(5, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << ((1 << n) - 1)) - 1))))
+def test_whole_mask_checks_match_the_loops_on_large_free_frames(case):
+    n_classes, mask = case
+    frame = make_frame(tuple(f"c{i}" for i in range(n_classes)), Model.FREE)
+    assert lattice._is_upward_closed(frame, mask) == loop_upward_closed(n_classes, mask)
+    closure = loop_upward_closure(n_classes, mask)
+    assert lattice._is_upward_closed(frame, closure)
+    assert lattice._minimal_cells(frame, closure) == loop_minimal_cells(closure)
+    if closure.bit_count() > 1:
+        # dropping a minimal cell keeps the set closed; dropping the top cell does not
+        lowest = loop_minimal_cells(closure)[0]
+        assert lattice._is_upward_closed(frame, closure & ~(1 << (lowest - 1)))
+        assert not lattice._is_upward_closed(frame, closure & ~(1 << (frame.n_cells - 1)))
+
+
+# -- the per-frame text memo ------------------------------------------------
+
+
+@pytest.mark.parametrize("model", [Model.SHAFER, Model.FREE])
+def test_warm_interned_and_fresh_frames_give_the_same_text(model):
+    interned = make_frame(LABELS, model)
+    for element in enumerate_elements(interned, include_empty=True):
+        parse_element(interned, str(element))  # warm both of the interned frame's memos
+    fresh = Frame(LABELS, model)
+    for element in enumerate_elements(interned, include_empty=True):
+        text = str(element)
+        parsed = parse_element(fresh, text)
+        assert parsed.frame is fresh and parsed == FocalElement(fresh, element.mask)
+        assert str(parsed) == text
+        warm = parse_element(interned, text)
+        assert warm.frame is interned and warm.mask == element.mask
+
+
+@pytest.mark.parametrize(
+    "n_classes,model",
+    [(n, Model.SHAFER) for n in range(1, 8)] + [(n, Model.FREE) for n in range(1, 5)],
+)
+def test_format_parse_round_trip_cold_and_warm(n_classes, model):
+    frame = Frame(tuple("ABCDEFG")[:n_classes], model)
+    elements = enumerate_elements(frame, include_empty=True)
+    cold = [lattice.format_element(el) for el in elements]
+    for _ in range(2):
+        assert [lattice.format_element(el) for el in elements] == cold
+        assert [parse_element(frame, text) for text in cold] == elements
+    assert len(set(cold)) == len(elements)
+
+
+def test_invalid_text_raises_every_time():
+    frame = Frame(("A", "B"), Model.FREE)
+    for text in ("", "A∪", "X", "A B"):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                parse_element(frame, text)
+    assert frame._mask_of_text == {}
+
+
+def test_memos_stay_within_their_cap():
+    labels = tuple(f"c{i}" for i in range(13))
+    frame = Frame(labels)
+    for mask in range(1, frame.full_mask):
+        text = lattice.format_element(FocalElement(frame, mask))
+        assert text == "∪".join(label for i, label in enumerate(labels) if mask >> i & 1)
+        assert parse_element(frame, text).mask == mask
+    assert frame.full_mask == 8191
+    assert len(frame._text_of_mask) == lattice._MEMO_LIMIT
+    assert len(frame._mask_of_text) == lattice._MEMO_LIMIT
+
+
+def test_atoms_are_equal_across_calls_and_frames():
+    for model in Model:
+        frame = make_frame(LABELS, model)
+        assert frame.atoms() == frame.atoms() == Frame(LABELS, model).atoms()
+        assert [a.frame for a in frame.atoms()] == [frame] * 4
+        assert [a.mask for a in frame.atoms()] == [frame.atom(i).mask for i in range(4)]

@@ -74,6 +74,18 @@ def test_non_finite_json_mass_rejected(token):
         MassFunction.from_json(text % token)
 
 
+HUGE = 10 ** 400  # an int that no float can hold
+
+
+@pytest.mark.parametrize("value", [HUGE, -HUGE], ids=["huge", "minus-huge"])
+def test_mass_too_large_for_a_float_rejected(value):
+    with pytest.raises(ValueError, match="mass on B is too large for a float"):
+        mass_from_entries(FRAME, [("B", value), ("Θ", 1.0)])
+    text = '{"frame": ["A", "B", "C"], "model": "shafer", "masses": {"B": %d, "Θ": 1.0}}'
+    with pytest.raises(ValueError, match="mass on B is too large for a float"):
+        MassFunction.from_json(text % value)
+
+
 def test_closed_world_rejects_mass_on_empty():
     with pytest.raises(ValueError, match="closed world"):
         mass_from_entries(FRAME, {"∅": 0.3, "Θ": 0.7})
