@@ -19,13 +19,10 @@ from expertfuse import (
     build_m5,
     combine_conjunctive,
     combine_pcr5,
-    credibility,
     decide,
-    pignistic,
-    plausibility,
     redistribute_conjunctions,
 )
-from expertfuse.cli import _print_criteria_table
+from expertfuse.cli import print_criteria_table
 
 EXPERT_1 = ExpertDeclaration.says_a(0.6)
 EXPERT_2 = ExpertDeclaration.says_both(0.5, 0.6, 0.4)
@@ -33,7 +30,7 @@ EXPERT_2 = ExpertDeclaration.says_both(0.5, 0.6, 0.4)
 
 def show(title, mass):
     print(f"\n== {title} ==")
-    _print_criteria_table(mass)
+    print_criteria_table(mass)
     atoms = mass.frame.atoms()
     report = decide(mass, Criterion.PIGNISTIC, atoms)
     print(f"decision (pignistic over singletons): {report.chosen}")

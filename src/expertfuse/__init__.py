@@ -15,22 +15,14 @@ from .lattice import (
     Frame,
     FocalElement,
     Model,
-    atom,
-    dsm_cardinality,
     enumerate_elements,
     format_element,
-    is_empty,
-    is_subset,
-    join,
     make_frame,
-    meet,
     parse_element,
 )
 from .mass import (
     MassFunction,
     World,
-    conflict,
-    focal_elements,
     mass_from_entries,
     mass_from_masks,
 )
@@ -63,6 +55,7 @@ from .decision import (
     DecisionReport,
     TIE_TOLERANCE,
     credibility,
+    criteria_table,
     criterion_value,
     decide,
     pignistic,
@@ -97,11 +90,9 @@ from .corpus import (
 
 __all__ = [
     "__version__",
-    "Frame", "FocalElement", "Model", "atom", "dsm_cardinality",
-    "enumerate_elements", "format_element", "is_empty", "is_subset",
-    "join", "make_frame", "meet", "parse_element",
-    "MassFunction", "World", "conflict", "focal_elements",
-    "mass_from_entries", "mass_from_masks",
+    "Frame", "FocalElement", "Model", "enumerate_elements",
+    "format_element", "make_frame", "parse_element",
+    "MassFunction", "World", "mass_from_entries", "mass_from_masks",
     "AnnotationEntry", "CertaintyWeights", "DEFAULT_WEIGHTS",
     "DeclarationKind", "ExpertDeclaration", "SEDIMENT_CLASSES",
     "TileAnnotation", "build_generalized_m5", "build_m1", "build_m2",
@@ -109,7 +100,7 @@ __all__ = [
     "RULE_NAMES", "combine", "combine_conjunctive", "combine_pcr5",
     "combine_pcr6", "redistribute_conjunctions",
     "Criterion", "DecisionReport", "TIE_TOLERANCE", "credibility",
-    "criterion_value", "decide", "pignistic", "plausibility",
+    "criteria_table", "criterion_value", "decide", "pignistic", "plausibility",
     "Histogram", "InvarianceCase", "SAMPLING_LAWS", "StabilityResult",
     "conflict_density", "decision_change_rate", "invariance_check",
     "letter_frame", "pair_decisions", "rate_and_histograms", "sample_expert",

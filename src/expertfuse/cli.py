@@ -17,12 +17,12 @@ from typing import Sequence
 
 from . import __version__
 from .corpus import conflict_matrix, decision_difference, load_annotations
-from .decision import Criterion, credibility, decide, pignistic, plausibility
+from .decision import Criterion, criteria_table, decide
 from .expert_models import CertaintyWeights, DEFAULT_WEIGHTS
 from .fusion import RULE_NAMES, combine, redistribute_conjunctions
 from .lattice import FocalElement, Model
 from .mass import MassFunction
-from .stability import SAMPLING_LAWS, rate_and_histograms, stability_table
+from .stability import MAX_CLASSES, SAMPLING_LAWS, rate_and_histograms, stability_table
 
 SEED_ENV_VAR = "EXPERTFUSE_SEED"
 DEFAULT_SEED = 2026
@@ -59,51 +59,14 @@ def _load_mass(path: str) -> MassFunction:
         raise ValueError(f"{path}: not a valid mass file ({exc})") from None
 
 
-def _table_elements(m: MassFunction) -> list[FocalElement]:
-    """Rows for the fusion table: atoms, focal elements, and the one-step
-    meets and joins of focal pairs, in canonical order; ∅ leads when it
-    carries mass."""
-    frame = m.frame
-    masks = {a.mask for a in frame.atoms()}
-    focal = [x for x, _ in m.pairs if x]
-    masks.update(focal)
-    for i, x in enumerate(focal):
-        for y in focal[i + 1:]:
-            if x & y:
-                masks.add(x & y)
-            masks.add(x | y)
-    rows = [FocalElement(frame, mask) for mask in sorted(masks)]
-    if m.value_of_mask(0) > 0.0:
-        rows.insert(0, frame.empty())
-    return rows
-
-
-def _print_criteria_table(m: MassFunction) -> None:
-    rows = _table_elements(m)
-    width = max(len("element"), max(len(str(el)) for el in rows))
+def print_criteria_table(m: MassFunction) -> None:
+    """Print `decision.criteria_table` rows with four decimals."""
+    rows = criteria_table(m)
+    width = max(len("element"), max(len(str(row[0])) for row in rows))
     print(f"{'element':<{width}}  {'m':>8}  {'bel':>8}  {'pl':>8}  {'betP':>8}")
-    for el in rows:
-        mass = m.value(el)
-        if el.is_empty:
-            print(f"{str(el):<{width}}  {mass:>8.4f}  {0.0:>8.4f}  {0.0:>8.4f}  {'-':>8}")
-            continue
-        bel = credibility(m, el)
-        pl = plausibility(m, el)
-        bet = pignistic(m, el)
-        print(f"{str(el):<{width}}  {mass:>8.4f}  {bel:>8.4f}  {pl:>8.4f}  {bet:>8.4f}")
-
-
-def _criteria_json(m: MassFunction) -> dict:
-    out = {}
-    for el in _table_elements(m):
-        entry = {
-            "mass": m.value(el),
-            "credibility": credibility(m, el) if not el.is_empty else 0.0,
-            "plausibility": plausibility(m, el) if not el.is_empty else 0.0,
-            "pignistic": pignistic(m, el) if not el.is_empty else None,
-        }
-        out[str(el)] = entry
-    return out
+    for el, mass, bel, pl, bet in rows:
+        bet_text = "-" if bet is None else f"{bet:.4f}"
+        print(f"{str(el):<{width}}  {mass:>8.4f}  {bel:>8.4f}  {pl:>8.4f}  {bet_text:>8}")
 
 
 def cmd_fuse(args: argparse.Namespace) -> int:
@@ -115,7 +78,7 @@ def cmd_fuse(args: argparse.Namespace) -> int:
         fused = redistribute_conjunctions(fused)
     print(f"rule: {args.rule}")
     print(f"frame: {{{', '.join(fused.frame.labels)}}} ({fused.frame.model.value})")
-    _print_criteria_table(fused)
+    print_criteria_table(fused)
     if args.decide:
         report = decide(fused, Criterion.PIGNISTIC, fused.frame.atoms())
         line = f"decision (pignistic over singletons): {report.chosen}"
@@ -126,7 +89,10 @@ def cmd_fuse(args: argparse.Namespace) -> int:
         payload = {
             "rule": args.rule,
             "mass": fused.to_json_dict(),
-            "criteria": _criteria_json(fused),
+            "criteria": {
+                str(el): {"mass": v, "credibility": bel, "plausibility": pl, "pignistic": bet}
+                for el, v, bel, pl, bet in criteria_table(fused)
+            },
         }
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, ensure_ascii=False, indent=2)
@@ -163,12 +129,13 @@ def _parse_class_counts(text: str) -> list[int]:
             low, high = int(low_text), int(high_text)
             if high < low:
                 raise ValueError(f"empty class range {part!r}")
-            counts.extend(range(low, high + 1))
         else:
-            counts.append(int(part))
-    for n in counts:
-        if n < 2:
-            raise ValueError(f"class counts start at 2, got {n}")
+            low = high = int(part)
+        if low < 2:
+            raise ValueError(f"class counts start at 2, got {low}")
+        if high > MAX_CLASSES:
+            raise ValueError(f"class counts stop at {MAX_CLASSES}, got {high}")
+        counts.extend(range(low, high + 1))
     return counts
 
 

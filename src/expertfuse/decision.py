@@ -80,6 +80,33 @@ def criterion_value(m: MassFunction, x: FocalElement | str, criterion: Criterion
     raise ValueError(f"unknown criterion {criterion!r}")
 
 
+def criteria_table(
+    m: MassFunction,
+) -> list[tuple[FocalElement, float, float, float, float | None]]:
+    """Rows (element, m, bel, pl, betP) of the fusion criteria table.
+
+    The rows are the atoms, the focal elements and the one-step meets and
+    joins of focal pairs, in mask order.  ∅ leads when it carries mass, as
+    ``(∅, m(∅), 0.0, 0.0, None)``: betP is undefined there.
+    """
+    frame = m.frame
+    masks = {a.mask for a in frame.atoms()}
+    focal = [x for x, _ in m.pairs if x]
+    masks.update(focal)
+    for i, x in enumerate(focal):
+        for y in focal[i + 1:]:
+            if x & y:
+                masks.add(x & y)
+            masks.add(x | y)
+    rows = []
+    if m.conflict > 0.0:
+        rows.append((frame.empty(), m.conflict, 0.0, 0.0, None))
+    for mask in sorted(masks):
+        el = FocalElement(frame, mask)
+        rows.append((el, m.value(el), credibility(m, el), plausibility(m, el), pignistic(m, el)))
+    return rows
+
+
 @dataclass(frozen=True)
 class DecisionReport:
     """Criterion values over a candidate set plus the argmax and any tie.
@@ -96,8 +123,10 @@ class DecisionReport:
     tied: tuple[FocalElement, ...]
 
     def value(self, x: FocalElement | str) -> float:
+        """Value of candidate x, given as an element or as text to parse."""
+        mask = parse_element(self.chosen.frame, x).mask if isinstance(x, str) else x.mask
         for el, v in self.values:
-            if (el.mask == x.mask) if isinstance(x, FocalElement) else (str(el) == x):
+            if el.mask == mask:
                 return v
         raise KeyError(f"{x!r} is not among the candidates")
 

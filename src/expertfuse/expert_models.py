@@ -84,28 +84,28 @@ def _frame_ab(model: Model) -> Frame:
     return make_frame(("A", "B"), model)
 
 
+def _two_class_mass(
+    d: ExpertDeclaration, frame: Frame, says: tuple[str, str, str], ignorance: str
+) -> MassFunction:
+    """The declared element, by kind, with its weight; the rest on `ignorance`."""
+    says_a, says_b, says_both = says
+    if d.kind is DeclarationKind.SAYS_A:
+        seen, weight = says_a, d.c_a
+    elif d.kind is DeclarationKind.SAYS_B:
+        seen, weight = says_b, d.c_b
+    else:
+        seen, weight = says_both, d.p_a * d.c_a + d.p_b * d.c_b
+    return mass_from_entries(frame, [(seen, weight), (ignorance, 1.0 - weight)])
+
+
 def build_m1(d: ExpertDeclaration) -> MassFunction:
     """Third exclusive class for "both"; ignorance on the full frame."""
-    frame = _frame_abc()
-    if d.kind is DeclarationKind.SAYS_A:
-        seen, weight = "A", d.c_a
-    elif d.kind is DeclarationKind.SAYS_B:
-        seen, weight = "B", d.c_b
-    else:
-        seen, weight = "C", d.p_a * d.c_a + d.p_b * d.c_b
-    return mass_from_entries(frame, [(seen, weight), ("Θ", 1.0 - weight)])
+    return _two_class_mass(d, _frame_abc(), ("A", "B", "C"), "Θ")
 
 
 def build_m2(d: ExpertDeclaration) -> MassFunction:
     """Like the first model, but ignorance restricted to A∪B."""
-    frame = _frame_abc()
-    if d.kind is DeclarationKind.SAYS_A:
-        seen, weight = "A", d.c_a
-    elif d.kind is DeclarationKind.SAYS_B:
-        seen, weight = "B", d.c_b
-    else:
-        seen, weight = "C", d.p_a * d.c_a + d.p_b * d.c_b
-    return mass_from_entries(frame, [(seen, weight), ("A∪B", 1.0 - weight)])
+    return _two_class_mass(d, _frame_abc(), ("A", "B", "C"), "A∪B")
 
 
 def build_m3(d: ExpertDeclaration) -> MassFunction:
@@ -114,26 +114,12 @@ def build_m3(d: ExpertDeclaration) -> MassFunction:
     Saying "A" supports A'∪C' (pure A or mixed), saying "both" supports C'
     alone, and the remainder stays on the full frame.
     """
-    frame = _frame_primed()
-    if d.kind is DeclarationKind.SAYS_A:
-        seen, weight = "A'∪C'", d.c_a
-    elif d.kind is DeclarationKind.SAYS_B:
-        seen, weight = "B'∪C'", d.c_b
-    else:
-        seen, weight = "C'", d.p_a * d.c_a + d.p_b * d.c_b
-    return mass_from_entries(frame, [(seen, weight), ("Θ", 1.0 - weight)])
+    return _two_class_mass(d, _frame_primed(), ("A'∪C'", "B'∪C'", "C'"), "Θ")
 
 
 def build_m4(d: ExpertDeclaration) -> MassFunction:
     """Free two-class frame; "both" lands on the conjunction A∩B."""
-    frame = _frame_ab(Model.FREE)
-    if d.kind is DeclarationKind.SAYS_A:
-        seen, weight = "A", d.c_a
-    elif d.kind is DeclarationKind.SAYS_B:
-        seen, weight = "B", d.c_b
-    else:
-        seen, weight = "A∩B", d.p_a * d.c_a + d.p_b * d.c_b
-    return mass_from_entries(frame, [(seen, weight), ("A∪B", 1.0 - weight)])
+    return _two_class_mass(d, _frame_ab(Model.FREE), ("A", "B", "A∩B"), "A∪B")
 
 
 def build_m5(d: ExpertDeclaration, model: Model = Model.SHAFER) -> MassFunction:

@@ -264,30 +264,6 @@ def _interned_frame(labels: tuple[str, ...], model: Model) -> Frame:
     return Frame(labels, model)
 
 
-def atom(frame: Frame, index: int) -> FocalElement:
-    return frame.atom(index)
-
-
-def meet(x: FocalElement, y: FocalElement) -> FocalElement:
-    return x & y
-
-
-def join(x: FocalElement, y: FocalElement) -> FocalElement:
-    return x | y
-
-
-def is_subset(x: FocalElement, y: FocalElement) -> bool:
-    return x <= y
-
-
-def is_empty(x: FocalElement) -> bool:
-    return x.is_empty
-
-
-def dsm_cardinality(x: FocalElement) -> int:
-    return x.cardinality
-
-
 def enumerate_elements(frame: Frame, include_empty: bool = False) -> list[FocalElement]:
     """All elements of the frame's lattice in ascending mask order.
 

@@ -180,10 +180,3 @@ def mass_from_masks(
     """Assemble from raw cell masks; used by the combination rules."""
     return _build(frame, {m: v for m, v in masses.items() if v > 0.0}, world)
 
-
-def conflict(m: MassFunction) -> float:
-    return m.conflict
-
-
-def focal_elements(m: MassFunction) -> list[tuple[FocalElement, float]]:
-    return m.focal_elements()

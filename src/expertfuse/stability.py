@@ -41,12 +41,21 @@ _DEFAULT_CHUNK = 1 << 16
 # per-call cost, small enough to keep each pass's arrays in cache.
 _KERNEL_BLOCK = 1 << 12
 
+# Most classes a simulated expert may have: one per letter A..Z.
+MAX_CLASSES = len(string.ascii_uppercase)
+
+
+def _check_classes(n: int) -> None:
+    if n < 2:
+        raise ValueError(f"need at least two classes, got {n}")
+    if n > MAX_CLASSES:
+        raise ValueError(f"at most {MAX_CLASSES} classes are supported, got {n}")
+
 
 @lru_cache(maxsize=None)
 def letter_frame(n: int) -> Frame:
     """Exclusive frame with classes A, B, C, ... (n of them)."""
-    if not 2 <= n <= 26:
-        raise ValueError(f"letter frames support 2 to 26 classes, got {n}")
+    _check_classes(n)
     return make_frame(tuple(string.ascii_uppercase[:n]), Model.SHAFER)
 
 
@@ -94,10 +103,8 @@ def sample_expert(n: int, rng: np.random.Generator, law: str = "product") -> Mas
     class and keeps their products when they sum to at most 1.  Pass
     ``law="uniform"`` for masses uniform on E.
     """
-    if n < 2:
-        raise ValueError(f"need at least two classes, got {n}")
-    _check_law(law)
     frame = letter_frame(n)
+    _check_law(law)
     m = _accepted_masses(n, 1, rng, law)[0][0]
     masses = {frame.atom(i).mask: float(m[i]) for i in range(n)}
     masses[frame.full_mask] = float(1.0 - m.sum())
@@ -200,7 +207,6 @@ def pair_decisions(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
 @dataclass(frozen=True)
 class StabilityResult:
     n_classes: int
-    requested_pairs: int
     accepted_pairs: int
     candidate_draws: int
     change_rate: float
@@ -231,8 +237,7 @@ def _sample_pairs(
 
 
 def _check_rate_args(n: int, n_samples: int, law: str) -> None:
-    if n < 2:
-        raise ValueError(f"need at least two classes, got {n}")
+    _check_classes(n)
     if n_samples < 1:
         raise ValueError("need at least one accepted pair")
     _check_law(law)
@@ -244,7 +249,6 @@ def _rate_row(n: int, n_samples: int, sample: _PairSample) -> StabilityResult:
     changed = sample.conflict[sample.change]
     return StabilityResult(
         n_classes=n,
-        requested_pairs=n_samples,
         accepted_pairs=n_samples,
         candidate_draws=sample.drawn,
         change_rate=rate,
@@ -304,8 +308,7 @@ def conflict_density(
     counted.  Frequencies are normalized to sum to 1 over the counted
     pairs; zero pairs give an all-zero histogram.
     """
-    if n < 2:
-        raise ValueError(f"need at least two classes, got {n}")
+    _check_classes(n)
     if n_samples < 0:
         raise ValueError("sample count cannot be negative")
     if bins < 1:

@@ -33,7 +33,6 @@ from expertfuse import (
     decide,
     decision_change_rate,
     decision_difference,
-    dsm_cardinality,
     enumerate_elements,
     invariance_check,
     load_annotations,
@@ -417,7 +416,7 @@ def test_criterion_12_lattice_matches_brute_force(n, model):
         assert len(elements) == 2**n
     for x in elements:
         cells_x = _oracle_cells(n, model, x.mask)
-        assert dsm_cardinality(x) == len(cells_x)
+        assert x.cardinality == len(cells_x)
         assert x.cardinality == len(cells_x)
         for y in elements:
             cells_y = _oracle_cells(n, model, y.mask)

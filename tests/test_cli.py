@@ -101,6 +101,44 @@ class TestFuse:
         assert payload["criteria"]["A"]["pignistic"] == pytest.approx(11 / 21, abs=1e-12)
         assert payload["criteria"]["∅"]["pignistic"] is None
 
+    def test_json_criteria_of_the_readme_example(self, tmp_path, capsys):
+        paths = []
+        for name, declaration in (("expert1.json", E1), ("expert2.json", E2)):
+            (tmp_path / name).write_text(build_m5(declaration).to_json(), encoding="utf-8")
+            paths.append(str(tmp_path / name))
+        target = tmp_path / "fused.json"
+        assert main(["fuse", "--rule", "pcr5", *paths, "--json", str(target)]) == 0
+        capsys.readouterr()
+        criteria = json.loads(target.read_text(encoding="utf-8"))["criteria"]
+        assert criteria == {
+            "A": {"mass": 0.69, "credibility": 0.69, "plausibility": 0.89,
+                  "pignistic": 0.7899999999999999},
+            "B": {"mass": 0.11000000000000004, "credibility": 0.11000000000000004,
+                  "plausibility": 0.31000000000000005, "pignistic": 0.21000000000000008},
+            "Θ": {"mass": 0.20000000000000004, "credibility": 1.0, "plausibility": 1.0,
+                  "pignistic": 1.0},
+        }
+        assert list(criteria) == ["A", "B", "Θ"]
+
+    def test_empty_credibility_prints_as_the_int_zero(self, mass_dir, tmp_path, capsys):
+        target = tmp_path / "fused.json"
+        main(["fuse", str(mass_dir / "m1_one.json"), str(mass_dir / "m1_two.json"),
+              "--json", str(target)])
+        capsys.readouterr()
+        assert '"credibility": 0,' in target.read_text(encoding="utf-8")
+
+    def test_total_conflict_fails_before_the_table(self, tmp_path, capsys):
+        frame = make_frame(("A", "B"))
+        paths = []
+        for label in ("A", "B"):
+            path = tmp_path / f"{label}.json"
+            path.write_text(mass_from_entries(frame, {label: 1.0}).to_json(), encoding="utf-8")
+            paths.append(str(path))
+        assert main(["fuse", *paths]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "rule: conjunctive\nframe: {A, B} (shafer)\n"
+        assert captured.err == "error: pignistic probability is undefined under total conflict\n"
+
     def test_single_file_is_a_usage_error(self, mass_dir, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["fuse", str(mass_dir / "m1_one.json")])
@@ -307,6 +345,15 @@ class TestSimulate:
         assert main(["simulate", "--classes", "5..3", "--samples", "50"]) == 1
         assert "empty class range" in capsys.readouterr().err
 
+    def test_class_counts_stop_at_26(self, capsys):
+        assert main(["simulate", "--classes", "26", "--samples", "5"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split()[0] == "26"
+        for spec in ("27", "40..41", "2..27", "2..2000000"):
+            assert main(["simulate", "--classes", spec, "--samples", "1"]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: class counts stop at 26, got ")
+            assert captured.out == ""
+
 
 class TestCorpus:
     def test_prints_matrix_and_difference(self, corpus_file, capsys):
@@ -388,3 +435,10 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("expertfuse ")
+
+
+def test_every_exported_name_resolves():
+    import expertfuse
+
+    for name in expertfuse.__all__:
+        getattr(expertfuse, name)

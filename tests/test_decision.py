@@ -21,10 +21,10 @@ from expertfuse import (
     combine_conjunctive,
     combine_pcr5,
     credibility,
+    criteria_table,
     criterion_value,
     decide,
     enumerate_elements,
-    is_subset,
     make_frame,
     mass_from_entries,
     pignistic,
@@ -147,6 +147,16 @@ class TestDecide:
         with pytest.raises(KeyError):
             report.value(fused_m1.frame.atom(1))
 
+    def test_value_parses_text_as_decide_does(self):
+        m = mass_from_entries(make_frame(("A", "B", "C")), {"A": 0.5, "B∪C": 0.2, "Θ": 0.3})
+        report = decide(m, Criterion.PLAUSIBILITY, ["A∪B", "C"])
+        for text in ("A∪B", "B∪A", " A∪B ", "A ∪ B"):
+            assert report.value(text) == 1.0
+        with pytest.raises(KeyError, match="not among the candidates"):
+            report.value("A")
+        with pytest.raises(ValueError, match="malformed"):
+            report.value("A∪")
+
     def test_empty_candidate_list_rejected(self, fused_m1):
         with pytest.raises(ValueError, match="at least one"):
             decide(fused_m1, "pignistic", [])
@@ -179,7 +189,7 @@ class TestOrderingProperties:
             m = random_shafer_mass(rng, frame)
             for x in elements:
                 for y in elements:
-                    if is_subset(x, y):
+                    if x <= y:
                         assert credibility(m, x) <= credibility(m, y) + 1e-12
                         assert plausibility(m, x) <= plausibility(m, y) + 1e-12
                         assert pignistic(m, x) <= pignistic(m, y) + 1e-12
@@ -267,3 +277,41 @@ def test_pignistic_matches_the_element_by_element_reference_exactly(m):
         return  # total conflict: pignistic is undefined, see TestFunctionalErrors
     for x in PIGNISTIC_ELEMENTS[m.frame]:
         assert pignistic(m, x) == reference_pignistic(m, x)
+
+
+class TestCriteriaTable:
+    def test_rows_equal_the_per_row_calls(self, fused_m1, expert_one, expert_two):
+        fused_m4 = combine_conjunctive([build_m4(expert_one), build_m4(expert_two)])
+        for m in (fused_m1, fused_m4):
+            for el, v, bel, pl, bet in criteria_table(m):
+                if el.is_empty:
+                    continue
+                expected = (m.value(el), credibility(m, el), plausibility(m, el),
+                            pignistic(m, el))
+                assert (v, bel, pl, bet) == expected
+                assert [type(x) for x in (v, bel, pl, bet)] == [type(x) for x in expected]
+
+    def test_exclusive_rows_lead_with_the_conflict(self, fused_m1):
+        rows = criteria_table(fused_m1)
+        assert [str(row[0]) for row in rows] == ["∅", "A", "B", "C", "A∪C", "Θ"]
+        assert type(rows[2][2]) is int and rows[2][2] == 0  # bel(B): an empty sum
+        assert rows[0] == (fused_m1.frame.empty(), fused_m1.conflict, 0.0, 0.0, None)
+        assert fused_m1.conflict == pytest.approx(0.3)
+        masks = [row[0].mask for row in rows[1:]]
+        assert masks == sorted(masks) and 0 not in masks
+
+    def test_free_rows_without_conflict_have_no_empty_row(self, expert_one, expert_two):
+        fused = combine_conjunctive([build_m4(expert_one), build_m4(expert_two)])
+        assert fused.conflict == 0.0
+        assert [str(row[0]) for row in criteria_table(fused)] == ["A∩B", "A", "B", "Θ"]
+
+    @given(closed_and_open_masses())
+    def test_empty_row_leads_exactly_when_it_carries_mass(self, m):
+        if m.value_of_mask(0) >= 1.0:
+            return  # total conflict: pignistic is undefined, see TestFunctionalErrors
+        rows = criteria_table(m)
+        empty_rows = [row for row in rows if row[0].is_empty]
+        if m.conflict > 0.0:
+            assert empty_rows == [rows[0]] == [(m.frame.empty(), m.conflict, 0.0, 0.0, None)]
+        else:
+            assert empty_rows == []

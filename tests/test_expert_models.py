@@ -107,6 +107,30 @@ class TestSingleExpertMasses:
         )
 
 
+TWO_CLASS_MODELS = {
+    "M1": (build_m1, _frame_abc, ("A", "B", "C"), "Θ"),
+    "M2": (build_m2, _frame_abc, ("A", "B", "C"), "A∪B"),
+    "M3": (build_m3, _frame_primed, ("A'∪C'", "B'∪C'", "C'"), "Θ"),
+    "M4": (build_m4, lambda: _frame_ab(Model.FREE), ("A", "B", "A∩B"), "A∪B"),
+}
+# (declaration, index of the element it supports, weight it gives that element)
+DECLARATIONS = {
+    "says-A": (ExpertDeclaration.says_a(0.7), 0, 0.7),
+    "says-B": (ExpertDeclaration.says_b(0.6), 1, 0.6),
+    "says-both": (ExpertDeclaration.says_both(0.25, 0.8, 0.4), 2, 0.5),
+}
+
+
+@pytest.mark.parametrize("kind", DECLARATIONS)
+@pytest.mark.parametrize("model", TWO_CLASS_MODELS)
+def test_two_class_models_place_each_declaration(model, kind):
+    build, frame, says, ignorance = TWO_CLASS_MODELS[model]
+    declaration, index, weight = DECLARATIONS[kind]
+    expected = expect(frame(), [(says[index], weight), (ignorance, 1.0 - weight)])
+    assert build(declaration).isclose(expected)
+    assert build(declaration).frame is frame()
+
+
 def random_declaration(rng: np.random.Generator) -> ExpertDeclaration:
     kind = rng.integers(0, 3)
     if kind == 0:

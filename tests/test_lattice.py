@@ -21,14 +21,8 @@ from expertfuse import (
     Frame,
     MassFunction,
     Model,
-    atom,
-    dsm_cardinality,
     enumerate_elements,
-    is_empty,
-    is_subset,
-    join,
     make_frame,
-    meet,
     parse_element,
 )
 from expertfuse import lattice
@@ -82,11 +76,11 @@ def test_meet_join_cardinality_against_oracle():
     n = frame.n_classes
     for x, y in itertools.product(elements, repeat=2):
         sx, sy = cell_set(n, x.mask), cell_set(n, y.mask)
-        assert cell_set(n, meet(x, y).mask) == sx & sy
-        assert cell_set(n, join(x, y).mask) == sx | sy
-        assert is_subset(x, y) == (sx <= sy)
+        assert cell_set(n, (x & y).mask) == sx & sy
+        assert cell_set(n, (x | y).mask) == sx | sy
+        assert (x <= y) == (sx <= sy)
     for x in elements:
-        assert dsm_cardinality(x) == len(cell_set(n, x.mask))
+        assert x.cardinality == len(cell_set(n, x.mask))
         assert x.cardinality == len(x)
 
 
@@ -96,9 +90,9 @@ def test_atoms_cover_the_right_cells():
         expected = frozenset(
             cell for cell in cell_set(3, frame.full_mask) if i in cell
         )
-        assert cell_set(3, atom(frame, i).mask) == expected
+        assert cell_set(3, frame.atom(i).mask) == expected
     shafer = make_frame(LABELS[:3])
-    assert [atom(shafer, i).mask for i in range(3)] == [1, 2, 4]
+    assert [shafer.atom(i).mask for i in range(3)] == [1, 2, 4]
 
 
 @pytest.mark.parametrize("mask", [0b001, 0b010, 0b011])
@@ -120,8 +114,8 @@ def test_mask_outside_universe_rejected():
 def test_empty_and_theta():
     frame = make_frame(LABELS[:3], Model.FREE)
     assert frame.empty().is_empty
-    assert is_empty(frame.empty())
-    assert not is_empty(frame.theta())
+    assert frame.empty().is_empty
+    assert not frame.theta().is_empty
     assert frame.theta().mask == frame.full_mask
     assert str(frame.empty()) == "∅"
     assert str(frame.theta()) == "Θ"
@@ -131,11 +125,11 @@ def test_formatting_of_simple_elements():
     frame = make_frame(("A", "B", "C"), Model.FREE)
     a, b, _ = frame.atoms()
     assert str(a) == "A"
-    assert str(meet(a, b)) == "A∩B"
-    assert str(join(a, b)) == "A∪B"
+    assert str(a & b) == "A∩B"
+    assert str(a | b) == "A∪B"
     # the union of everything collapses to the ignorance symbol
     two = make_frame(("A", "B"), Model.FREE)
-    assert str(join(two.atom(0), two.atom(1))) == "Θ"
+    assert str(two.atom(0) | two.atom(1)) == "Θ"
 
 
 @pytest.mark.parametrize("model", [Model.SHAFER, Model.FREE])
@@ -148,7 +142,7 @@ def test_parse_format_round_trip(model):
 def test_parse_tolerates_whitespace_and_aliases():
     frame = make_frame(LABELS[:3], Model.FREE)
     a, b, c = frame.atoms()
-    assert parse_element(frame, " A ∪ B ∩ C ") == join(a, meet(b, c))
+    assert parse_element(frame, " A ∪ B ∩ C ") == (a | (b & c))
     assert frame.parse_element("∅") == frame.empty()
     assert frame.parse_element("Θ") == frame.theta()
 
@@ -156,7 +150,7 @@ def test_parse_tolerates_whitespace_and_aliases():
 def test_parse_meet_binds_tighter_than_join():
     frame = make_frame(LABELS[:3], Model.FREE)
     a, b, c = frame.atoms()
-    assert parse_element(frame, "A∪B∩C") == join(a, meet(b, c))
+    assert parse_element(frame, "A∪B∩C") == (a | (b & c))
 
 
 def test_shafer_conjunction_collapses_to_empty():
@@ -244,7 +238,7 @@ def test_cross_frame_operations_rejected():
     x = make_frame(("A", "B")).theta()
     y = make_frame(("A", "C")).theta()
     with pytest.raises(ValueError, match="different frames"):
-        meet(x, y)
+        x & y
 
 
 def test_make_frame_accepts_model_names():
@@ -261,32 +255,32 @@ elements3 = st.sampled_from(FREE3_ELEMENTS)
 
 @given(elements3, elements3)
 def test_meet_join_commute(x, y):
-    assert meet(x, y) == meet(y, x)
-    assert join(x, y) == join(y, x)
+    assert (x & y) == (y & x)
+    assert (x | y) == (y | x)
 
 
 @given(elements3, elements3, elements3)
 def test_meet_join_associate_and_distribute(x, y, z):
-    assert meet(meet(x, y), z) == meet(x, meet(y, z))
-    assert join(join(x, y), z) == join(x, join(y, z))
-    assert meet(x, join(y, z)) == join(meet(x, y), meet(x, z))
+    assert ((x & y) & z) == (x & (y & z))
+    assert ((x | y) | z) == (x | (y | z))
+    assert (x & (y | z)) == ((x & y) | (x & z))
 
 
 @given(elements3, elements3)
 def test_absorption_and_order(x, y):
-    assert join(x, meet(x, y)) == x
-    assert meet(x, join(x, y)) == x
-    assert is_subset(meet(x, y), x)
-    assert is_subset(x, join(x, y))
-    assert (x <= y) == (meet(x, y) == x)
+    assert (x | (x & y)) == x
+    assert (x & (x | y)) == x
+    assert (x & y) <= x
+    assert x <= (x | y)
+    assert (x <= y) == ((x & y) == x)
 
 
 @given(elements3)
 def test_idempotence_and_bounds(x):
-    assert meet(x, x) == x
-    assert join(x, x) == x
-    assert meet(x, FREE3.theta()) == x
-    assert join(x, FREE3.empty()) == x
+    assert (x & x) == x
+    assert (x | x) == x
+    assert (x & FREE3.theta()) == x
+    assert (x | FREE3.empty()) == x
 
 
 # -- whole-mask free-lattice checks against the cell-by-cell loops ---------

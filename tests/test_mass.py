@@ -13,9 +13,7 @@ from hypothesis import strategies as st
 from expertfuse import (
     Model,
     World,
-    conflict,
     enumerate_elements,
-    focal_elements,
     make_frame,
     mass_from_entries,
     mass_from_masks,
@@ -94,24 +92,24 @@ def test_closed_world_rejects_mass_on_empty():
 def test_open_world_carries_conflict():
     m = mass_from_entries(FRAME, {"∅": 0.3, "A": 0.5, "Θ": 0.2}, world=World.OPEN)
     assert m.conflict == pytest.approx(0.3)
-    assert conflict(m) == pytest.approx(0.3)
+    assert m.conflict == pytest.approx(0.3)
 
 
 def test_conflict_is_zero_without_empty_mass():
     m = mass_from_entries(FRAME, {"A": 1.0})
-    assert conflict(m) == 0.0
+    assert m.conflict == 0.0
 
 
 def test_tiny_masses_are_pruned_and_the_rest_renormalized():
     m = mass_from_entries(FRAME, {"A": 0.5, "B": PRUNE_THRESHOLD / 4, "Θ": 0.5})
     assert m.value(FRAME.atom(1)) == 0.0
     assert m.total() == pytest.approx(1.0, abs=1e-15)
-    assert len(focal_elements(m)) == 2
+    assert len(m.focal_elements()) == 2
 
 
 def test_focal_elements_sorted_by_mask():
     m = mass_from_entries(FRAME, {"Θ": 0.2, "A": 0.5, "B": 0.3})
-    masks = [element.mask for element, _ in focal_elements(m)]
+    masks = [element.mask for element, _ in m.focal_elements()]
     assert masks == sorted(masks)
 
 
@@ -179,7 +177,7 @@ def test_any_nonnegative_vector_normalizes(values):
     elements = enumerate_elements(FRAME)
     m = mass_from_entries(FRAME, zip(elements, scaled))
     assert math.isclose(m.total(), 1.0, abs_tol=1e-12)
-    assert all(v >= 0.0 for _, v in focal_elements(m))
+    assert all(v >= 0.0 for _, v in m.focal_elements())
 
 
 ROUND_TRIP_FRAMES = (

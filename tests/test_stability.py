@@ -21,7 +21,7 @@ from expertfuse import (
     sample_expert,
     stability_table,
 )
-from expertfuse.stability import _DEFAULT_CHUNK, _accepted_masses
+from expertfuse.stability import _DEFAULT_CHUNK, MAX_CLASSES, _accepted_masses
 
 
 class FakeRng:
@@ -66,6 +66,25 @@ class TestLetterFrame:
     def test_range(self, n):
         with pytest.raises(ValueError):
             letter_frame(n)
+
+
+class TestClassLimit:
+    def test_26_classes_run(self):
+        assert MAX_CLASSES == 26
+        assert decision_change_rate(26, 5, 0).n_classes == 26
+        assert sample_expert(26, np.random.default_rng(0), law="uniform").frame.n_classes == 26
+
+    def test_27_classes_are_refused(self):
+        calls = (
+            lambda: decision_change_rate(27, 5, 0),
+            lambda: stability_table([2, 27], 5, 0),
+            lambda: rate_and_histograms(27, 5, 0),
+            lambda: conflict_density(27, 5),
+            lambda: sample_expert(27, np.random.default_rng(0)),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="at most 26 classes"):
+                call()
 
 
 class TestSampleExpert:
