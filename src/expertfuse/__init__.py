@@ -80,8 +80,10 @@ from .corpus import (
     Corpus,
     CorpusError,
     DecisionDifference,
+    ExpertPair,
     conflict_matrix,
     decision_difference,
+    expert_pair,
     generate_demo_corpus,
     load_annotations,
     parse_annotations,
@@ -105,7 +107,7 @@ __all__ = [
     "conflict_density", "decision_change_rate", "invariance_check",
     "letter_frame", "pair_decisions", "rate_and_histograms", "sample_expert",
     "stability_table",
-    "ConflictMatrix", "Corpus", "CorpusError", "DecisionDifference",
-    "conflict_matrix", "decision_difference", "generate_demo_corpus",
+    "ConflictMatrix", "Corpus", "CorpusError", "DecisionDifference", "ExpertPair",
+    "conflict_matrix", "decision_difference", "expert_pair", "generate_demo_corpus",
     "load_annotations", "parse_annotations", "tile_mass",
 ]

@@ -16,7 +16,7 @@ import sys
 from typing import Sequence
 
 from . import __version__
-from .corpus import conflict_matrix, decision_difference, load_annotations
+from .corpus import conflict_matrix, decision_difference, expert_pair, load_annotations
 from .decision import Criterion, criteria_table, decide
 from .expert_models import CertaintyWeights, DEFAULT_WEIGHTS
 from .fusion import RULE_NAMES, combine, redistribute_conjunctions
@@ -190,30 +190,22 @@ def _parse_weights(text: str) -> CertaintyWeights:
 def cmd_corpus(args: argparse.Namespace) -> int:
     corpus = load_annotations(args.annotations)
     weights = _parse_weights(args.weights) if args.weights else DEFAULT_WEIGHTS
+    experts = None
     if args.experts:
-        names = [e.strip() for e in args.experts.split(",")]
-        if len(names) != 2:
+        experts = [e.strip() for e in args.experts.split(",")]
+        if len(experts) != 2:
             raise ValueError("--experts needs exactly two comma-separated ids")
-        expert_i, expert_j = names
-    else:
-        found = corpus.experts
-        if len(found) != 2:
-            raise ValueError(
-                f"corpus has {len(found)} experts; pass --experts to pick two"
-            )
-        expert_i, expert_j = found
     rules = [r.strip() for r in args.rules.split(",")]
     if len(rules) != 2:
         raise ValueError(f"--rules needs two comma-separated rule names, got {args.rules!r}")
     rule_a, rule_b = rules
-    diff = decision_difference(
-        corpus, weights, rule_a, rule_b, experts=(expert_i, expert_j)
-    )
-    matrix = conflict_matrix(corpus, expert_i, expert_j, weights)
+    pair = expert_pair(corpus, experts, weights)
+    diff = decision_difference(pair, rule_a, rule_b)
+    matrix = conflict_matrix(pair)
     labels = matrix.labels
     width = max(len("class"), max(len(lab) for lab in labels))
     print(
-        f"conflict matrix ×10^4 ({expert_i} rows, {expert_j} columns, "
+        f"conflict matrix ×10^4 ({matrix.expert_i} rows, {matrix.expert_j} columns, "
         f"{matrix.tile_count} tiles)"
     )
     print(f"{'class':<{width}}  " + "  ".join(f"{lab:>10}" for lab in labels))

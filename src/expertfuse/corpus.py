@@ -8,8 +8,9 @@ Rows group by (tile, expert) into annotations; each annotation becomes a
 mass function through the generalized proportion-times-certainty model.
 On top of that the module offers the class-pair conflict matrix between
 two experts and the fraction of tiles on which two combination rules
-reach different decisions.  Parsing fills one column per entry field, and
-both statistics run on arrays built from those columns.
+reach different decisions.  Parsing fills one column per entry field;
+`expert_pair` builds both experts' mass arrays from those columns once,
+and both statistics read them.
 """
 
 from __future__ import annotations
@@ -34,12 +35,10 @@ from .expert_models import (
 )
 from .fusion import RULE_NAMES
 from .lattice import Frame, Model
-from .mass import MassFunction
+from .mass import SUM_TOLERANCE, MassFunction
 from .stability import pair_decisions
 
 CSV_HEADER = ("tile_id", "expert_id", "class", "certainty_level", "proportion")
-
-_SUM_TOLERANCE = 1e-9
 
 # The two-expert closed form behind each rule name; PCR6 equals PCR5 for
 # two experts.
@@ -270,7 +269,7 @@ def parse_annotations(
             owner = ids[key] = len(sums)
             sums.append(0.0)
         new_sum = sums[owner] + proportion
-        if new_sum > 1.0 + _SUM_TOLERANCE:
+        if new_sum > 1.0 + SUM_TOLERANCE:
             raise CorpusError(
                 f"line {lineno}: proportions for tile {tile_id!r} by expert "
                 f"{expert_id!r} sum to {new_sum:.6g} > 1"
@@ -297,22 +296,44 @@ def tile_mass(
     return build_generalized_m5(annotation, weights, frame)
 
 
-def _singleton_masses(
-    corpus: Corpus,
-    expert_i: str,
-    expert_j: str,
-    weights: CertaintyWeights,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both experts' generalized-model singleton masses, one row per tile.
+@dataclass(frozen=True, eq=False)
+class ExpertPair:
+    """Two experts' generalized-model singleton masses, one row per tile.
 
-    Column k is class k of the frame; Θ is each row's remainder.  One
-    `np.add.at` per expert adds `proportion × weight(level)` in entry order
-    starting from 0.0, as `build_generalized_m5` does, so each entry equals
-    that function's class mass before it is assembled into a mass
-    function.  Rows follow the first appearance of each tile for either
-    expert, so swapping the experts swaps the two arrays.  The closed forms
-    the arrays feed assume disjoint classes, so a free frame is refused.
+    Row r of `a` (the first expert) and `b` (the second) holds the mass on
+    each class of `labels` for tile `tiles[r]`; Θ takes each row's
+    remainder.  Both arrays are read-only.
     """
+
+    labels: tuple[str, ...]
+    experts: tuple[str, str]
+    tiles: tuple[str, ...]
+    a: np.ndarray
+    b: np.ndarray
+
+
+def expert_pair(
+    corpus: Corpus,
+    experts: Sequence[str] | None = None,
+    weights: CertaintyWeights = DEFAULT_WEIGHTS,
+) -> ExpertPair:
+    """Both experts' singleton masses, built once for every corpus statistic.
+
+    With no `experts` the corpus must hold exactly two.  One `np.add.at`
+    per expert adds `proportion × weight(level)` in entry order starting
+    from 0.0, as `build_generalized_m5` does, so each entry equals that
+    function's class mass before it is assembled into a mass function.
+    Rows follow the first appearance of each tile for either expert, so
+    swapping the experts swaps the two arrays.  The closed forms the
+    arrays feed assume disjoint classes, so a free frame is refused.
+    """
+    if experts is None:
+        experts = corpus.experts
+        if len(experts) != 2:
+            raise ValueError(f"corpus has {len(experts)} experts; pass the two to compare")
+    experts = tuple(experts)
+    if len(experts) != 2:
+        raise ValueError(f"an expert pair compares exactly two experts, got {len(experts)}")
     frame = corpus.frame
     if frame.model is not Model.SHAFER:
         raise ValueError(
@@ -322,19 +343,17 @@ def _singleton_masses(
     keys = columns.keys
     order: dict[str, int] = {}
     for tile, expert in keys:
-        if expert == expert_i or expert == expert_j:
+        if expert in experts:
             order.setdefault(tile, len(order))
-    owned = {
-        expert: [owner for owner, key in enumerate(keys) if key[1] == expert]
-        for expert in (expert_i, expert_j)
-    }
-    for expert in (expert_i, expert_j):
-        if not owned[expert]:
+    owned = [[owner for owner, key in enumerate(keys) if key[1] == expert]
+             for expert in experts]
+    for expert, owners in zip(experts, owned):
+        if not owners:
             raise ValueError(f"unknown expert {expert!r}")
     # Keys are distinct, so two experts share their tile set exactly when
     # each annotates every tile of the union.
-    if any(len(owners) != len(order) for owners in owned.values()):
-        raise ValueError(f"experts {expert_i!r} and {expert_j!r} annotate different tiles")
+    if any(len(owners) != len(order) for owners in owned):
+        raise ValueError(f"experts {experts[0]!r} and {experts[1]!r} annotate different tiles")
     scale = np.array([0.0] + [weights.weight(level) for level in CERTAINTY_LEVELS])
     share = columns.proportion * scale[columns.level]
 
@@ -345,11 +364,13 @@ def _singleton_masses(
         mine = rows >= 0
         out = np.zeros((len(order), frame.n_classes))
         np.add.at(out, (rows[mine], columns.class_index[mine]), share[mine])
-        if (out.sum(axis=1) > 1.0 + _SUM_TOLERANCE).any():
+        if (out.sum(axis=1) > 1.0 + SUM_TOLERANCE).any():
             raise ValueError("class masses exceed 1; check proportions and weights")
+        out.flags.writeable = False
         return out
 
-    return masses(owned[expert_i]), masses(owned[expert_j])
+    a, b = (masses(owners) for owners in owned)
+    return ExpertPair(labels=frame.labels, experts=experts, tiles=tuple(order), a=a, b=b)
 
 
 @dataclass(frozen=True)
@@ -394,21 +415,16 @@ class ConflictMatrix:
         return out.getvalue()
 
 
-def conflict_matrix(
-    corpus: Corpus,
-    expert_i: str,
-    expert_j: str,
-    weights: CertaintyWeights = DEFAULT_WEIGHTS,
-) -> ConflictMatrix:
-    """Class-pair conflict between two experts, averaged over shared tiles."""
-    a, b = _singleton_masses(corpus, expert_i, expert_j, weights)
+def conflict_matrix(pair: ExpertPair) -> ConflictMatrix:
+    """Class-pair conflict between the pair's experts, averaged over their tiles."""
+    a, b = pair.a, pair.b
     totals = (a[:, :, None] * b[:, None, :]).sum(axis=0)
     np.fill_diagonal(totals, 0.0)
     totals *= ConflictMatrix.SCALE / len(a)
     return ConflictMatrix(
-        labels=corpus.frame.labels,
-        expert_i=expert_i,
-        expert_j=expert_j,
+        labels=pair.labels,
+        expert_i=pair.experts[0],
+        expert_j=pair.experts[1],
         tile_count=len(a),
         values=tuple(tuple(float(v) for v in row) for row in totals),
     )
@@ -441,13 +457,11 @@ class DecisionDifference:
 
 
 def decision_difference(
-    corpus: Corpus,
-    weights: CertaintyWeights = DEFAULT_WEIGHTS,
+    pair: ExpertPair,
     rule_a: str = "conjunctive",
     rule_b: str = "pcr6",
-    experts: Sequence[str] | None = None,
 ) -> DecisionDifference:
-    """Fraction of tiles where the two rules pick different classes.
+    """Fraction of the pair's tiles where the two rules pick different classes.
 
     Both experts' masses are combined under each rule and decided by
     maximum pignistic probability over the singletons, ties resolved to
@@ -459,23 +473,14 @@ def decision_difference(
     for rule in (rule_a, rule_b):
         if rule not in _CLOSED_FORMS:
             raise ValueError(f"unknown rule {rule!r}; expected one of {', '.join(RULE_NAMES)}")
-    if experts is None:
-        experts = corpus.experts
-        if len(experts) != 2:
-            raise ValueError(
-                f"corpus has {len(experts)} experts; pass the two to compare"
-            )
-    if len(experts) != 2:
-        raise ValueError("decision difference compares exactly two experts")
-    a, b = _singleton_masses(corpus, experts[0], experts[1], weights)
     differing = 0
     if _CLOSED_FORMS[rule_a] != _CLOSED_FORMS[rule_b]:
-        choice_conj, choice_pcr, _ = pair_decisions(a, b)
+        choice_conj, choice_pcr, _ = pair_decisions(pair.a, pair.b)
         differing = int(np.count_nonzero(choice_conj != choice_pcr))
     return DecisionDifference(
         rule_a=rule_a,
         rule_b=rule_b,
-        tiles=len(a),
+        tiles=len(pair.tiles),
         differing=differing,
     )
 

@@ -12,13 +12,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 from .lattice import Frame, Model, make_frame
-from .mass import MassFunction, World, mass_from_entries
-
-_P_TOLERANCE = 1e-9
+from .mass import SUM_TOLERANCE, MassFunction, World, mass_from_entries
 
 
 class DeclarationKind(enum.Enum):
@@ -53,7 +50,7 @@ class ExpertDeclaration:
         if self.kind is DeclarationKind.SAYS_B and self.p_b != 1.0:
             raise ValueError("a says-B declaration covers the whole tile (p_b = 1)")
         if (self.kind is DeclarationKind.SAYS_BOTH
-                and abs(self.p_a + self.p_b - 1.0) > _P_TOLERANCE):
+                and abs(self.p_a + self.p_b - 1.0) > SUM_TOLERANCE):
             raise ValueError("says-both proportions must sum to 1")
 
     @classmethod
@@ -69,17 +66,14 @@ class ExpertDeclaration:
         return cls(DeclarationKind.SAYS_BOTH, p_a, 1.0 - p_a, c_a, c_b)
 
 
-@lru_cache(maxsize=None)
 def _frame_abc() -> Frame:
     return make_frame(("A", "B", "C"), Model.SHAFER)
 
 
-@lru_cache(maxsize=None)
 def _frame_primed() -> Frame:
     return make_frame(("A'", "B'", "C'"), Model.SHAFER)
 
 
-@lru_cache(maxsize=None)
 def _frame_ab(model: Model) -> Frame:
     return make_frame(("A", "B"), model)
 
@@ -187,14 +181,13 @@ class TileAnnotation:
                     f"proportion must lie in [0, 1], got {entry.proportion!r}"
                 )
             total += entry.proportion
-        if total > 1.0 + _P_TOLERANCE:
+        if total > 1.0 + SUM_TOLERANCE:
             raise ValueError(
                 f"proportions for tile {self.tile_id!r} / expert "
                 f"{self.expert_id!r} sum to {total!r} > 1"
             )
 
 
-@lru_cache(maxsize=None)
 def sediment_frame() -> Frame:
     return make_frame(SEDIMENT_CLASSES, Model.SHAFER)
 
@@ -215,7 +208,7 @@ def build_generalized_m5(
         frame.label_index(label)  # unknown labels fail here
         per_class[label] = per_class.get(label, 0.0) + proportion * weights.weight(level)
     total = sum(per_class.values())
-    if total > 1.0 + _P_TOLERANCE:
+    if total > 1.0 + SUM_TOLERANCE:
         raise ValueError("class masses exceed 1; check proportions and weights")
     entries: list[tuple[str, float]] = list(per_class.items())
     entries.append(("Θ", max(1.0 - total, 0.0)))

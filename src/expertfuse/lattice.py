@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 EMPTY_TEXT = "∅"   # ∅
 THETA_TEXT = "Θ"   # Θ
@@ -229,13 +229,6 @@ class FocalElement:
     @property
     def cardinality(self) -> int:
         return self.mask.bit_count()
-
-    def cells(self) -> Iterator[int]:
-        remaining = self.mask
-        while remaining:
-            low = remaining & -remaining
-            yield low.bit_length() - 1
-            remaining ^= low
 
     def _require_same_frame(self, other: "FocalElement") -> None:
         if self.frame is not other.frame and self.frame != other.frame:

@@ -34,6 +34,7 @@ from expertfuse import (
     decision_change_rate,
     decision_difference,
     enumerate_elements,
+    expert_pair,
     invariance_check,
     load_annotations,
     make_frame,
@@ -458,8 +459,8 @@ def _consistency_corpus_lines() -> list[str]:
 
 def test_criterion_13_conflict_matrix_pipeline(demo_corpus, stability_results):
     """Conflict-matrix identities on the shipped corpus plus the rate cross-check."""
-    forward = conflict_matrix(demo_corpus, "expert1", "expert2")
-    backward = conflict_matrix(demo_corpus, "expert2", "expert1")
+    forward = conflict_matrix(expert_pair(demo_corpus, ("expert1", "expert2")))
+    backward = conflict_matrix(expert_pair(demo_corpus, ("expert2", "expert1")))
     n = len(forward.labels)
     for r in range(n):
         for c in range(n):
@@ -482,8 +483,7 @@ def test_criterion_13_conflict_matrix_pipeline(demo_corpus, stability_results):
     # simulated flip rate for seven classes within two standard errors.
     corpus = parse_annotations(_consistency_corpus_lines())
     difference = decision_difference(
-        corpus,
-        weights=CertaintyWeights(1.0, 1.0, 1.0),
+        expert_pair(corpus, weights=CertaintyWeights(1.0, 1.0, 1.0)),
         rule_a="conjunctive",
         rule_b="pcr5",
     )

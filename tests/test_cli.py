@@ -16,6 +16,7 @@ from expertfuse import (
     build_m4,
     build_m5,
     conflict_density,
+    expert_pair,
     generate_demo_corpus,
     mass_from_entries,
     make_frame,
@@ -354,6 +355,19 @@ class TestSimulate:
             assert captured.err.startswith("error: class counts stop at 26, got ")
             assert captured.out == ""
 
+    def test_product_law_stops_at_12_classes(self, tmp_path, capsys):
+        assert main(["simulate", "--law", "product", "--classes", "12", "--samples", "5"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split()[0] == "12"
+        for spec in ("13", "2..13"):
+            assert main(["simulate", "--law", "product", "--classes", spec,
+                         "--samples", "5"]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == "error: the product law supports at most 12 classes, got 13\n"
+            assert captured.out == ""
+        assert main(["simulate", "--law", "product", "--classes", "13", "--samples", "5",
+                     "--histogram", str(tmp_path / "hist.csv")]) == 1
+        assert "at most 12 classes" in capsys.readouterr().err
+
 
 class TestCorpus:
     def test_prints_matrix_and_difference(self, corpus_file, capsys):
@@ -394,6 +408,37 @@ class TestCorpus:
         assert "exactly two" in capsys.readouterr().err
         assert main(["corpus", str(corpus_file), "--experts", "expert1,ghost"]) == 1
         assert "unknown expert" in capsys.readouterr().err
+
+    def test_builds_the_expert_pair_once(self, corpus_file, monkeypatch, capsys):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return expert_pair(*args, **kwargs)
+
+        monkeypatch.setattr("expertfuse.cli.expert_pair", counting)
+        assert main(["corpus", str(corpus_file), "--experts", "expert2,expert1"]) == 0
+        assert len(calls) == 1
+        out = capsys.readouterr().out
+        assert "(expert2 rows, expert1 columns, 40 tiles)" in out
+
+    def test_three_experts_need_the_flag(self, tmp_path, capsys):
+        path = tmp_path / "three.csv"
+        path.write_text("tile_id,expert_id,class,certainty_level,proportion\n"
+                        "t1,e1,sand,1,0.5\nt1,e2,silt,1,0.5\nt1,e3,rock,1,0.5\n",
+                        encoding="utf-8")
+        assert main(["corpus", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: corpus has 3 experts; pass the two to compare\n"
+        assert main(["corpus", str(path), "--experts", "e1,e3"]) == 0
+        assert "(e1 rows, e3 columns, 1 tiles)" in capsys.readouterr().out
+
+    def test_an_expert_error_comes_before_a_rule_error(self, corpus_file, capsys):
+        argv = ["corpus", str(corpus_file), "--experts", "expert1,ghost",
+                "--rules", "conjunctive,votes"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: unknown expert 'ghost'\n"
 
     def test_rule_and_weight_validation(self, corpus_file, capsys):
         assert main(["corpus", str(corpus_file), "--rules", "conjunctive,votes"]) == 1

@@ -25,6 +25,7 @@ from expertfuse import (
     conflict_matrix,
     decide,
     decision_difference,
+    expert_pair,
     generate_demo_corpus,
     load_annotations,
     make_frame,
@@ -225,9 +226,75 @@ class TestColumnsMatchAPlainGrouping:
         )
 
 
+class TestExpertPair:
+    # t2 appears first for e2 and t3 only after e1 listed t1..t2
+    INTERLEAVED = (f"{HEADER}\nt2,e2,sand,1,0.5\nt1,e1,silt,2,0.5\nt1,e3,rock,1,1.0\n"
+                   "t3,e1,sand,3,0.25\nt2,e1,rock,1,0.5\nt3,e2,silt,1,1.0\n"
+                   "t1,e2,sand,1,0.125\n")
+
+    def test_fields(self, small_corpus):
+        pair = expert_pair(small_corpus)
+        assert pair.labels == small_corpus.frame.labels
+        assert pair.experts == ("e1", "e2")
+        assert pair.tiles == ("t1", "t2")
+        sand, silt = pair.labels.index("sand"), pair.labels.index("silt")
+        expected_a = np.zeros((2, len(pair.labels)))
+        expected_a[0, sand] = 2.0 / 3.0
+        expected_a[1, sand] = 0.5 * 0.5
+        expected_b = np.zeros((2, len(pair.labels)))
+        expected_b[0, silt] = expected_b[1, sand] = 2.0 / 3.0
+        np.testing.assert_array_equal(pair.a, expected_a)
+        np.testing.assert_array_equal(pair.b, expected_b)
+
+    def test_tiles_follow_first_appearance_for_either_expert(self):
+        corpus = parse_annotations(self.INTERLEAVED)
+        for experts in (("e1", "e2"), ("e2", "e1")):
+            pair = expert_pair(corpus, experts)
+            assert pair.tiles == ("t2", "t1", "t3")
+            sand, silt = pair.labels.index("sand"), pair.labels.index("silt")
+            e1, e2 = (pair.a, pair.b) if experts[0] == "e1" else (pair.b, pair.a)
+            assert e1[1, silt] == 0.5 * 0.5 and e1[2, sand] == 0.25 / 3.0
+            assert e2[0, sand] == 0.5 * 2.0 / 3.0 and e2[2, silt] == 2.0 / 3.0
+
+    def test_swapping_the_experts_swaps_the_arrays_exactly(self):
+        corpus = parse_annotations(_uniform_corpus_text(5, 80, sediment_frame().labels, 4))
+        forward = expert_pair(corpus, ("e1", "e2"))
+        backward = expert_pair(corpus, ("e2", "e1"))
+        assert backward.experts == forward.experts[::-1]
+        assert backward.tiles == forward.tiles
+        np.testing.assert_array_equal(backward.a, forward.b)
+        np.testing.assert_array_equal(backward.b, forward.a)
+
+    def test_arrays_are_read_only(self, small_corpus):
+        pair = expert_pair(small_corpus)
+        for array in (pair.a, pair.b):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pair.a = np.zeros_like(pair.a)
+
+    def test_refusals_keep_their_messages(self, small_corpus):
+        free = parse_annotations(f"{HEADER}\nt1,e1,A,1,0.5\nt1,e2,B,1,0.5\n",
+                                 frame=make_frame(("A", "B"), Model.FREE))
+        with pytest.raises(ValueError, match="exclusive frame, got the free model"):
+            expert_pair(free)
+        with pytest.raises(ValueError, match="^unknown expert 'e9'$"):
+            expert_pair(small_corpus, ("e1", "e9"))
+        split = parse_annotations(f"{HEADER}\nt1,e1,sand,1,0.5\nt2,e2,sand,1,0.5\n")
+        with pytest.raises(ValueError, match="^experts 'e1' and 'e2' annotate different tiles$"):
+            expert_pair(split)
+        three = parse_annotations(self.INTERLEAVED)
+        with pytest.raises(ValueError, match="^corpus has 3 experts; pass the two to compare$"):
+            expert_pair(three)
+        for experts in ((), ("e1",), ("e1", "e2", "e3")):
+            with pytest.raises(ValueError, match="compares exactly two experts"):
+                expert_pair(three, experts)
+
+
 class TestConflictMatrix:
     def test_hand_computed_entries(self, small_corpus):
-        matrix = conflict_matrix(small_corpus, "e1", "e2")
+        matrix = conflict_matrix(expert_pair(small_corpus, ("e1", "e2")))
         labels = matrix.labels
         sand, silt = labels.index("sand"), labels.index("silt")
         # only tile t1 disagrees: (2/3) * (2/3), averaged over two tiles
@@ -238,7 +305,7 @@ class TestConflictMatrix:
         assert matrix.tile_count == 2
 
     def test_total_matches_the_fusion_route(self, small_corpus):
-        matrix = conflict_matrix(small_corpus, "e1", "e2")
+        matrix = conflict_matrix(expert_pair(small_corpus, ("e1", "e2")))
         conflicts = []
         for tile in small_corpus.tiles:
             pair = [
@@ -249,20 +316,21 @@ class TestConflictMatrix:
         assert matrix.total == pytest.approx(sum(conflicts) / len(conflicts))
 
     def test_max_entry(self, small_corpus):
-        label_i, label_j, value = conflict_matrix(small_corpus, "e1", "e2").max_entry
+        matrix = conflict_matrix(expert_pair(small_corpus, ("e1", "e2")))
+        label_i, label_j, value = matrix.max_entry
         assert (label_i, label_j) == ("sand", "silt")
         assert value == pytest.approx((2.0 / 3.0) ** 2 / 2 * 1e4)
 
     def test_swapping_experts_transposes(self, small_corpus):
-        forward = conflict_matrix(small_corpus, "e1", "e2")
-        backward = conflict_matrix(small_corpus, "e2", "e1")
+        forward = conflict_matrix(expert_pair(small_corpus, ("e1", "e2")))
+        backward = conflict_matrix(expert_pair(small_corpus, ("e2", "e1")))
         n = len(forward.labels)
         for i in range(n):
             for j in range(n):
                 assert forward.values[i][j] == pytest.approx(backward.values[j][i])
 
     def test_csv_round_trip(self, small_corpus):
-        matrix = conflict_matrix(small_corpus, "e1", "e2")
+        matrix = conflict_matrix(expert_pair(small_corpus, ("e1", "e2")))
         rows = list(csv.reader(io.StringIO(matrix.to_csv_text())))
         assert rows[0] == ["class", *matrix.labels]
         for row, values in zip(rows[1:], matrix.values):
@@ -270,16 +338,16 @@ class TestConflictMatrix:
 
     def test_unknown_expert(self, small_corpus):
         with pytest.raises(ValueError, match="unknown expert 'e9'"):
-            conflict_matrix(small_corpus, "e1", "e9")
+            conflict_matrix(expert_pair(small_corpus, ("e1", "e9")))
 
     def test_mismatched_tile_sets(self):
         text = f"{HEADER}\nt1,e1,sand,1,0.5\nt2,e2,sand,1,0.5\n"
         with pytest.raises(ValueError, match="different tiles"):
-            conflict_matrix(parse_annotations(text), "e1", "e2")
+            conflict_matrix(expert_pair(parse_annotations(text), ("e1", "e2")))
 
     def test_custom_weights_scale_the_masses(self, small_corpus):
         flat = CertaintyWeights(1.0, 1.0, 1.0)
-        matrix = conflict_matrix(small_corpus, "e1", "e2", weights=flat)
+        matrix = conflict_matrix(expert_pair(small_corpus, ("e1", "e2"), flat))
         sand = matrix.labels.index("sand")
         silt = matrix.labels.index("silt")
         assert matrix.values[sand][silt] == pytest.approx(1.0 / 2 * 1e4)
@@ -295,7 +363,7 @@ t1,e2,B,1,0.5
 
 class TestDecisionDifference:
     def test_single_class_annotations_never_flip(self, small_corpus):
-        diff = decision_difference(small_corpus)
+        diff = decision_difference(expert_pair(small_corpus))
         assert diff.tiles == 2
         assert diff.differing == 0
         assert diff.rate == 0.0
@@ -304,13 +372,13 @@ class TestDecisionDifference:
         corpus = parse_annotations(INSTABILITY, frame=make_frame(("A", "B")))
         weights = CertaintyWeights(1.0, 0.86, 0.6)
         for rule_b in ("pcr5", "pcr6"):
-            diff = decision_difference(corpus, weights=weights, rule_b=rule_b)
+            diff = decision_difference(expert_pair(corpus, weights=weights), rule_b=rule_b)
             assert diff.tiles == 1
             assert diff.differing == 1
             assert diff.rate == 1.0
 
     def test_json_payload(self, small_corpus):
-        payload = json.loads(decision_difference(small_corpus).to_json())
+        payload = json.loads(decision_difference(expert_pair(small_corpus)).to_json())
         assert payload == {
             "rule_a": "conjunctive",
             "rule_b": "pcr6",
@@ -325,13 +393,13 @@ class TestDecisionDifference:
         )
         corpus = parse_annotations(three)
         with pytest.raises(ValueError, match="pass the two"):
-            decision_difference(corpus)
-        diff = decision_difference(corpus, experts=("e1", "e3"))
+            decision_difference(expert_pair(corpus))
+        diff = decision_difference(expert_pair(corpus, ("e1", "e3")))
         assert diff.tiles == 1
 
     def test_unknown_expert_in_pair(self, small_corpus):
         with pytest.raises(ValueError, match="unknown expert"):
-            decision_difference(small_corpus, experts=("e1", "nobody"))
+            decision_difference(expert_pair(small_corpus, ("e1", "nobody")))
 
 
 class TestDemoCorpus:
@@ -352,7 +420,7 @@ class TestDemoCorpus:
 
     def test_single_class_tiles_agree_under_both_rules(self):
         corpus = parse_annotations(generate_demo_corpus(300, DEMO_SEED))
-        assert decision_difference(corpus).differing == 0
+        assert decision_difference(expert_pair(corpus)).differing == 0
 
 
 def _object_route(corpus, experts, weights=DEFAULT_WEIGHTS, rules=("conjunctive", "pcr6")):
@@ -379,9 +447,9 @@ def _object_route(corpus, experts, weights=DEFAULT_WEIGHTS, rules=("conjunctive"
 def _assert_matches_object_route(corpus, experts, weights=DEFAULT_WEIGHTS,
                                  rules=("conjunctive", "pcr6")):
     expected_matrix, expected_differing = _object_route(corpus, experts, weights, rules)
-    matrix = conflict_matrix(corpus, *experts, weights)
+    matrix = conflict_matrix(expert_pair(corpus, experts, weights))
     np.testing.assert_allclose(matrix.values, expected_matrix, rtol=1e-12, atol=0.0)
-    diff = decision_difference(corpus, weights, *rules, experts=experts)
+    diff = decision_difference(expert_pair(corpus, experts, weights), *rules)
     assert diff.differing == expected_differing
     return diff
 
@@ -475,25 +543,25 @@ class TestArraysMatchTheObjectRoute:
         second = [r for r in rows if ",e2," in r]
         corpus = parse_annotations([header, *first, *reversed(second)])
         _assert_matches_object_route(corpus, ("e1", "e2"))
-        forward = conflict_matrix(corpus, "e1", "e2")
-        backward = conflict_matrix(corpus, "e2", "e1")
+        forward = conflict_matrix(expert_pair(corpus, ("e1", "e2")))
+        backward = conflict_matrix(expert_pair(corpus, ("e2", "e1")))
         assert forward.values == tuple(zip(*backward.values))
 
 
 class TestArrayRouteRejections:
     def test_unknown_rule(self, small_corpus):
         with pytest.raises(ValueError, match="unknown rule 'votes'; expected one of"):
-            decision_difference(small_corpus, rule_b="votes")
+            decision_difference(expert_pair(small_corpus), rule_b="votes")
         with pytest.raises(ValueError, match="unknown rule 'Conjunctive'"):
-            decision_difference(small_corpus, rule_a="Conjunctive")
+            decision_difference(expert_pair(small_corpus), rule_a="Conjunctive")
 
     def test_free_frame_is_refused(self):
         frame = make_frame(("A", "B"), Model.FREE)
         corpus = parse_annotations(f"{HEADER}\nt1,e1,A,1,0.5\nt1,e2,B,1,0.5\n", frame=frame)
         with pytest.raises(ValueError, match="exclusive frame, got the free model"):
-            conflict_matrix(corpus, "e1", "e2")
+            conflict_matrix(expert_pair(corpus, ("e1", "e2")))
         with pytest.raises(ValueError, match="exclusive frame, got the free model"):
-            decision_difference(corpus)
+            decision_difference(expert_pair(corpus))
 
     def test_unknown_label_in_a_built_corpus(self):
         corpus = Corpus(
@@ -506,9 +574,9 @@ class TestArrayRouteRejections:
         with pytest.raises(ValueError, match="unknown class label 'lava'"):
             tile_mass(corpus.annotation("t1", "e1"))
         with pytest.raises(ValueError, match="unknown class label 'lava'"):
-            conflict_matrix(corpus, "e1", "e2")
+            conflict_matrix(expert_pair(corpus, ("e1", "e2")))
         with pytest.raises(ValueError, match="unknown class label 'lava'"):
-            decision_difference(corpus)
+            decision_difference(expert_pair(corpus))
 
     def test_total_conflict_has_no_decision(self):
         corpus = parse_annotations(f"{HEADER}\nt1,e1,A,1,1.0\nt1,e2,B,1,1.0\n",
@@ -517,7 +585,7 @@ class TestArrayRouteRejections:
         with pytest.raises(ValueError, match="total conflict"):
             _object_route(corpus, ("e1", "e2"), flat)
         with pytest.raises(ValueError, match="total conflict"):
-            decision_difference(corpus, weights=flat)
+            decision_difference(expert_pair(corpus, weights=flat))
 
     def test_two_annotations_for_one_tile_and_expert(self):
         corpus = Corpus(
@@ -530,9 +598,9 @@ class TestArrayRouteRejections:
         )
         message = "^tile 't1' has two annotations by expert 'e1'$"
         with pytest.raises(ValueError, match=message):
-            conflict_matrix(corpus, "e1", "e2")
+            conflict_matrix(expert_pair(corpus, ("e1", "e2")))
         with pytest.raises(ValueError, match=message):
-            decision_difference(corpus)
+            decision_difference(expert_pair(corpus))
         with pytest.raises(ValueError, match=message):
             corpus.tiles_of("e1")
         with pytest.raises(ValueError, match=message):
@@ -547,8 +615,9 @@ class TestBuiltAndParsedCorpora:
         assert built == parsed
         assert built.tiles == parsed.tiles
         assert built.experts == parsed.experts
-        assert conflict_matrix(built, "e1", "e2") == conflict_matrix(parsed, "e1", "e2")
-        assert decision_difference(built) == decision_difference(parsed)
+        assert (conflict_matrix(expert_pair(built, ("e1", "e2")))
+                == conflict_matrix(expert_pair(parsed, ("e1", "e2"))))
+        assert decision_difference(expert_pair(built)) == decision_difference(expert_pair(parsed))
 
     def test_parsing_and_statistics_build_no_annotation_objects(self, monkeypatch):
         def refuse(self):
@@ -558,8 +627,8 @@ class TestBuiltAndParsedCorpora:
         corpus = parse_annotations(_uniform_corpus_text(2, 50, ("rock", "sand"), 3))
         assert corpus.experts == ("e1", "e2")
         assert len(corpus.tiles) == len(corpus.tiles_of("e1")) == 50
-        conflict_matrix(corpus, "e1", "e2")
-        decision_difference(corpus)
+        conflict_matrix(expert_pair(corpus, ("e1", "e2")))
+        decision_difference(expert_pair(corpus))
         repr(corpus)
         with pytest.raises(AssertionError, match="built TileAnnotation"):
             corpus.annotations

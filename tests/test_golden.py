@@ -1,0 +1,193 @@
+"""Golden outputs of `corpus` and of the scripts, pinned by a committed manifest.
+
+Each `corpus` case runs the CLI in process on the shipped demo corpus or on
+a dense two-expert corpus generated here with the standard library, under
+one of four flag sets.  A case's digest covers the exit code, stdout,
+stderr and the `--diff` JSON bytes; the `--matrix` values are compared
+with the manifest's floats at a relative tolerance of 1e-12, since the
+summation order inside numpy may move their last bits.  The stdout of
+`scripts/run_worked_examples.py` is pinned by its digest, and
+`scripts/run_stability.py` must write the bytes `simulate` writes.
+
+Rewrite the manifest, and say why wherever the change is logged, with
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import hashlib
+import io
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from expertfuse.cli import main
+from expertfuse.expert_models import SEDIMENT_CLASSES
+
+ROOT = Path(__file__).resolve().parent.parent
+MANIFEST = Path(__file__).resolve().with_name("golden.json")
+DEMO = ROOT / "data" / "demo_corpus.csv"
+
+DENSE_TILES = 1500
+DENSE_SEED = 20080
+MATRIX_REL = 1e-12
+
+FLAG_SETS = {
+    "default": [],
+    "rules": ["--rules", "pcr5,conjunctive"],
+    "weights": ["--weights", "1,0.86,0.6"],
+    "swapped": ["--experts", "{second},{first}"],
+}
+CORPORA = {"demo": ("expert1", "expert2"), "dense": ("e1", "e2")}
+
+
+def dense_corpus_text(tiles: int = DENSE_TILES, seed: int = DENSE_SEED) -> str:
+    """Two experts, 1–4 parts per annotation, proportions floored to 4 decimals.
+
+    Expert e1 lists its tiles in order and e2 in reverse, so statistics
+    that paired rows by file position instead of by tile would differ.
+    """
+    rng = random.Random(seed)
+    rows = {"e1": [], "e2": []}
+    for t in range(tiles):
+        for expert in ("e1", "e2"):
+            parts = rng.randint(1, 4)
+            classes = rng.sample(SEDIMENT_CLASSES, parts)
+            weights = [rng.expovariate(1.0) for _ in range(parts + 1)]
+            total = sum(weights)
+            for label, w in zip(classes, weights):
+                units = int(w / total * 10_000)  # floor to 4 decimals
+                level = rng.randint(1, 3)
+                rows[expert].append(f"t{t:05d},{expert},{label},{level},0.{units:04d}")
+    lines = ["tile_id,expert_id,class,certainty_level,proportion"]
+    lines += rows["e1"]
+    # e2's annotations in reverse tile order, each keeping its own parts' order
+    by_tile: dict[str, list[str]] = {}
+    for row in rows["e2"]:
+        by_tile.setdefault(row.split(",", 1)[0], []).append(row)
+    for tile in reversed(list(by_tile)):
+        lines += by_tile[tile]
+    return "\n".join(lines) + "\n"
+
+
+def _case_argv(corpus: str, flags: str) -> list[str]:
+    first, second = CORPORA[corpus]
+    return [arg.format(first=first, second=second) for arg in FLAG_SETS[flags]]
+
+
+def run_corpus_case(path: Path, corpus: str, flags: str, workdir: Path) -> tuple[str, list]:
+    """(digest, matrix values) of one `corpus` run."""
+    matrix_path = workdir / f"{corpus}-{flags}-matrix.csv"
+    diff_path = workdir / f"{corpus}-{flags}-diff.json"
+    argv = ["corpus", str(path), *_case_argv(corpus, flags),
+            "--matrix", str(matrix_path), "--diff", str(diff_path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    digest = hashlib.sha256()
+    for part in (str(code), out.getvalue(), err.getvalue()):
+        digest.update(part.encode("utf-8") + b"\0")
+    digest.update(diff_path.read_bytes() if diff_path.exists() else b"")
+    matrix = []
+    if matrix_path.exists():
+        with open(matrix_path, encoding="utf-8", newline="") as handle:
+            matrix = [[float(v) for v in row[1:]] for row in list(csv.reader(handle))[1:]]
+    return digest.hexdigest(), matrix
+
+
+def _script_env() -> dict:
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+def worked_examples_digest() -> str:
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_worked_examples.py")],
+                          capture_output=True, check=True, env=_script_env())
+    return hashlib.sha256(done.stdout).hexdigest()
+
+
+def compute(workdir: Path) -> dict:
+    dense = workdir / "dense.csv"
+    dense.write_text(dense_corpus_text(), encoding="utf-8")
+    cases = {}
+    for corpus, path in (("demo", DEMO), ("dense", dense)):
+        for flags in FLAG_SETS:
+            digest, matrix = run_corpus_case(path, corpus, flags, workdir)
+            cases[f"{corpus}/{flags}"] = {"sha256": digest, "matrix": matrix}
+    return {"corpus": cases, "worked_examples_sha256": worked_examples_digest()}
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(MANIFEST.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def dense_path(tmp_path_factory) -> Path:
+    path = tmp_path_factory.mktemp("golden") / "dense.csv"
+    path.write_text(dense_corpus_text(), encoding="utf-8")
+    return path
+
+
+def test_dense_corpus_shape():
+    lines = dense_corpus_text().splitlines()[1:]
+    tiles = [line.split(",", 1)[0] for line in lines]
+    experts = [line.split(",")[1] for line in lines]
+    assert len(set(tiles)) == DENSE_TILES
+    e2_tiles = list(dict.fromkeys(t for t, e in zip(tiles, experts) if e == "e2"))
+    assert e2_tiles == sorted(e2_tiles, reverse=True)
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+@pytest.mark.parametrize("flags", list(FLAG_SETS))
+def test_corpus_case_matches_manifest(golden, dense_path, tmp_path, corpus, flags):
+    path = DEMO if corpus == "demo" else dense_path
+    digest, matrix = run_corpus_case(path, corpus, flags, tmp_path)
+    expected = golden["corpus"][f"{corpus}/{flags}"]
+    assert digest == expected["sha256"]
+    assert len(matrix) == len(expected["matrix"])
+    for row, want in zip(matrix, expected["matrix"]):
+        assert row == pytest.approx(want, rel=MATRIX_REL, abs=0.0)
+
+
+def test_worked_examples_stdout_matches_manifest(golden):
+    assert worked_examples_digest() == golden["worked_examples_sha256"]
+
+
+def test_run_stability_writes_what_simulate_writes(tmp_path):
+    seed, samples, bins = "11", "2000", "13"
+    stem = tmp_path / "script"
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "run_stability.py"),
+                    "--classes", "2", "3", "--samples", samples, "--bins", bins,
+                    "--seed", seed, "--stem", str(stem)],
+                   capture_output=True, check=True, env=_script_env())
+    table = tmp_path / "table.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--classes", "2,3", "--samples", samples, "--seed", seed,
+                     "--out", str(table)]) == 0
+    assert stem.with_suffix(".csv").read_bytes() == table.read_bytes()
+    for n in ("2", "3"):
+        hist = tmp_path / f"hist_{n}.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", "--classes", n, "--samples", samples, "--seed", seed,
+                         "--bins", bins, "--histogram", str(hist)]) == 0
+        assert (tmp_path / f"script_hist_{n}.csv").read_bytes() == hist.read_bytes()
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    with tempfile.TemporaryDirectory() as scratch:
+        manifest = compute(Path(scratch))
+    MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {MANIFEST}")

@@ -21,7 +21,13 @@ from expertfuse import (
     sample_expert,
     stability_table,
 )
-from expertfuse.stability import _DEFAULT_CHUNK, MAX_CLASSES, _accepted_masses
+from expertfuse import stability
+from expertfuse.stability import (
+    _DEFAULT_CHUNK,
+    MAX_CLASSES,
+    PRODUCT_LAW_MAX_CLASSES,
+    _accepted_masses,
+)
 
 
 class FakeRng:
@@ -85,6 +91,37 @@ class TestClassLimit:
         for call in calls:
             with pytest.raises(ValueError, match="at most 26 classes"):
                 call()
+
+
+class TestProductLawLimit:
+    def test_12_classes_run(self):
+        assert PRODUCT_LAW_MAX_CLASSES == 12
+        assert decision_change_rate(12, 5, 0, law="product").n_classes == 12
+        assert stability_table([11, 12], 5, 0, law="product")[1].n_classes == 12
+        assert rate_and_histograms(12, 5, 0, law="product")[1].n_classes == 12
+        assert conflict_density(12, 5, law="product").n_classes == 12
+        assert sample_expert(12, np.random.default_rng(0)).frame.n_classes == 12
+
+    def test_13_classes_are_refused(self):
+        calls = (
+            lambda: decision_change_rate(13, 5, 0, law="product"),
+            lambda: stability_table([2, 13], 5, 0, law="product"),
+            lambda: rate_and_histograms(13, 5, 0, law="product"),
+            lambda: conflict_density(13, 5, law="product"),
+            lambda: sample_expert(13, np.random.default_rng(0)),
+        )
+        for call in calls:
+            with pytest.raises(ValueError,
+                               match="^the product law supports at most 12 classes, got 13$"):
+                call()
+        assert decision_change_rate(13, 5, 0).n_classes == 13  # the uniform law has no bound
+
+    def test_a_table_checks_every_count_before_drawing(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(stability, "_sample_pairs", lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match="got 13$"):
+            stability_table(range(2, 14), 5, 0, law="product")
+        assert drawn == []
 
 
 class TestSampleExpert:
