@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -35,7 +35,7 @@ from .expert_models import (
 )
 from .fusion import RULE_NAMES
 from .lattice import Frame, Model
-from .mass import SUM_TOLERANCE, MassFunction
+from .mass import SUM_TOLERANCE, MassFunction, _sum_in_order
 from .stability import pair_decisions
 
 CSV_HEADER = ("tile_id", "expert_id", "class", "certainty_level", "proportion")
@@ -49,45 +49,42 @@ class CorpusError(ValueError):
     """Malformed annotation input; the message carries the line number."""
 
 
-@dataclass(frozen=True, eq=False)
-class _Columns:
-    """A corpus's entries, one array element per entry in file order.
+@dataclass(frozen=True, eq=False, repr=False)
+class Corpus:
+    """Validated annotations over one frame, one read-only array per entry field.
 
     `keys` holds the (tile, expert) pair of each annotation in order of
-    first appearance; `annotation` maps each entry to its index there.
+    first appearance.  The arrays hold one element per entry in file
+    order: `owner` is the index of its annotation in `keys`, then its class
+    index in the frame, certainty level and proportion.  Build a corpus
+    with `parse_annotations` or `Corpus.from_annotations`; the
+    `TileAnnotation` objects are built only when `annotations` is read.
     """
 
+    frame: Frame
     keys: tuple[tuple[str, str], ...]
-    annotation: np.ndarray
+    owner: np.ndarray
     class_index: np.ndarray
     level: np.ndarray
     proportion: np.ndarray
 
     @classmethod
-    def from_lists(
-        cls,
-        keys: Iterable[tuple[str, str]],
-        annotation: list[int],
-        class_index: list[int],
-        level: list[int],
-        proportion: list[float],
-    ) -> "_Columns":
-        return cls(
-            keys=tuple(keys),
-            annotation=np.array(annotation, dtype=np.intp),
-            class_index=np.array(class_index, dtype=np.intp),
-            level=np.array(level, dtype=np.intp),
-            proportion=np.array(proportion, dtype=np.float64),
-        )
+    def from_annotations(cls, frame: Frame, annotations: Iterable[TileAnnotation]) -> "Corpus":
+        """The corpus of these annotations, in order.
 
-    @classmethod
-    def from_annotations(
-        cls, annotations: Sequence[TileAnnotation], frame: Frame
-    ) -> "_Columns":
-        keys = _distinct_keys(annotations)
+        Refuses a class label outside the frame and a second annotation
+        for one (tile, expert).
+        """
         class_of = {label: k for k, label in enumerate(frame.labels)}
+        ids: dict[tuple[str, str], int] = {}
         owners, classes, levels, proportions = [], [], [], []
-        for owner, ann in enumerate(annotations):
+        for ann in annotations:
+            key = (ann.tile_id, ann.expert_id)
+            if key in ids:
+                raise ValueError(
+                    f"tile {ann.tile_id!r} has two annotations by expert {ann.expert_id!r}"
+                )
+            owner = ids[key] = len(ids)
             for label, level, proportion in ann.entries:
                 k = class_of.get(label)
                 if k is None:
@@ -96,63 +93,7 @@ class _Columns:
                 classes.append(k)
                 levels.append(level)
                 proportions.append(proportion)
-        return cls.from_lists(keys, owners, classes, levels, proportions)
-
-    def annotations(self, frame: Frame) -> tuple[TileAnnotation, ...]:
-        labels = frame.labels
-        groups: list[list[AnnotationEntry]] = [[] for _ in self.keys]
-        for owner, k, level, proportion in zip(
-            self.annotation.tolist(),
-            self.class_index.tolist(),
-            self.level.tolist(),
-            self.proportion.tolist(),
-        ):
-            groups[owner].append(AnnotationEntry(labels[k], level, proportion))
-        return tuple(
-            TileAnnotation(tile_id, expert_id, tuple(entries))
-            for (tile_id, expert_id), entries in zip(self.keys, groups)
-        )
-
-
-def _distinct_keys(annotations: Iterable[TileAnnotation]) -> tuple[tuple[str, str], ...]:
-    keys: dict[tuple[str, str], None] = {}
-    for ann in annotations:
-        key = (ann.tile_id, ann.expert_id)
-        if key in keys:
-            raise ValueError(
-                f"tile {ann.tile_id!r} has two annotations by expert {ann.expert_id!r}"
-            )
-        keys[key] = None
-    return tuple(keys)
-
-
-class Corpus:
-    """Validated annotations over one frame, in file order.
-
-    A parsed corpus keeps its entries as columns and builds `annotations`
-    from them on first use.  A corpus built from annotation objects derives
-    its columns on the first statistic, which rejects an unknown label or
-    a second annotation for one (tile, expert).  Instances are immutable.
-    """
-
-    frame: Frame
-
-    def __init__(self, frame: Frame, annotations: Iterable[TileAnnotation]) -> None:
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "annotations", tuple(annotations))
-
-    @classmethod
-    def _from_columns(cls, frame: Frame, columns: _Columns) -> "Corpus":
-        corpus = cls.__new__(cls)
-        object.__setattr__(corpus, "frame", frame)
-        object.__setattr__(corpus, "_columns", columns)
-        return corpus
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        return _from_lists(frame, ids, owners, classes, levels, proportions)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Corpus):
@@ -163,38 +104,35 @@ class Corpus:
         return hash((self.frame, self.annotations))
 
     def __repr__(self) -> str:
-        built = vars(self).get("annotations")
-        count = len(built) if built is not None else len(self._columns.keys)
-        return f"Corpus(frame={self.frame!r}, annotations=<{count} annotations>)"
-
-    # Exactly one of `annotations` and `_columns` is set at construction;
-    # each is derived from the other on first use.
+        return f"Corpus(frame={self.frame!r}, annotations=<{len(self.keys)} annotations>)"
 
     @cached_property
     def annotations(self) -> tuple[TileAnnotation, ...]:
-        return self._columns.annotations(self.frame)
-
-    @cached_property
-    def _columns(self) -> _Columns:
-        return _Columns.from_annotations(self.annotations, self.frame)
-
-    @cached_property
-    def _keys(self) -> tuple[tuple[str, str], ...]:
-        if "_columns" in vars(self):
-            return self._columns.keys
-        return _distinct_keys(self.annotations)
+        labels = self.frame.labels
+        groups: list[list[AnnotationEntry]] = [[] for _ in self.keys]
+        for owner, k, level, proportion in zip(
+            self.owner.tolist(),
+            self.class_index.tolist(),
+            self.level.tolist(),
+            self.proportion.tolist(),
+        ):
+            groups[owner].append(AnnotationEntry(labels[k], level, proportion))
+        return tuple(
+            TileAnnotation(tile_id, expert_id, tuple(entries))
+            for (tile_id, expert_id), entries in zip(self.keys, groups)
+        )
 
     @cached_property
     def _index(self) -> dict[tuple[str, str], TileAnnotation]:
-        return dict(zip(self._keys, self.annotations))
+        return dict(zip(self.keys, self.annotations))
 
     @property
     def tiles(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(tile for tile, _ in self._keys))
+        return tuple(dict.fromkeys(tile for tile, _ in self.keys))
 
     @property
     def experts(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(expert for _, expert in self._keys))
+        return tuple(dict.fromkeys(expert for _, expert in self.keys))
 
     def annotation(self, tile_id: str, expert_id: str) -> TileAnnotation:
         try:
@@ -205,7 +143,26 @@ class Corpus:
             ) from None
 
     def tiles_of(self, expert_id: str) -> tuple[str, ...]:
-        return tuple(tile for tile, expert in self._keys if expert == expert_id)
+        return tuple(tile for tile, expert in self.keys if expert == expert_id)
+
+
+def _from_lists(
+    frame: Frame,
+    keys: Iterable[tuple[str, str]],
+    owners: list[int],
+    classes: list[int],
+    levels: list[int],
+    proportions: list[float],
+) -> Corpus:
+    arrays = [
+        np.array(owners, dtype=np.intp),
+        np.array(classes, dtype=np.intp),
+        np.array(levels, dtype=np.intp),
+        np.array(proportions, dtype=np.float64),
+    ]
+    for array in arrays:
+        array.flags.writeable = False
+    return Corpus(frame, tuple(keys), *arrays)
 
 
 def parse_annotations(
@@ -279,8 +236,7 @@ def parse_annotations(
         classes.append(k)
         levels.append(level)
         proportions.append(proportion)
-    columns = _Columns.from_lists(ids, owners, classes, levels, proportions)
-    return Corpus._from_columns(frame, columns)
+    return _from_lists(frame, ids, owners, classes, levels, proportions)
 
 
 def load_annotations(path: str, frame: Frame | None = None) -> Corpus:
@@ -339,8 +295,7 @@ def expert_pair(
         raise ValueError(
             f"corpus statistics need an exclusive frame, got the {frame.model.value} model"
         )
-    columns = corpus._columns
-    keys = columns.keys
+    keys = corpus.keys
     order: dict[str, int] = {}
     for tile, expert in keys:
         if expert in experts:
@@ -355,15 +310,15 @@ def expert_pair(
     if any(len(owners) != len(order) for owners in owned):
         raise ValueError(f"experts {experts[0]!r} and {experts[1]!r} annotate different tiles")
     scale = np.array([0.0] + [weights.weight(level) for level in CERTAINTY_LEVELS])
-    share = columns.proportion * scale[columns.level]
+    share = corpus.proportion * scale[corpus.level]
 
     def masses(owners: list[int]) -> np.ndarray:
         row_of = np.full(len(keys), -1, dtype=np.intp)
         row_of[owners] = [order[keys[owner][0]] for owner in owners]
-        rows = row_of[columns.annotation]
+        rows = row_of[corpus.owner]
         mine = rows >= 0
         out = np.zeros((len(order), frame.n_classes))
-        np.add.at(out, (rows[mine], columns.class_index[mine]), share[mine])
+        np.add.at(out, (rows[mine], corpus.class_index[mine]), share[mine])
         if (out.sum(axis=1) > 1.0 + SUM_TOLERANCE).any():
             raise ValueError("class masses exceed 1; check proportions and weights")
         out.flags.writeable = False
@@ -395,7 +350,7 @@ class ConflictMatrix:
     @property
     def total(self) -> float:
         """Mean total conflict, back on the natural scale."""
-        return sum(sum(row) for row in self.values) / self.SCALE
+        return _sum_in_order(_sum_in_order(row) for row in self.values) / self.SCALE
 
     @property
     def max_entry(self) -> tuple[str, str, float]:

@@ -39,13 +39,21 @@ def _resolve(m: MassFunction, x: FocalElement | str) -> FocalElement:
 def credibility(m: MassFunction, x: FocalElement | str) -> float:
     """Mass of all non-empty elements contained in x."""
     mask = _resolve(m, x).mask
-    return sum([v for y, v in m.pairs if y and y & mask == y])
+    total = 0
+    for y, v in m.pairs:
+        if y and y & mask == y:
+            total += v
+    return total
 
 
 def plausibility(m: MassFunction, x: FocalElement | str) -> float:
     """Mass of all elements whose meet with x is non-empty."""
     mask = _resolve(m, x).mask
-    return sum([v for y, v in m.pairs if y & mask])
+    total = 0
+    for y, v in m.pairs:
+        if y & mask:
+            total += v
+    return total
 
 
 def pignistic(m: MassFunction, x: FocalElement | str) -> float:

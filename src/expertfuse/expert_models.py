@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .lattice import Frame, Model, make_frame
-from .mass import SUM_TOLERANCE, MassFunction, World, mass_from_entries
+from .mass import SUM_TOLERANCE, MassFunction, World, _sum_in_order, mass_from_entries
 
 
 class DeclarationKind(enum.Enum):
@@ -207,7 +207,7 @@ def build_generalized_m5(
     for label, level, proportion in tile.entries:
         frame.label_index(label)  # unknown labels fail here
         per_class[label] = per_class.get(label, 0.0) + proportion * weights.weight(level)
-    total = sum(per_class.values())
+    total = _sum_in_order(per_class.values())
     if total > 1.0 + SUM_TOLERANCE:
         raise ValueError("class masses exceed 1; check proportions and weights")
     entries: list[tuple[str, float]] = list(per_class.items())

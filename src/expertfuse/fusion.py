@@ -16,7 +16,7 @@ import math
 from typing import Sequence
 
 from .lattice import Frame, Model, _minimal_cells, make_frame
-from .mass import MassFunction, World, mass_from_masks
+from .mass import MassFunction, World, _sum_in_order, mass_from_masks
 
 RULE_NAMES = ("conjunctive", "pcr5", "pcr6")
 
@@ -167,7 +167,7 @@ def redistribute_conjunctions(m: MassFunction) -> MassFunction:
             involved |= cell
         classes = [i for i in range(frame.n_classes) if involved & (1 << i)]
         weights = [singles[1 << i] for i in classes]
-        total = sum(weights)
+        total = _sum_in_order(weights)
         if total > 0.0:
             shares = [w / total for w in weights]
         else:

@@ -61,7 +61,7 @@ class MassFunction:
         return [(FocalElement(self.frame, mask), v) for mask, v in self.pairs]
 
     def total(self) -> float:
-        return sum(v for _, v in self.pairs)
+        return _sum_in_order(v for _, v in self.pairs)
 
     def isclose(self, other: "MassFunction", tol: float = SUM_TOLERANCE) -> bool:
         if self.frame != other.frame:
@@ -124,15 +124,27 @@ class MassFunction:
         return "{" + inner + "}"
 
 
+def _sum_in_order(values: Iterable[float]) -> float:
+    """Left-to-right sum from the int 0, the same bits on every Python.
+
+    The builtin `sum` of floats compensates its rounding since Python 3.12,
+    so it would move the last bits of every mass between interpreters.
+    """
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 def _build(frame: Frame, accumulated: dict[int, float], world: World) -> MassFunction:
     """Shared validation tail: prune, renormalize, freeze in mask order."""
-    total = sum(accumulated.values())
+    total = _sum_in_order(accumulated.values())
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise ValueError(f"masses sum to {total!r}, not 1")
     if world is World.CLOSED and accumulated.get(0, 0.0) > PRUNE_THRESHOLD:
         raise ValueError("positive mass on the empty element in a closed world")
     kept = {m: v for m, v in accumulated.items() if v >= PRUNE_THRESHOLD}
-    scale = sum(kept.values())
+    scale = _sum_in_order(kept.values())
     if scale <= 0.0:
         raise ValueError("no mass left after pruning")
     pairs = tuple((m, v / scale) for m, v in sorted(kept.items()))

@@ -564,19 +564,13 @@ class TestArrayRouteRejections:
             decision_difference(expert_pair(corpus))
 
     def test_unknown_label_in_a_built_corpus(self):
-        corpus = Corpus(
-            frame=sediment_frame(),
-            annotations=(
-                TileAnnotation("t1", "e1", (("lava", 1, 0.5),)),
-                TileAnnotation("t1", "e2", (("sand", 1, 0.5),)),
-            ),
-        )
+        lava = TileAnnotation("t1", "e1", (("lava", 1, 0.5),))
         with pytest.raises(ValueError, match="unknown class label 'lava'"):
-            tile_mass(corpus.annotation("t1", "e1"))
-        with pytest.raises(ValueError, match="unknown class label 'lava'"):
-            conflict_matrix(expert_pair(corpus, ("e1", "e2")))
-        with pytest.raises(ValueError, match="unknown class label 'lava'"):
-            decision_difference(expert_pair(corpus))
+            tile_mass(lava)
+        with pytest.raises(ValueError, match="^unknown class label 'lava'$"):
+            Corpus.from_annotations(
+                sediment_frame(), (lava, TileAnnotation("t1", "e2", (("sand", 1, 0.5),)))
+            )
 
     def test_total_conflict_has_no_decision(self):
         corpus = parse_annotations(f"{HEADER}\nt1,e1,A,1,1.0\nt1,e2,B,1,1.0\n",
@@ -588,36 +582,40 @@ class TestArrayRouteRejections:
             decision_difference(expert_pair(corpus, weights=flat))
 
     def test_two_annotations_for_one_tile_and_expert(self):
-        corpus = Corpus(
-            frame=sediment_frame(),
-            annotations=(
-                TileAnnotation("t1", "e1", (("sand", 1, 0.5),)),
-                TileAnnotation("t1", "e1", (("silt", 1, 0.9),)),
-                TileAnnotation("t1", "e2", (("silt", 1, 0.5),)),
-            ),
+        annotations = (
+            TileAnnotation("t1", "e1", (("sand", 1, 0.5),)),
+            TileAnnotation("t1", "e1", (("silt", 1, 0.9),)),
+            TileAnnotation("t1", "e2", (("silt", 1, 0.5),)),
         )
-        message = "^tile 't1' has two annotations by expert 'e1'$"
-        with pytest.raises(ValueError, match=message):
-            conflict_matrix(expert_pair(corpus, ("e1", "e2")))
-        with pytest.raises(ValueError, match=message):
-            decision_difference(expert_pair(corpus))
-        with pytest.raises(ValueError, match=message):
-            corpus.tiles_of("e1")
-        with pytest.raises(ValueError, match=message):
-            corpus.annotation("t1", "e1")
+        with pytest.raises(ValueError, match="^tile 't1' has two annotations by expert 'e1'$"):
+            Corpus.from_annotations(sediment_frame(), annotations)
 
 
 class TestBuiltAndParsedCorpora:
     def test_a_built_corpus_gives_the_parsed_statistics(self):
         text = _uniform_corpus_text(4, 200, ("rock", "sand", "silt"), 5)
         parsed = parse_annotations(text)
-        built = Corpus(frame=parsed.frame, annotations=parsed.annotations)
+        built = Corpus.from_annotations(parsed.frame, parsed.annotations)
         assert built == parsed
         assert built.tiles == parsed.tiles
         assert built.experts == parsed.experts
         assert (conflict_matrix(expert_pair(built, ("e1", "e2")))
                 == conflict_matrix(expert_pair(parsed, ("e1", "e2"))))
         assert decision_difference(expert_pair(built)) == decision_difference(expert_pair(parsed))
+
+    def test_a_built_corpus_holds_the_parsed_columns(self):
+        text = _uniform_corpus_text(3, 120, ("rock", "sand", "silt"), 9)
+        parsed = parse_annotations(text)
+        built = Corpus.from_annotations(parsed.frame, parsed.annotations)
+        assert built.keys == parsed.keys
+        for field in ("owner", "class_index", "level", "proportion"):
+            assert np.array_equal(getattr(built, field), getattr(parsed, field))
+            assert getattr(built, field).dtype == getattr(parsed, field).dtype
+        for experts in (("e1", "e2"), ("e2", "e1")):
+            built_pair, parsed_pair = expert_pair(built, experts), expert_pair(parsed, experts)
+            assert built_pair.tiles == parsed_pair.tiles
+            assert np.array_equal(built_pair.a, parsed_pair.a)
+            assert np.array_equal(built_pair.b, parsed_pair.b)
 
     def test_parsing_and_statistics_build_no_annotation_objects(self, monkeypatch):
         def refuse(self):
@@ -634,7 +632,7 @@ class TestBuiltAndParsedCorpora:
             corpus.annotations
 
     def test_repr_names_the_frame_and_the_annotation_count(self, small_corpus):
-        built = Corpus(frame=small_corpus.frame, annotations=small_corpus.annotations)
+        built = Corpus.from_annotations(small_corpus.frame, small_corpus.annotations)
         for corpus in (parse_annotations(SMALL), built):
             assert repr(corpus) == (
                 f"Corpus(frame={small_corpus.frame!r}, annotations=<4 annotations>)"
@@ -647,3 +645,12 @@ class TestBuiltAndParsedCorpora:
             small_corpus.annotations = ()
         with pytest.raises(dataclasses.FrozenInstanceError):
             del small_corpus.frame
+        built = Corpus.from_annotations(small_corpus.frame, small_corpus.annotations)
+        for corpus in (small_corpus, built):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                corpus.keys = ()
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                corpus.proportion = corpus.proportion.copy()
+            for array in (corpus.owner, corpus.class_index, corpus.level, corpus.proportion):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0

@@ -1,11 +1,13 @@
-"""Golden outputs of `corpus` and of the scripts, pinned by a committed manifest.
+"""Golden outputs of `corpus`, the object path and the scripts, pinned by a manifest.
 
 Each `corpus` case runs the CLI in process on the shipped demo corpus or on
 a dense two-expert corpus generated here with the standard library, under
 one of four flag sets.  A case's digest covers the exit code, stdout,
 stderr and the `--diff` JSON bytes; the `--matrix` values are compared
 with the manifest's floats at a relative tolerance of 1e-12, since the
-summation order inside numpy may move their last bits.  The stdout of
+summation order inside numpy may move their last bits.  The object path
+(`fuse --decide` on ~3 000 stdlib-drawn requests) is pinned at full
+precision by the digests of `golden_objects.py`.  The stdout of
 `scripts/run_worked_examples.py` is pinned by its digest, and
 `scripts/run_stability.py` must write the bytes `simulate` writes.
 
@@ -32,6 +34,7 @@ import pytest
 
 from expertfuse.cli import main
 from expertfuse.expert_models import SEDIMENT_CLASSES
+from golden_objects import digests as object_digests
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = Path(__file__).resolve().with_name("golden.json")
@@ -124,7 +127,8 @@ def compute(workdir: Path) -> dict:
         for flags in FLAG_SETS:
             digest, matrix = run_corpus_case(path, corpus, flags, workdir)
             cases[f"{corpus}/{flags}"] = {"sha256": digest, "matrix": matrix}
-    return {"corpus": cases, "worked_examples_sha256": worked_examples_digest()}
+    return {"corpus": cases, "objects": object_digests(),
+            "worked_examples_sha256": worked_examples_digest()}
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +162,10 @@ def test_corpus_case_matches_manifest(golden, dense_path, tmp_path, corpus, flag
     assert len(matrix) == len(expected["matrix"])
     for row, want in zip(matrix, expected["matrix"]):
         assert row == pytest.approx(want, rel=MATRIX_REL, abs=0.0)
+
+
+def test_object_path_matches_manifest(golden):
+    assert object_digests() == golden["objects"]
 
 
 def test_worked_examples_stdout_matches_manifest(golden):
