@@ -19,6 +19,7 @@ from expertfuse import (
     build_m5,
     combine_conjunctive,
     combine_pcr5,
+    criteria_table,
     decide,
     redistribute_conjunctions,
 )
@@ -30,7 +31,7 @@ EXPERT_2 = ExpertDeclaration.says_both(0.5, 0.6, 0.4)
 
 def show(title, mass):
     print(f"\n== {title} ==")
-    print_criteria_table(mass)
+    print_criteria_table(criteria_table(mass))
     atoms = mass.frame.atoms()
     report = decide(mass, Criterion.PIGNISTIC, atoms)
     print(f"decision (pignistic over singletons): {report.chosen}")

@@ -59,9 +59,8 @@ def _load_mass(path: str) -> MassFunction:
         raise ValueError(f"{path}: not a valid mass file ({exc})") from None
 
 
-def print_criteria_table(m: MassFunction) -> None:
+def print_criteria_table(rows: Sequence[tuple]) -> None:
     """Print `decision.criteria_table` rows with four decimals."""
-    rows = criteria_table(m)
     width = max(len("element"), max(len(str(row[0])) for row in rows))
     print(f"{'element':<{width}}  {'m':>8}  {'bel':>8}  {'pl':>8}  {'betP':>8}")
     for el, mass, bel, pl, bet in rows:
@@ -78,7 +77,8 @@ def cmd_fuse(args: argparse.Namespace) -> int:
         fused = redistribute_conjunctions(fused)
     print(f"rule: {args.rule}")
     print(f"frame: {{{', '.join(fused.frame.labels)}}} ({fused.frame.model.value})")
-    print_criteria_table(fused)
+    rows = criteria_table(fused)
+    print_criteria_table(rows)
     if args.decide:
         report = decide(fused, Criterion.PIGNISTIC, fused.frame.atoms())
         line = f"decision (pignistic over singletons): {report.chosen}"
@@ -91,7 +91,7 @@ def cmd_fuse(args: argparse.Namespace) -> int:
             "mass": fused.to_json_dict(),
             "criteria": {
                 str(el): {"mass": v, "credibility": bel, "plausibility": pl, "pignistic": bet}
-                for el, v, bel, pl, bet in criteria_table(fused)
+                for el, v, bel, pl, bet in rows
             },
         }
         with open(args.json, "w", encoding="utf-8") as handle:

@@ -49,6 +49,22 @@ class CorpusError(ValueError):
     """Malformed annotation input; the message carries the line number."""
 
 
+# Each array field of a corpus: its dtype, and the array kinds accepted for it.
+_COLUMNS = (
+    ("owner", np.intp, "iu"),
+    ("class_index", np.intp, "iu"),
+    ("level", np.intp, "iu"),
+    ("proportion", np.float64, "iuf"),
+)
+
+
+def _refuse_outside(array: np.ndarray, low: float, high: float, message: str) -> None:
+    """Refuse an element of `array` outside [low, high], NaN included."""
+    if len(array) and not (array.min() >= low and array.max() <= high):
+        bad = array[~((array >= low) & (array <= high))][0]
+        raise ValueError(f"{message}, got {bad.item()!r}")
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class Corpus:
     """Validated annotations over one frame, one read-only array per entry field.
@@ -59,6 +75,8 @@ class Corpus:
     index in the frame, certainty level and proportion.  Build a corpus
     with `parse_annotations` or `Corpus.from_annotations`; the
     `TileAnnotation` objects are built only when `annotations` is read.
+    Built directly, a corpus refuses columns that do not fit its keys and
+    frame, and keeps a read-only copy of every writable array.
     """
 
     frame: Frame
@@ -67,6 +85,34 @@ class Corpus:
     class_index: np.ndarray
     level: np.ndarray
     proportion: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "keys", tuple(self.keys))
+        columns = {}
+        for name, _, kinds in _COLUMNS:
+            array = np.asarray(getattr(self, name))
+            if array.ndim != 1 or array.dtype.kind not in kinds:
+                raise ValueError(
+                    f"{name} must be a one-dimensional {'integer' if kinds == 'iu' else 'numeric'}"
+                    f" array, got {array.dtype} with shape {array.shape}"
+                )
+            columns[name] = array
+        if len({len(array) for array in columns.values()}) > 1:
+            raise ValueError("columns differ in length: " + ", ".join(
+                f"{name} {len(array)}" for name, array in columns.items()))
+        owner, class_index, level, proportion = columns.values()
+        _refuse_outside(owner, 0, len(self.keys) - 1,
+                        f"owner must index the {len(self.keys)} keys")
+        _refuse_outside(class_index, 0, self.frame.n_classes - 1,
+                        f"class_index must index the {self.frame.n_classes} classes")
+        _refuse_outside(level, CERTAINTY_LEVELS[0], CERTAINTY_LEVELS[-1],
+                        "level must be 1, 2 or 3")
+        _refuse_outside(proportion, 0.0, 1.0, "proportion must lie in [0, 1]")
+        for (name, dtype, _), array in zip(_COLUMNS, columns.values()):
+            if array.dtype != dtype or array.flags.writeable:
+                array = array.astype(dtype)
+                array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @classmethod
     def from_annotations(cls, frame: Frame, annotations: Iterable[TileAnnotation]) -> "Corpus":
@@ -154,15 +200,44 @@ def _from_lists(
     levels: list[int],
     proportions: list[float],
 ) -> Corpus:
-    arrays = [
+    return Corpus(
+        frame,
+        tuple(keys),
         np.array(owners, dtype=np.intp),
         np.array(classes, dtype=np.intp),
         np.array(levels, dtype=np.intp),
         np.array(proportions, dtype=np.float64),
-    ]
-    for array in arrays:
-        array.flags.writeable = False
-    return Corpus(frame, tuple(keys), *arrays)
+    )
+
+
+# The certainty levels as they are written when unpadded.
+_LEVEL_OF_TEXT = {str(level): level for level in CERTAINTY_LEVELS}
+
+
+def _padded_level(text: str, lineno: int) -> int:
+    """The certainty level of a field `_LEVEL_OF_TEXT` does not hold as written."""
+    text = text.strip()
+    try:
+        level = int(text)
+    except ValueError:
+        raise CorpusError(f"line {lineno}: certainty level {text!r} "
+                          "is not an integer") from None
+    if level not in CERTAINTY_LEVELS:
+        raise CorpusError(f"line {lineno}: certainty level must be 1, 2 or 3, got {level}")
+    return level
+
+
+def _padded_proportion(text: str, lineno: int) -> float:
+    """The proportion of a field float() refuses as written.
+
+    float() skips most padding itself, but not the separators U+001C to
+    U+001F, which str.strip() removes.
+    """
+    text = text.strip()
+    try:
+        return float(text)
+    except ValueError:
+        raise CorpusError(f"line {lineno}: proportion {text!r} is not a number") from None
 
 
 def parse_annotations(
@@ -196,40 +271,43 @@ def parse_annotations(
     classes: list[int] = []
     levels: list[int] = []
     proportions: list[float] = []
+    # The raw (tile, expert) text of the previous row, whose owner is still
+    # in `owner`: rows of one annotation usually follow each other, and a
+    # repeat needs no key.
+    last_tile = last_expert = None
     for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(CSV_HEADER):
-            raise CorpusError(f"line {lineno}: expected {len(CSV_HEADER)} fields, got {len(row)}")
-        tile_id, expert_id, label, level_text, proportion_text = map(str.strip, row)
-        k = class_of.get(label)
-        if k is None:
-            raise CorpusError(f"line {lineno}: unknown class {label!r}")
         try:
-            level = int(level_text)
+            tile_text, expert_text, label, level_text, proportion_text = row
         except ValueError:
-            raise CorpusError(f"line {lineno}: certainty level {level_text!r} "
-                              "is not an integer") from None
-        if level not in CERTAINTY_LEVELS:
-            raise CorpusError(f"line {lineno}: certainty level must be 1, 2 or 3, "
-                              f"got {level}")
+            if not row:
+                continue
+            raise CorpusError(
+                f"line {lineno}: expected {len(CSV_HEADER)} fields, got {len(row)}"
+            ) from None
+        k = class_of.get(label.strip())
+        if k is None:
+            raise CorpusError(f"line {lineno}: unknown class {label.strip()!r}")
+        level = _LEVEL_OF_TEXT.get(level_text)
+        if level is None:
+            level = _padded_level(level_text, lineno)
         try:
             proportion = float(proportion_text)
         except ValueError:
-            raise CorpusError(f"line {lineno}: proportion {proportion_text!r} "
-                              "is not a number") from None
+            proportion = _padded_proportion(proportion_text, lineno)
         if not 0.0 <= proportion <= 1.0:
             raise CorpusError(f"line {lineno}: proportion must lie in [0, 1], got {proportion}")
-        key = (tile_id, expert_id)
-        owner = ids.get(key)
-        if owner is None:
-            owner = ids[key] = len(sums)
-            sums.append(0.0)
+        if tile_text != last_tile or expert_text != last_expert:
+            key = (tile_text.strip(), expert_text.strip())
+            owner = ids.get(key)
+            if owner is None:
+                owner = ids[key] = len(sums)
+                sums.append(0.0)
+            last_tile, last_expert = tile_text, expert_text
         new_sum = sums[owner] + proportion
         if new_sum > 1.0 + SUM_TOLERANCE:
             raise CorpusError(
-                f"line {lineno}: proportions for tile {tile_id!r} by expert "
-                f"{expert_id!r} sum to {new_sum:.6g} > 1"
+                f"line {lineno}: proportions for tile {tile_text.strip()!r} by expert "
+                f"{expert_text.strip()!r} sum to {new_sum!r} > 1"
             )
         sums[owner] = new_sum
         owners.append(owner)

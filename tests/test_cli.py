@@ -16,6 +16,7 @@ from expertfuse import (
     build_m4,
     build_m5,
     conflict_density,
+    criteria_table,
     expert_pair,
     generate_demo_corpus,
     mass_from_entries,
@@ -139,6 +140,23 @@ class TestFuse:
         captured = capsys.readouterr()
         assert captured.out == "rule: conjunctive\nframe: {A, B} (shafer)\n"
         assert captured.err == "error: pignistic probability is undefined under total conflict\n"
+
+    def test_builds_the_criteria_table_once(self, mass_dir, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return criteria_table(m)
+
+        monkeypatch.setattr("expertfuse.cli.criteria_table", counting)
+        target = tmp_path / "fused.json"
+        argv = ["fuse", str(mass_dir / "m1_one.json"), str(mass_dir / "m1_two.json"),
+                "--decide", "--json", str(target)]
+        assert main(argv) == 0
+        assert len(calls) == 1
+        printed = capsys.readouterr().out.splitlines()[3:-1]
+        criteria = json.loads(target.read_text(encoding="utf-8"))["criteria"]
+        assert [line.split()[0] for line in printed] == list(criteria)
 
     def test_single_file_is_a_usage_error(self, mass_dir, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -459,6 +477,15 @@ class TestCorpus:
             assert captured.err == (
                 "error: certainty weights must satisfy 0 < c3 <= c2 <= c1 <= 1\n"
             )
+
+    def test_a_bad_level_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "bad_level.csv"
+        path.write_text("tile_id,expert_id,class,certainty_level,proportion\n"
+                        "t1,e1,sand,1,0.5\nt1,e2,silt,4,0.5\n", encoding="utf-8")
+        assert main(["corpus", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 3: certainty level must be 1, 2 or 3, got 4\n"
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["corpus", str(tmp_path / "nowhere.csv")]) == 1

@@ -75,6 +75,18 @@ class TestParsing:
         assert corpus.annotation("t1", "e1").entries[0].proportion == 0.5
         assert corpus.annotation("t1", "e2").entries[0].level == 2
 
+    def test_a_respelled_or_returning_key_joins_its_annotation(self):
+        text = (f"{HEADER}\nt1,e1,sand,1,0.25\n t1 , e1 ,silt,2,0.25\n"
+                "t1,e2,silt,1,0.5\nt1,e1,rock,3,0.5\n")
+        corpus = parse_annotations(text)
+        assert corpus.keys == (("t1", "e1"), ("t1", "e2"))
+        assert corpus.owner.tolist() == [0, 0, 1, 0]
+        assert corpus.annotation("t1", "e1").entries == (
+            ("sand", 1, 0.25), ("silt", 2, 0.25), ("rock", 3, 0.5)
+        )
+        with pytest.raises(CorpusError, match="^line 5: proportions for tile 't1' by expert"):
+            parse_annotations(text.replace("rock,3,0.5", "rock,3,0.75"))
+
     def test_multiple_entries_accumulate_per_expert(self):
         text = f"{HEADER}\nt1,e1,sand,1,0.5\nt1,e1,silt,3,0.4\n"
         corpus = parse_annotations(text)
@@ -137,6 +149,51 @@ class TestParseErrors:
         text = f"{HEADER}\nt1,e1,sand,1,0.7\nt1,e1,silt,1,0.4\n"
         with pytest.raises(CorpusError, match="line 3: proportions for tile 't1'"):
             parse_annotations(text)
+
+    def test_group_sum_on_the_tolerance_edge(self):
+        # 1 + 0.5e-9 lies inside SUM_TOLERANCE (1e-9), 1 + 2e-9 outside it
+        corpus = parse_annotations(f"{HEADER}\nt1,e1,sand,1,0.5\nt1,e1,silt,1,0.5000000005\n")
+        assert corpus.proportion.tolist() == [0.5, 0.5000000005]
+        text = f"{HEADER}\nt1,e1,sand,1,0.5\n t1 , e1 ,silt,1,0.500000002\n"
+        with pytest.raises(CorpusError) as refused:
+            parse_annotations(text)
+        assert str(refused.value) == (
+            "line 3: proportions for tile 't1' by expert 'e1' sum to 1.0000000020000002 > 1"
+        )
+
+    def test_padded_bad_fields_report_the_stripped_text(self):
+        cases = (
+            ("t1,e1,sand,1, half ", "line 2: proportion 'half' is not a number"),
+            ("t1,e1,sand, 4 ,0.5", "line 2: certainty level must be 1, 2 or 3, got 4"),
+            ("t1,e1,sand, x ,0.5", "line 2: certainty level 'x' is not an integer"),
+            ("t1,e1, lava ,1,0.5", "line 2: unknown class 'lava'"),
+        )
+        for row, message in cases:
+            with pytest.raises(CorpusError) as refused:
+                parse_annotations(f"{HEADER}\n{row}\n")
+            assert str(refused.value) == message
+
+    def test_the_first_fault_of_a_line_is_reported(self):
+        # field count, class, level, proportion, running sum
+        cases = (
+            ("t1,e1,lava,4,half,0", "expected 5 fields, got 6"),
+            ("t1,e1,lava,4,half", "unknown class 'lava'"),
+            ("t1,e1,sand,4,half", "certainty level must be 1, 2 or 3, got 4"),
+            ("t1,e1,sand,x,1.5", "certainty level 'x' is not an integer"),
+            ("t1,e1,sand,1,1.5", "proportion must lie in [0, 1], got 1.5"),
+            ("t1,e1,sand,1,0.75", "proportions for tile 't1' by expert 'e1' sum to 1.25 > 1"),
+        )
+        for row, message in cases:
+            with pytest.raises(CorpusError) as refused:
+                parse_annotations(f"{HEADER}\nt1,e1,silt,1,0.5\n{row}\n")
+            assert str(refused.value) == f"line 3: {message}"
+
+    def test_proportion_padded_with_separators(self):
+        # str.strip() removes U+001C..U+001F; float() does not skip them
+        corpus = parse_annotations(f"{HEADER}\nt1,e1,sand,1,\x1c0.25\x1f\n")
+        assert corpus.proportion.tolist() == [0.25]
+        with pytest.raises(CorpusError, match=r"^line 2: proportion 'half' is not a number$"):
+            parse_annotations(f"{HEADER}\nt1,e1,sand,1,\x1chalf\x1c\n")
 
     def test_corpus_error_is_a_value_error(self):
         assert issubclass(CorpusError, ValueError)
@@ -589,6 +646,83 @@ class TestArrayRouteRejections:
         )
         with pytest.raises(ValueError, match="^tile 't1' has two annotations by expert 'e1'$"):
             Corpus.from_annotations(sediment_frame(), annotations)
+
+
+class TestDirectConstruction:
+    KEYS = (("t1", "e1"), ("t1", "e2"))
+
+    def _columns(self, **changes):
+        columns = {
+            "owner": np.array([0, 1]),
+            "class_index": np.array([0, 0]),
+            "level": np.array([1, 1]),
+            "proportion": np.array([0.5, 0.5]),
+        }
+        columns.update(changes)
+        return columns
+
+    def test_an_owner_outside_the_keys(self):
+        # the columns once accepted, which then failed with a bare IndexError
+        with pytest.raises(ValueError, match="^owner must index the 2 keys, got 5$"):
+            Corpus(sediment_frame(), self.KEYS, np.array([0, 5]), np.array([0, 0]),
+                   np.array([1, 1]), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="^owner must index the 2 keys, got -1$"):
+            Corpus(sediment_frame(), self.KEYS, **self._columns(owner=np.array([-1, 1])))
+
+    @pytest.mark.parametrize("field, values, message", [
+        ("class_index", [0, 7], "class_index must index the 7 classes, got 7"),
+        ("class_index", [-1, 0], "class_index must index the 7 classes, got -1"),
+        ("level", [0, 1], "level must be 1, 2 or 3, got 0"),
+        ("level", [1, 4], "level must be 1, 2 or 3, got 4"),
+        ("proportion", [0.5, 1.5], "proportion must lie in [0, 1], got 1.5"),
+        ("proportion", [-0.25, 0.5], "proportion must lie in [0, 1], got -0.25"),
+        ("proportion", [0.5, float("nan")], "proportion must lie in [0, 1], got nan"),
+        ("proportion", [float("inf"), 0.5], "proportion must lie in [0, 1], got inf"),
+        ("owner", [0.0, 1.0], "owner must be a one-dimensional integer array, "
+                              "got float64 with shape (2,)"),
+        ("proportion", [[0.5, 0.5]], "proportion must be a one-dimensional numeric array, "
+                                     "got float64 with shape (1, 2)"),
+    ])
+    def test_refusals_name_the_field(self, field, values, message):
+        columns = self._columns(**{field: np.array(values)})
+        with pytest.raises(ValueError) as refused:
+            Corpus(sediment_frame(), self.KEYS, **columns)
+        assert str(refused.value) == message
+
+    def test_columns_of_different_lengths(self):
+        with pytest.raises(ValueError) as refused:
+            Corpus(sediment_frame(), self.KEYS, **self._columns(level=np.array([1, 1, 1])))
+        assert str(refused.value) == (
+            "columns differ in length: owner 2, class_index 2, level 3, proportion 2"
+        )
+
+    def test_a_group_past_one_is_refused_by_the_pair(self):
+        # the constructor checks each proportion, not each group's sum
+        columns = self._columns(owner=np.array([0, 0, 1]), class_index=np.array([0, 1, 0]),
+                                level=np.array([1, 1, 1]), proportion=np.array([0.9, 0.9, 0.5]))
+        corpus = Corpus(sediment_frame(), self.KEYS, **columns)
+        with pytest.raises(ValueError, match="^class masses exceed 1; check proportions"):
+            expert_pair(corpus)
+
+    def test_writable_arrays_are_copied_read_only(self):
+        columns = self._columns(level=np.array([1, 3], dtype=np.int8))
+        corpus = Corpus(sediment_frame(), self.KEYS, **columns)
+        for name, array in columns.items():
+            array[0] = 0
+            held = getattr(corpus, name)
+            assert held is not array
+            assert not held.flags.writeable
+        assert corpus.owner.dtype == corpus.level.dtype == np.intp
+        assert corpus.level.tolist() == [1, 3]
+        assert corpus.proportion.tolist() == [0.5, 0.5]
+        assert corpus.annotation("t1", "e2").entries == (("rock", 3, 0.5),)
+
+    def test_read_only_arrays_are_kept(self, small_corpus):
+        rebuilt = Corpus(small_corpus.frame, small_corpus.keys, small_corpus.owner,
+                         small_corpus.class_index, small_corpus.level, small_corpus.proportion)
+        for name in ("owner", "class_index", "level", "proportion"):
+            assert getattr(rebuilt, name) is getattr(small_corpus, name)
+        assert rebuilt == small_corpus
 
 
 class TestBuiltAndParsedCorpora:

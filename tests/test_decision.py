@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from expertfuse import (
+    TIE_TOLERANCE,
     Criterion,
     ExpertDeclaration,
     Model,
@@ -132,6 +133,15 @@ class TestDecide:
         assert report.tie
         assert [str(el) for el in report.tied] == ["A", "B"]
         assert str(report.chosen) == "A"
+
+    def test_a_gap_of_exactly_the_tolerance_is_a_tie(self):
+        m = mass_from_entries(AB, {"B": 1e-12, "Θ": 1 - 1e-12})
+        report = decide(m, Criterion.MASS, AB.atoms())
+        a, b = AB.atoms()
+        assert report.value(b) - report.value(a) == TIE_TOLERANCE
+        assert report.tie
+        assert report.tied == (a, b)
+        assert report.chosen == a
 
     def test_candidates_accept_text(self, fused_m1):
         report = decide(fused_m1, Criterion.MASS, ["A", "B", "C"])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from expertfuse import (
+    TIE_TOLERANCE,
     combine_conjunctive,
     combine_pcr5,
     conflict_density,
@@ -257,6 +258,12 @@ class TestPairKernels:
         assert (choice_pcr == 0).all()
         for k in range(40):
             assert self._object_route(a[k], b[k], 3)[:2] == (0, 0)
+
+    def test_a_gap_of_exactly_the_tolerance_is_a_tie(self):
+        # class-major: two classes, one pair, the second ahead by the tolerance
+        values = np.array([[0.0], [1e-12]])
+        assert values[1, 0] - values[0, 0] == TIE_TOLERANCE
+        assert stability._pignistic_choice(values).tolist() == [0]
 
     def test_total_conflict_has_no_decision(self):
         a = np.array([[0.2, 0.3], [1.0, 0.0]])
