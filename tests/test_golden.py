@@ -7,9 +7,11 @@ stderr and the `--diff` JSON bytes; the `--matrix` values are compared
 with the manifest's floats at a relative tolerance of 1e-12, since the
 summation order inside numpy may move their last bits.  The object path
 (`fuse --decide` on ~3 000 stdlib-drawn requests) is pinned at full
-precision by the digests of `golden_objects.py`.  The stdout of
-`scripts/run_worked_examples.py` is pinned by its digest, and
-`scripts/run_stability.py` must write the bytes `simulate` writes.
+precision by the digests of `golden_objects.py`.  Each `simulate` case
+runs the CLI in process with a fixed seed; its digest covers the exit
+code, stdout, stderr and the bytes of the `--out` and `--histogram` files.
+The stdout of `scripts/run_worked_examples.py` is pinned by its digest,
+and `scripts/run_stability.py` must write the bytes `simulate` writes.
 
 Rewrite the manifest, and say why wherever the change is logged, with
 
@@ -51,6 +53,15 @@ FLAG_SETS = {
     "swapped": ["--experts", "{second},{first}"],
 }
 CORPORA = {"demo": ("expert1", "expert2"), "dense": ("e1", "e2")}
+
+SIMULATE_SEED = "2026"
+SIMULATE_CASES = {
+    "uniform-2..7": ["--classes", "2..7", "--samples", "10000"],
+    "product-2..9": ["--classes", "2..9", "--samples", "2000", "--law", "product"],
+    "uniform-7-histogram": ["--classes", "7", "--histogram"],
+    "product-4-bins13-histogram": ["--classes", "4", "--law", "product", "--bins", "13",
+                                   "--histogram"],
+}
 
 
 def dense_corpus_text(tiles: int = DENSE_TILES, seed: int = DENSE_SEED) -> str:
@@ -107,6 +118,27 @@ def run_corpus_case(path: Path, corpus: str, flags: str, workdir: Path) -> tuple
     return digest.hexdigest(), matrix
 
 
+def simulate_digest(case: str, workdir: Path) -> str:
+    """Digest of one `simulate` run: exit code, stdout, stderr, then both files."""
+    table_path = workdir / "simulate-table.csv"
+    hist_path = workdir / "simulate-hist.csv"
+    argv = ["simulate", "--seed", SIMULATE_SEED, "--out", str(table_path)]
+    for arg in SIMULATE_CASES[case]:
+        argv.append(arg)
+        if arg == "--histogram":
+            argv.append(str(hist_path))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    digest = hashlib.sha256()
+    for part in (str(code), out.getvalue(), err.getvalue()):
+        digest.update(part.encode("utf-8") + b"\0")
+    for path in (table_path, hist_path):
+        digest.update((path.read_bytes() if path.exists() else b"") + b"\0")
+        path.unlink(missing_ok=True)
+    return digest.hexdigest()
+
+
 def _script_env() -> dict:
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
@@ -127,7 +159,8 @@ def compute(workdir: Path) -> dict:
         for flags in FLAG_SETS:
             digest, matrix = run_corpus_case(path, corpus, flags, workdir)
             cases[f"{corpus}/{flags}"] = {"sha256": digest, "matrix": matrix}
-    return {"corpus": cases, "objects": object_digests(),
+    simulate = {case: simulate_digest(case, workdir) for case in SIMULATE_CASES}
+    return {"corpus": cases, "objects": object_digests(), "simulate": simulate,
             "worked_examples_sha256": worked_examples_digest()}
 
 
@@ -166,6 +199,11 @@ def test_corpus_case_matches_manifest(golden, dense_path, tmp_path, corpus, flag
 
 def test_object_path_matches_manifest(golden):
     assert object_digests() == golden["objects"]
+
+
+@pytest.mark.parametrize("case", list(SIMULATE_CASES))
+def test_simulate_case_matches_manifest(golden, tmp_path, case):
+    assert simulate_digest(case, tmp_path) == golden["simulate"][case]
 
 
 def test_worked_examples_stdout_matches_manifest(golden):
