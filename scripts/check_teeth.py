@@ -1,0 +1,152 @@
+#!/usr/bin/env python3
+"""Check that the tests kill a table of one-token mutants of the package.
+
+Each row of `MUTANTS` names a file under the repository root, an exact
+text in it, the text that replaces it, and the pytest ids that must fail
+once it is replaced.  The listed ids first run on an unedited copy of
+`src/` and `tests/`, where they must pass.  Then, for each row, the edit
+is applied to a fresh temporary copy and only that row's ids run; every
+one of them must fail.  The checkout itself is never edited.
+
+The script exits 1 when an old text is not found exactly once, when a
+listed id fails on the unedited copy, or when a mutant survives.  It uses
+the standard library only and runs pytest with the interpreter that runs
+it:
+
+    python3 scripts/check_teeth.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    path: str
+    old: str
+    new: str
+    test_ids: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant("src/expertfuse/mass.py",
+           "accumulated.get(0, 0.0) > PRUNE_THRESHOLD",
+           "accumulated.get(0, 0.0) > 1e-6",
+           ("tests/test_mass.py::test_closed_world_rejects_a_small_mass_on_empty",)),
+    Mutant("src/expertfuse/mass.py",
+           "if v >= PRUNE_THRESHOLD}",
+           "if v > PRUNE_THRESHOLD}",
+           ("tests/test_mass.py::test_a_mass_of_exactly_the_prune_threshold_is_kept",)),
+    Mutant("src/expertfuse/stability.py",
+           "return cand[cand.sum(axis=1) <= 1.0]",
+           "return cand[cand.sum(axis=1) < 1.0]",
+           ("tests/test_stability.py::TestSampleExpert"
+            "::test_product_law_keeps_a_row_summing_to_exactly_one",)),
+    Mutant("src/expertfuse/corpus.py",
+           "if new_sum > 1.0 + SUM_TOLERANCE:",
+           "if new_sum > 1.0 + 10 * SUM_TOLERANCE:",
+           ("tests/test_corpus.py::TestParseErrors::test_group_sum_on_the_tolerance_edge",)),
+    Mutant("src/expertfuse/corpus.py",
+           "if (out.sum(axis=1) > 1.0 + SUM_TOLERANCE).any():",
+           "if (out.sum(axis=1) > 2.0).any():",
+           ("tests/test_corpus.py::TestDirectConstruction"
+            "::test_a_group_past_one_is_refused_by_the_pair",)),
+    Mutant("src/expertfuse/decision.py",
+           "if top - v <= TIE_TOLERANCE",
+           "if top - v < TIE_TOLERANCE",
+           ("tests/test_decision.py::TestDecide::test_a_gap_of_exactly_the_tolerance_is_a_tie",)),
+    Mutant("src/expertfuse/stability.py",
+           "return (gap <= TIE_TOLERANCE).argmax(axis=0)",
+           "return (gap < TIE_TOLERANCE).argmax(axis=0)",
+           ("tests/test_stability.py::TestPairKernels"
+            "::test_a_gap_of_exactly_the_tolerance_is_a_tie",)),
+    Mutant("src/expertfuse/fusion.py",
+           "acc[x] = acc.get(x, 0.0) + v * product / total",
+           "acc[x] = acc.get(x, 0.0) + v * (product / total)",
+           ("tests/test_fusion.py::test_pcr6_reference_holds_on_the_heaviest_shapes",)),
+    Mutant("src/expertfuse/corpus.py",
+           "a, b = pair.a, pair.b",
+           "b, a = pair.a, pair.b",
+           ("tests/test_corpus.py::TestConflictMatrix::test_hand_computed_entries",)),
+)
+
+
+def _copy_tree(workdir: Path) -> None:
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, workdir / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    (workdir / "data").symlink_to(ROOT / "data", target_is_directory=True)
+
+
+def _failed_ids(workdir: Path, test_ids: tuple[str, ...]) -> set[str] | None:
+    """The ids among `test_ids` that did not pass, or None on a timeout."""
+    env = {**os.environ, "PYTHONPATH": str(workdir / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rfE", *test_ids],
+            cwd=workdir, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return None
+    reported = set()
+    for line in done.stdout.splitlines():
+        status, _, rest = line.partition(" ")
+        if status in ("FAILED", "ERROR"):
+            reported.add(rest.split(" - ", 1)[0])
+    if done.returncode not in (0, 1):  # collection or usage error: nothing ran
+        return set(test_ids)
+    return {test_id for test_id in test_ids if test_id in reported}
+
+
+def _apply(workdir: Path, mutant: Mutant) -> str | None:
+    """Edit the copy; the reason it cannot be edited, or None."""
+    path = workdir / mutant.path
+    text = path.read_text(encoding="utf-8")
+    found = text.count(mutant.old)
+    if found != 1:
+        return f"old text found {found} times, expected once"
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+    return None
+
+
+def main() -> int:
+    faults = []
+    every_id = tuple(dict.fromkeys(t for mutant in MUTANTS for t in mutant.test_ids))
+    with tempfile.TemporaryDirectory() as scratch:
+        workdir = Path(scratch) / "base"
+        _copy_tree(workdir)
+        failed = _failed_ids(workdir, every_id)
+        if failed is None or failed:
+            faults.append(f"unedited copy: {'timed out' if failed is None else sorted(failed)}")
+        for k, mutant in enumerate(MUTANTS, start=1):
+            label = f"{mutant.path}: {mutant.old!r} -> {mutant.new!r}"
+            workdir = Path(scratch) / f"mutant-{k}"
+            _copy_tree(workdir)
+            reason = _apply(workdir, mutant)
+            if reason is None:
+                failed = _failed_ids(workdir, mutant.test_ids)
+                if failed is not None and failed != set(mutant.test_ids):
+                    reason = f"survives: {sorted(set(mutant.test_ids) - failed)} passed"
+            print(f"{'ok  ' if reason is None else 'FAIL'} {label}"
+                  + ("" if reason is None else f": {reason}"))
+            if reason is not None:
+                faults.append(f"{label}: {reason}")
+            shutil.rmtree(workdir)
+    if faults:
+        print(f"{len(faults)} problem(s):", *faults, sep="\n  ", file=sys.stderr)
+        return 1
+    print(f"all {len(MUTANTS)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

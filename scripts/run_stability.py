@@ -8,9 +8,9 @@ conflict histograms (all pairs vs decision-change pairs).
 """
 
 import argparse
-import csv
 from pathlib import Path
 
+from expertfuse.cli import write_histogram_csv, write_rate_csv
 from expertfuse.stability import SAMPLING_LAWS, rate_and_histograms
 
 
@@ -32,26 +32,17 @@ def main() -> None:
     results = [row for row, _, _ in drawn]
     print(f"{'n':>3} {'pairs':>9} {'change_rate':>12} {'ci':>8} "
           f"{'mean_conflict':>14} {'mean|changed':>13}")
+    for r in results:
+        print(f"{r.n_classes:>3} {r.accepted_pairs:>9} {r.change_rate:>12.4f} "
+              f"{r.ci_halfwidth:>8.4f} {r.mean_conflict:>14.4f} "
+              f"{r.mean_conflict_changed:>13.4f}")
     table_path = args.stem.with_suffix(".csv")
-    with open(table_path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(("n", "samples", "change_rate", "ci"))
-        for r in results:
-            print(f"{r.n_classes:>3} {r.accepted_pairs:>9} {r.change_rate:>12.4f} "
-                  f"{r.ci_halfwidth:>8.4f} {r.mean_conflict:>14.4f} "
-                  f"{r.mean_conflict_changed:>13.4f}")
-            writer.writerow((r.n_classes, r.accepted_pairs,
-                             repr(r.change_rate), repr(r.ci_halfwidth)))
+    write_rate_csv(table_path, results)
     print(f"wrote {table_path}")
 
     for n, (_, full, flipped) in zip(args.classes, drawn):
         hist_path = args.stem.parent / f"{args.stem.name}_hist_{n}.csv"
-        with open(hist_path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(("bin_low", "bin_high", "freq_all", "freq_change"))
-            for i in range(args.bins):
-                writer.writerow((repr(full.bin_edges[i]), repr(full.bin_edges[i + 1]),
-                                 repr(full.frequencies[i]), repr(flipped.frequencies[i])))
+        write_histogram_csv(hist_path, full, flipped)
         print(f"wrote {hist_path}")
 
 

@@ -69,10 +69,8 @@ from .stability import (
     conflict_density,
     decision_change_rate,
     invariance_check,
-    letter_frame,
     pair_decisions,
     rate_and_histograms,
-    sample_expert,
     stability_table,
 )
 from .corpus import (
@@ -105,8 +103,7 @@ __all__ = [
     "criteria_table", "criterion_value", "decide", "pignistic", "plausibility",
     "Histogram", "InvarianceCase", "SAMPLING_LAWS", "StabilityResult",
     "conflict_density", "decision_change_rate", "invariance_check",
-    "letter_frame", "pair_decisions", "rate_and_histograms", "sample_expert",
-    "stability_table",
+    "pair_decisions", "rate_and_histograms", "stability_table",
     "ConflictMatrix", "Corpus", "CorpusError", "DecisionDifference", "ExpertPair",
     "conflict_matrix", "decision_difference", "expert_pair", "generate_demo_corpus",
     "load_annotations", "parse_annotations", "tile_mass",

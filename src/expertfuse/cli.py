@@ -22,7 +22,14 @@ from .expert_models import CertaintyWeights, DEFAULT_WEIGHTS
 from .fusion import RULE_NAMES, combine, redistribute_conjunctions
 from .lattice import FocalElement, Model
 from .mass import MassFunction
-from .stability import MAX_CLASSES, SAMPLING_LAWS, rate_and_histograms, stability_table
+from .stability import (
+    MAX_CLASSES,
+    SAMPLING_LAWS,
+    Histogram,
+    StabilityResult,
+    rate_and_histograms,
+    stability_table,
+)
 
 SEED_ENV_VAR = "EXPERTFUSE_SEED"
 DEFAULT_SEED = 2026
@@ -57,6 +64,12 @@ def _load_mass(path: str) -> MassFunction:
         raise ValueError(f"{path}: {exc}") from None
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: not a valid mass file ({exc})") from None
+
+
+def _write_json(path: str, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, ensure_ascii=False, indent=2)
+        handle.write("\n")
 
 
 def print_criteria_table(rows: Sequence[tuple]) -> None:
@@ -94,9 +107,7 @@ def cmd_fuse(args: argparse.Namespace) -> int:
                 for el, v, bel, pl, bet in rows
             },
         }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, ensure_ascii=False, indent=2)
-            handle.write("\n")
+        _write_json(args.json, payload)
     return 0
 
 
@@ -114,9 +125,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
     if report.tie:
         print(f"tie between: {', '.join(str(t) for t in report.tied)}")
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json_dict(), handle, ensure_ascii=False, indent=2)
-            handle.write("\n")
+        _write_json(args.json, report.to_json_dict())
     return 0
 
 
@@ -139,6 +148,25 @@ def _parse_class_counts(text: str) -> list[int]:
     return counts
 
 
+def write_rate_csv(path: str | os.PathLike, results: Sequence[StabilityResult]) -> None:
+    """Write decision-change table rows as CSV at full precision."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(("n", "samples", "change_rate", "ci"))
+        writer.writerows((r.n_classes, r.accepted_pairs, repr(r.change_rate), repr(r.ci_halfwidth))
+                         for r in results)
+
+
+def write_histogram_csv(path: str | os.PathLike, full: Histogram, flipped: Histogram) -> None:
+    """Write the all-pairs and decision-change conflict histograms side by side."""
+    edges = full.bin_edges
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(("bin_low", "bin_high", "freq_all", "freq_change"))
+        writer.writerows(map(repr, row) for row in
+                         zip(edges, edges[1:], full.frequencies, flipped.frequencies))
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     counts = _parse_class_counts(args.classes)
@@ -156,26 +184,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"{r.n_classes:>3}  {r.accepted_pairs:>9}  {r.change_rate:>11.4f}  "
               f"{r.ci_halfwidth:>8.4f}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(("n", "samples", "change_rate", "ci"))
-            for r in results:
-                writer.writerow(
-                    (r.n_classes, r.accepted_pairs, repr(r.change_rate), repr(r.ci_halfwidth))
-                )
+        write_rate_csv(args.out, results)
     if args.histogram:
-        with open(args.histogram, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(("bin_low", "bin_high", "freq_all", "freq_change"))
-            for i in range(args.bins):
-                writer.writerow(
-                    (
-                        repr(full.bin_edges[i]),
-                        repr(full.bin_edges[i + 1]),
-                        repr(full.frequencies[i]),
-                        repr(flipped.frequencies[i]),
-                    )
-                )
+        write_histogram_csv(args.histogram, full, flipped)
     return 0
 
 
@@ -220,9 +231,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         with open(args.matrix, "w", encoding="utf-8", newline="") as handle:
             handle.write(matrix.to_csv_text())
     if args.diff:
-        with open(args.diff, "w", encoding="utf-8") as handle:
-            json.dump(diff.to_json_dict(), handle, ensure_ascii=False, indent=2)
-            handle.write("\n")
+        _write_json(args.diff, diff.to_json_dict())
     return 0
 
 

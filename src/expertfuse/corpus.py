@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -75,8 +76,9 @@ class Corpus:
     index in the frame, certainty level and proportion.  Build a corpus
     with `parse_annotations` or `Corpus.from_annotations`; the
     `TileAnnotation` objects are built only when `annotations` is read.
-    Built directly, a corpus refuses columns that do not fit its keys and
-    frame, and keeps a read-only copy of every writable array.
+    Built directly, a corpus refuses an empty id or a repeated key, and
+    columns that do not fit its keys and frame; it keeps a read-only copy of
+    every writable array.
     """
 
     frame: Frame
@@ -87,7 +89,14 @@ class Corpus:
     proportion: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "keys", tuple(self.keys))
+        keys = tuple(self.keys)
+        object.__setattr__(self, "keys", keys)
+        if not all(map(all, keys)):
+            empty = next(key for key in keys if not all(key))
+            raise ValueError(f"keys must not hold an empty tile or expert id, got {empty!r}")
+        if len(set(keys)) != len(keys):
+            twice = next(key for key, count in Counter(keys).items() if count > 1)
+            raise ValueError(f"keys must be distinct, got {twice!r} twice")
         columns = {}
         for name, _, kinds in _COLUMNS:
             array = np.asarray(getattr(self, name))
@@ -248,8 +257,8 @@ def parse_annotations(
 
     Every failure names the offending 1-based line: a bad header, a wrong
     column count, an unknown class, a non-integer certainty level, a
-    proportion outside [0, 1], or a (tile, expert) group whose proportions
-    climb past 1.
+    proportion outside [0, 1], an empty tile or expert id, or a (tile,
+    expert) group whose proportions climb past 1.
     """
     if frame is None:
         frame = sediment_frame()
@@ -300,6 +309,10 @@ def parse_annotations(
             key = (tile_text.strip(), expert_text.strip())
             owner = ids.get(key)
             if owner is None:
+                if not key[0]:
+                    raise CorpusError(f"line {lineno}: empty tile id")
+                if not key[1]:
+                    raise CorpusError(f"line {lineno}: empty expert id")
                 owner = ids[key] = len(sums)
                 sums.append(0.0)
             last_tile, last_expert = tile_text, expert_text

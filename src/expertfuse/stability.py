@@ -23,15 +23,12 @@ Everything here is deterministic given its arguments.
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .decision import TIE_TOLERANCE
-from .lattice import Frame, Model, make_frame
-from .mass import MassFunction, World, mass_from_masks
 
 SAMPLING_LAWS = ("uniform", "product")
 
@@ -42,7 +39,7 @@ _DEFAULT_CHUNK = 1 << 16
 _KERNEL_BLOCK = 1 << 12
 
 # Most classes a simulated expert may have: one per letter A..Z.
-MAX_CLASSES = len(string.ascii_uppercase)
+MAX_CLASSES = 26
 
 # Most classes the product law may have.  Its kept share falls ~3× per
 # class (0.7 % of draws at 10 classes, 0.08 % at 12, 0.007 % at 14): on a
@@ -56,12 +53,6 @@ def _check_classes(n: int) -> None:
         raise ValueError(f"need at least two classes, got {n}")
     if n > MAX_CLASSES:
         raise ValueError(f"at most {MAX_CLASSES} classes are supported, got {n}")
-
-
-def letter_frame(n: int) -> Frame:
-    """Exclusive frame with classes A, B, C, ... (n of them)."""
-    _check_classes(n)
-    return make_frame(tuple(string.ascii_uppercase[:n]), Model.SHAFER)
 
 
 def _check_law(law: str, n: int) -> None:
@@ -93,32 +84,33 @@ def _accepted_masses(
             rows[over] = np.nextafter(rows[over], 0.0)
             over = rows.sum(axis=1) > 1.0
         return rows, count
-    parts = [np.empty((0, n))]
-    got = 0
-    drawn = 0
-    while got < count:
-        u = rng.random((_DEFAULT_CHUNK, 2 * n))
-        drawn += _DEFAULT_CHUNK
+
+    def keep(u: np.ndarray) -> np.ndarray:
+        # a row is n proportions, then n certainties
         cand = u[:, :n] * u[:, n:]
-        parts.append(cand[cand.sum(axis=1) <= 1.0])
+        return cand[cand.sum(axis=1) <= 1.0]
+
+    return _kept_rows(rng, 2 * n, count, keep)
+
+
+def _kept_rows(
+    rng: np.random.Generator,
+    width: int,
+    count: int,
+    keep: Callable[[np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, int]:
+    """The first `count` rows `keep` returns from uniform chunks, plus rows drawn.
+
+    Chunks of `_DEFAULT_CHUNK` rows of `width` uniforms are drawn until
+    `keep` has returned `count` rows; the kept rows stay in stream order.
+    """
+    parts = [keep(np.empty((0, width)))]  # fixes the kept width when count is 0
+    got = drawn = 0
+    while got < count:
+        parts.append(keep(rng.random((_DEFAULT_CHUNK, width))))
+        drawn += _DEFAULT_CHUNK
         got += len(parts[-1])
     return np.concatenate(parts)[:count], drawn
-
-
-def sample_expert(n: int, rng: np.random.Generator, law: str = "product") -> MassFunction:
-    """One random expert: singleton masses plus the remainder on Θ.
-
-    The default law draws a uniform proportion and a uniform certainty per
-    class and keeps their products when they sum to at most 1, which
-    bounds it at `PRODUCT_LAW_MAX_CLASSES` classes.  Pass
-    ``law="uniform"`` for masses uniform on E.
-    """
-    frame = letter_frame(n)
-    _check_law(law, n)
-    m = _accepted_masses(n, 1, rng, law)[0][0]
-    masses = {frame.atom(i).mask: float(m[i]) for i in range(n)}
-    masses[frame.full_mask] = float(1.0 - m.sum())
-    return mass_from_masks(frame, masses, World.CLOSED)
 
 
 def _conjunctive_parts(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -404,29 +396,18 @@ def invariance_check(
             f"unknown constraint {constraint!r}; expected one of {INVARIANCE_CONSTRAINTS}"
         )
     rng = np.random.default_rng(seed)
-    parts: list[np.ndarray] = []
-    got = 0
-    while got < n_samples:
-        u = rng.random((_DEFAULT_CHUNK, 3))
-        if constraint == "across":
-            # m1 = (x, y), m2 = (z, x): both rows must stay inside E
-            keep = u[(u[:, 0] + u[:, 1] <= 1.0) & (u[:, 2] + u[:, 0] <= 1.0)]
-        else:
-            # m1 = (x, x), m2 = (z, w)
-            keep = u[(2.0 * u[:, 0] <= 1.0) & (u[:, 1] + u[:, 2] <= 1.0)]
-        if len(keep):
-            parts.append(keep)
-            got += len(keep)
-    if not parts:
-        return []
-    rows = np.concatenate(parts)[:n_samples]
-    x, y, z = rows.T
     if constraint == "across":
-        a = np.stack((x, y))
-        b = np.stack((z, x))
+        # m1 = (x, y), m2 = (z, x): both rows must stay inside E
+        rows, _ = _kept_rows(rng, 3, n_samples, lambda u: u[
+            (u[:, 0] + u[:, 1] <= 1.0) & (u[:, 2] + u[:, 0] <= 1.0)])
+        x, y, z = rows.T
+        a, b = np.stack((x, y)), np.stack((z, x))
     else:
-        a = np.stack((x, x))
-        b = np.stack((y, z))
+        # m1 = (x, x), m2 = (y, z)
+        rows, _ = _kept_rows(rng, 3, n_samples, lambda u: u[
+            (2.0 * u[:, 0] <= 1.0) & (u[:, 1] + u[:, 2] <= 1.0)])
+        x, y, z = rows.T
+        a, b = np.stack((x, x)), np.stack((y, z))
     s, _, _ = _conjunctive_parts(a, b)
     p = _pcr5_parts(a, b, s)
     tie = (np.abs(s[0] - s[1]) <= TIE_TOLERANCE) | (np.abs(p[0] - p[1]) <= TIE_TOLERANCE)

@@ -188,6 +188,18 @@ class TestParseErrors:
                 parse_annotations(f"{HEADER}\nt1,e1,silt,1,0.5\n{row}\n")
             assert str(refused.value) == f"line 3: {message}"
 
+    def test_an_empty_tile_or_expert_id(self):
+        cases = (
+            (",e1,sand,1,0.5", "line 2: empty tile id"),
+            ("t1,,silt,1,0.5", "line 2: empty expert id"),
+            ("  ,e1,sand,1,0.5", "line 2: empty tile id"),
+            (",e1,sand,1,1.5", "line 2: proportion must lie in [0, 1], got 1.5"),
+        )
+        for row, message in cases:
+            with pytest.raises(CorpusError) as refused:
+                parse_annotations(f"{HEADER}\n{row}\n")
+            assert str(refused.value) == message
+
     def test_proportion_padded_with_separators(self):
         # str.strip() removes U+001C..U+001F; float() does not skip them
         corpus = parse_annotations(f"{HEADER}\nt1,e1,sand,1,\x1c0.25\x1f\n")
@@ -688,6 +700,22 @@ class TestDirectConstruction:
         with pytest.raises(ValueError) as refused:
             Corpus(sediment_frame(), self.KEYS, **columns)
         assert str(refused.value) == message
+
+    def test_a_repeated_key(self):
+        # once accepted: tiles_of("e1") listed t1 twice and annotation() kept the second
+        with pytest.raises(ValueError) as refused:
+            Corpus(sediment_frame(), (("t1", "e1"), ("t1", "e1"), ("t1", "e2")),
+                   np.array([0, 1, 2]), np.array([2, 3, 3]), np.array([1, 1, 1]),
+                   np.array([0.5, 0.9, 0.5]))
+        assert str(refused.value) == "keys must be distinct, got ('t1', 'e1') twice"
+
+    @pytest.mark.parametrize("key", [("", "e2"), ("t1", "")])
+    def test_an_empty_id(self, key):
+        with pytest.raises(ValueError) as refused:
+            Corpus(sediment_frame(), (("t1", "e1"), key), **self._columns())
+        assert str(refused.value) == (
+            f"keys must not hold an empty tile or expert id, got {key!r}"
+        )
 
     def test_columns_of_different_lengths(self):
         with pytest.raises(ValueError) as refused:

@@ -89,6 +89,12 @@ def test_closed_world_rejects_mass_on_empty():
         mass_from_entries(FRAME, {"∅": 0.3, "Θ": 0.7})
 
 
+def test_closed_world_rejects_a_small_mass_on_empty():
+    # 1e-9 lies above the prune threshold, so it is mass, not rounding
+    with pytest.raises(ValueError, match="closed world"):
+        mass_from_entries(FRAME, {"∅": 1e-9, "A": 0.5, "Θ": 0.5 - 1e-9})
+
+
 def test_open_world_carries_conflict():
     m = mass_from_entries(FRAME, {"∅": 0.3, "A": 0.5, "Θ": 0.2}, world=World.OPEN)
     assert m.conflict == pytest.approx(0.3)
@@ -105,6 +111,12 @@ def test_tiny_masses_are_pruned_and_the_rest_renormalized():
     assert m.value(FRAME.atom(1)) == 0.0
     assert m.total() == pytest.approx(1.0, abs=1e-15)
     assert len(m.focal_elements()) == 2
+
+
+def test_a_mass_of_exactly_the_prune_threshold_is_kept():
+    m = mass_from_entries(FRAME, {"A": 0.5, "B": PRUNE_THRESHOLD, "Θ": 0.5 - PRUNE_THRESHOLD})
+    assert len(m.focal_elements()) == 3
+    assert m.value(FRAME.atom(1)) == pytest.approx(PRUNE_THRESHOLD, rel=1e-9, abs=0.0)
 
 
 def test_focal_elements_sorted_by_mask():

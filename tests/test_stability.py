@@ -9,17 +9,17 @@ import pytest
 
 from expertfuse import (
     TIE_TOLERANCE,
+    Model,
     combine_conjunctive,
     combine_pcr5,
     conflict_density,
     decide,
     decision_change_rate,
     invariance_check,
-    letter_frame,
+    make_frame,
     mass_from_entries,
     pair_decisions,
     rate_and_histograms,
-    sample_expert,
     stability_table,
 )
 from expertfuse import stability
@@ -61,25 +61,10 @@ def _beta_1_n_ks(x, n):
     return max((k / len(x) - cdf).max(), (cdf - (k - 1) / len(x)).max())
 
 
-class TestLetterFrame:
-    def test_labels(self):
-        assert letter_frame(3).labels == ("A", "B", "C")
-        assert letter_frame(7).labels == ("A", "B", "C", "D", "E", "F", "G")
-
-    def test_cached(self):
-        assert letter_frame(4) is letter_frame(4)
-
-    @pytest.mark.parametrize("n", [0, 1, 27])
-    def test_range(self, n):
-        with pytest.raises(ValueError):
-            letter_frame(n)
-
-
 class TestClassLimit:
     def test_26_classes_run(self):
         assert MAX_CLASSES == 26
         assert decision_change_rate(26, 5, 0).n_classes == 26
-        assert sample_expert(26, np.random.default_rng(0), law="uniform").frame.n_classes == 26
 
     def test_27_classes_are_refused(self):
         calls = (
@@ -87,7 +72,6 @@ class TestClassLimit:
             lambda: stability_table([2, 27], 5, 0),
             lambda: rate_and_histograms(27, 5, 0),
             lambda: conflict_density(27, 5),
-            lambda: sample_expert(27, np.random.default_rng(0)),
         )
         for call in calls:
             with pytest.raises(ValueError, match="at most 26 classes"):
@@ -101,7 +85,6 @@ class TestProductLawLimit:
         assert stability_table([11, 12], 5, 0, law="product")[1].n_classes == 12
         assert rate_and_histograms(12, 5, 0, law="product")[1].n_classes == 12
         assert conflict_density(12, 5, law="product").n_classes == 12
-        assert sample_expert(12, np.random.default_rng(0)).frame.n_classes == 12
 
     def test_13_classes_are_refused(self):
         calls = (
@@ -109,7 +92,6 @@ class TestProductLawLimit:
             lambda: stability_table([2, 13], 5, 0, law="product"),
             lambda: rate_and_histograms(13, 5, 0, law="product"),
             lambda: conflict_density(13, 5, law="product"),
-            lambda: sample_expert(13, np.random.default_rng(0)),
         )
         for call in calls:
             with pytest.raises(ValueError,
@@ -126,48 +108,36 @@ class TestProductLawLimit:
 
 
 class TestSampleExpert:
+    """One expert's singleton masses as the sampler draws them; Θ takes the rest."""
+
     def test_product_law_multiplies_proportion_by_certainty(self):
         # row layout is (proportions, certainties)
         rng = FakeRng([_product_chunk([1.0, 0.0, 0.6, 0.9])])
-        m = sample_expert(2, rng, law="product")
-        frame = letter_frame(2)
-        assert m.value(frame.atom(0)) == pytest.approx(0.6)
-        assert m.value(frame.atom(1)) == 0.0
-        assert m.value(frame.theta()) == pytest.approx(0.4)
+        rows, drawn = _accepted_masses(2, 1, rng, "product")
+        assert rows[0].tolist() == [0.6, 0.0]
+        assert 1.0 - rows[0].sum() == pytest.approx(0.4)
+        assert drawn == _DEFAULT_CHUNK
 
     def test_product_law_rejects_heavy_candidates(self):
         rng = FakeRng(
             [_product_chunk([1.0, 1.0, 0.9, 0.9]), _product_chunk([0.5, 0.5, 0.4, 0.2])]
         )
-        m = sample_expert(2, rng, law="product")
-        frame = letter_frame(2)
-        assert m.value(frame.atom(0)) == pytest.approx(0.2)
-        assert m.value(frame.atom(1)) == pytest.approx(0.1)
-        assert m.value(frame.theta()) == pytest.approx(0.7)
+        rows, drawn = _accepted_masses(2, 1, rng, "product")
+        assert rows[0] == pytest.approx([0.2, 0.1])
+        assert 1.0 - rows[0].sum() == pytest.approx(0.7)
+        assert drawn == 2 * _DEFAULT_CHUNK
+
+    def test_product_law_keeps_a_row_summing_to_exactly_one(self):
+        rng = FakeRng([_product_chunk([1.0, 1.0, 0.5, 0.5])])
+        rows, drawn = _accepted_masses(2, 1, rng, "product")
+        assert rows.tolist() == [[0.5, 0.5]]
+        assert drawn == _DEFAULT_CHUNK
 
     def test_uniform_law_normalizes_exponentials(self):
-        rng = FakeRng([[[1.0, 2.0, 1.0]]])
-        m = sample_expert(2, rng, law="uniform")
-        frame = letter_frame(2)
-        assert m.value(frame.atom(0)) == pytest.approx(0.25)
-        assert m.value(frame.atom(1)) == pytest.approx(0.5)
-        assert m.value(frame.theta()) == pytest.approx(0.25)
-
-    def test_matches_the_vectorized_stream_bit_for_bit(self):
-        for law in ("product", "uniform"):
-            for seed in (0, 7, 123):
-                expert = sample_expert(3, np.random.default_rng(seed), law=law)
-                rows, _ = _accepted_masses(3, 1, np.random.default_rng(seed), law)
-                frame = letter_frame(3)
-                for i in range(3):
-                    assert expert.value(frame.atom(i)) == rows[0, i]
-
-    def test_argument_validation(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="two classes"):
-            sample_expert(1, rng)
-        with pytest.raises(ValueError, match="law"):
-            sample_expert(2, rng, law="gaussian")
+        rows, drawn = _accepted_masses(2, 1, FakeRng([[[1.0, 2.0, 1.0]]]), "uniform")
+        assert rows[0] == pytest.approx([0.25, 0.5])
+        assert 1.0 - rows[0].sum() == pytest.approx(0.25)
+        assert drawn == 1
 
 
 class TestAcceptedMasses:
@@ -211,6 +181,11 @@ class TestAcceptedMasses:
         assert rows.shape == (0, 3)
         assert drawn == 0
 
+    def test_zero_product_rows_draw_nothing(self):
+        rows, drawn = _accepted_masses(3, 0, FakeRng([]), "product")
+        assert rows.shape == (0, 3)
+        assert drawn == 0
+
 
 class TestPairKernels:
     """The vectorized kernels must agree with the object-level rules."""
@@ -218,7 +193,7 @@ class TestPairKernels:
     N_PAIRS = 60
 
     def _object_route(self, a_row, b_row, n):
-        frame = letter_frame(n)
+        frame = make_frame(tuple("ABCD"[:n]), Model.SHAFER)
         entries_a = {frame.atom(i): a_row[i] for i in range(n)}
         entries_a[frame.theta()] = 1.0 - a_row.sum()
         entries_b = {frame.atom(i): b_row[i] for i in range(n)}
