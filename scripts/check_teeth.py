@@ -77,6 +77,16 @@ MUTANTS = (
            "a, b = pair.a, pair.b",
            "b, a = pair.a, pair.b",
            ("tests/test_corpus.py::TestConflictMatrix::test_hand_computed_entries",)),
+    Mutant("src/expertfuse/fusion.py",
+           "shares = [1.0 / len(classes)] * len(classes)",
+           "shares = [0.0] * len(classes)",
+           ("tests/test_fusion.py::TestRedistribution"
+            "::test_pure_conjunction_splits_equally_without_witnesses",)),
+    Mutant("src/expertfuse/stability.py",
+           "over = rows.sum(axis=1) > 1.0\n        while over.any():",
+           "over = rows.sum(axis=1) > 1.0 + 1e-15\n        while over.any():",
+           ("tests/test_stability.py::TestAcceptedMasses"
+            "::test_rounding_past_one_is_stepped_back",)),
 )
 
 

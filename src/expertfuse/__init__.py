@@ -7,104 +7,33 @@ proportional conflict redistribution, and decides by credibility,
 plausibility, or pignistic probability.  A Monte Carlo module measures how
 often the choice of combination rule flips the decision, and a corpus
 module applies the same machinery to annotation files.
+
+The package root holds the object-level API of the running example and
+needs only the standard library.  Every other name is imported from its
+module: `expertfuse.lattice`, `mass`, `expert_models`, `fusion` and
+`decision` for the object path, and `expertfuse.stability` and `corpus`,
+the two modules that need numpy, for the Monte Carlo study and the
+corpus statistics.
 """
 
 __version__ = "0.1.0"
 
-from .lattice import (
-    Frame,
-    FocalElement,
-    Model,
-    enumerate_elements,
-    format_element,
-    make_frame,
-    parse_element,
-)
-from .mass import (
-    MassFunction,
-    World,
-    mass_from_entries,
-    mass_from_masks,
-)
+from .decision import Criterion, criteria_table, decide
 from .expert_models import (
-    AnnotationEntry,
-    CertaintyWeights,
-    DEFAULT_WEIGHTS,
-    DeclarationKind,
     ExpertDeclaration,
-    SEDIMENT_CLASSES,
-    TileAnnotation,
-    build_generalized_m5,
     build_m1,
     build_m2,
     build_m3,
     build_m4,
     build_m5,
-    sediment_frame,
 )
-from .fusion import (
-    RULE_NAMES,
-    combine,
-    combine_conjunctive,
-    combine_pcr5,
-    combine_pcr6,
-    redistribute_conjunctions,
-)
-from .decision import (
-    Criterion,
-    DecisionReport,
-    TIE_TOLERANCE,
-    credibility,
-    criteria_table,
-    criterion_value,
-    decide,
-    pignistic,
-    plausibility,
-)
-from .stability import (
-    Histogram,
-    InvarianceCase,
-    SAMPLING_LAWS,
-    StabilityResult,
-    conflict_density,
-    decision_change_rate,
-    invariance_check,
-    pair_decisions,
-    rate_and_histograms,
-    stability_table,
-)
-from .corpus import (
-    ConflictMatrix,
-    Corpus,
-    CorpusError,
-    DecisionDifference,
-    ExpertPair,
-    conflict_matrix,
-    decision_difference,
-    expert_pair,
-    generate_demo_corpus,
-    load_annotations,
-    parse_annotations,
-    tile_mass,
-)
+from .fusion import combine_conjunctive, combine_pcr5, redistribute_conjunctions
+from .lattice import Model
 
 __all__ = [
     "__version__",
-    "Frame", "FocalElement", "Model", "enumerate_elements",
-    "format_element", "make_frame", "parse_element",
-    "MassFunction", "World", "mass_from_entries", "mass_from_masks",
-    "AnnotationEntry", "CertaintyWeights", "DEFAULT_WEIGHTS",
-    "DeclarationKind", "ExpertDeclaration", "SEDIMENT_CLASSES",
-    "TileAnnotation", "build_generalized_m5", "build_m1", "build_m2",
-    "build_m3", "build_m4", "build_m5", "sediment_frame",
-    "RULE_NAMES", "combine", "combine_conjunctive", "combine_pcr5",
-    "combine_pcr6", "redistribute_conjunctions",
-    "Criterion", "DecisionReport", "TIE_TOLERANCE", "credibility",
-    "criteria_table", "criterion_value", "decide", "pignistic", "plausibility",
-    "Histogram", "InvarianceCase", "SAMPLING_LAWS", "StabilityResult",
-    "conflict_density", "decision_change_rate", "invariance_check",
-    "pair_decisions", "rate_and_histograms", "stability_table",
-    "ConflictMatrix", "Corpus", "CorpusError", "DecisionDifference", "ExpertPair",
-    "conflict_matrix", "decision_difference", "expert_pair", "generate_demo_corpus",
-    "load_annotations", "parse_annotations", "tile_mass",
+    "Criterion", "ExpertDeclaration", "Model",
+    "build_m1", "build_m2", "build_m3", "build_m4", "build_m5",
+    "combine_conjunctive", "combine_pcr5", "criteria_table", "decide",
+    "redistribute_conjunctions",
 ]

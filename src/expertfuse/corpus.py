@@ -66,6 +66,16 @@ def _refuse_outside(array: np.ndarray, low: float, high: float, message: str) ->
         raise ValueError(f"{message}, got {bad.item()!r}")
 
 
+def _key_fault(key: object) -> str | None:
+    """Why `key` is not a (tile, expert) tuple of two non-empty strings, or None."""
+    if (type(key) is not tuple or len(key) != 2
+            or not isinstance(key[0], str) or not isinstance(key[1], str)):
+        return "must be (tile, expert) pairs of two strings"
+    if not (key[0] and key[1]):
+        return "must not hold an empty tile or expert id"
+    return None
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class Corpus:
     """Validated annotations over one frame, one read-only array per entry field.
@@ -76,9 +86,10 @@ class Corpus:
     index in the frame, certainty level and proportion.  Build a corpus
     with `parse_annotations` or `Corpus.from_annotations`; the
     `TileAnnotation` objects are built only when `annotations` is read.
-    Built directly, a corpus refuses an empty id or a repeated key, and
-    columns that do not fit its keys and frame; it keeps a read-only copy of
-    every writable array.
+    Built directly, a corpus turns list keys into tuples and refuses a key
+    that is not two strings, an empty id, a repeated key, and columns that
+    do not fit its keys and frame; it keeps a read-only copy of every
+    writable array.
     """
 
     frame: Frame
@@ -90,10 +101,13 @@ class Corpus:
 
     def __post_init__(self) -> None:
         keys = tuple(self.keys)
+        if any(map(_key_fault, keys)):
+            keys = tuple(tuple(key) if isinstance(key, (list, tuple)) else key for key in keys)
+            for key in keys:
+                fault = _key_fault(key)
+                if fault:
+                    raise ValueError(f"keys {fault}, got {key!r}")
         object.__setattr__(self, "keys", keys)
-        if not all(map(all, keys)):
-            empty = next(key for key in keys if not all(key))
-            raise ValueError(f"keys must not hold an empty tile or expert id, got {empty!r}")
         if len(set(keys)) != len(keys):
             twice = next(key for key, count in Counter(keys).items() if count > 1)
             raise ValueError(f"keys must be distinct, got {twice!r} twice")

@@ -15,9 +15,8 @@ one SHA-256 over `repr` of the fused pairs, `repr` of every criteria-table
 cell and the decision JSON of its requests, or `type: message` for a
 request that raises.
 
-Only `expertfuse.lattice`, `mass`, `fusion` and `decision` are imported, so
-a package holding just those four modules reproduces the digests on an
-interpreter without numpy.  Print them with
+Neither the package root nor these modules import numpy, so the digests
+also come out on an interpreter without it.  Print them with
 
     PYTHONPATH=src python tests/golden_objects.py
 """

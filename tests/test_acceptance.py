@@ -14,41 +14,35 @@ import math
 import numpy as np
 import pytest
 
-from expertfuse import (
+from expertfuse.corpus import (
+    CSV_HEADER,
+    conflict_matrix,
+    decision_difference,
+    expert_pair,
+    load_annotations,
+    parse_annotations,
+    tile_mass,
+)
+from expertfuse.decision import Criterion, credibility, decide, pignistic, plausibility
+from expertfuse.expert_models import (
     CertaintyWeights,
-    Criterion,
     ExpertDeclaration,
-    Model,
-    World,
     build_m1,
     build_m2,
     build_m3,
     build_m4,
     build_m5,
+    sediment_frame,
+)
+from expertfuse.fusion import (
     combine_conjunctive,
     combine_pcr5,
     combine_pcr6,
-    conflict_matrix,
-    credibility,
-    decide,
-    decision_change_rate,
-    decision_difference,
-    enumerate_elements,
-    expert_pair,
-    invariance_check,
-    load_annotations,
-    make_frame,
-    mass_from_entries,
-    mass_from_masks,
-    parse_annotations,
-    pignistic,
-    plausibility,
     redistribute_conjunctions,
-    tile_mass,
 )
-from expertfuse.corpus import CSV_HEADER
-from expertfuse.expert_models import sediment_frame
-from expertfuse.stability import _accepted_masses
+from expertfuse.lattice import Model, enumerate_elements, make_frame
+from expertfuse.mass import World, mass_from_entries, mass_from_masks
+from expertfuse.stability import _accepted_masses, decision_change_rate, invariance_check
 
 FOUR_DECIMALS = 1e-4
 

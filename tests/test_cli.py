@@ -9,21 +9,13 @@ import sys
 
 import pytest
 
-from expertfuse import (
-    ExpertDeclaration,
-    Model,
-    build_m1,
-    build_m4,
-    build_m5,
-    conflict_density,
-    criteria_table,
-    expert_pair,
-    generate_demo_corpus,
-    mass_from_entries,
-    make_frame,
-    stability_table,
-)
 from expertfuse.cli import main
+from expertfuse.corpus import expert_pair, generate_demo_corpus
+from expertfuse.decision import criteria_table
+from expertfuse.expert_models import ExpertDeclaration, build_m1, build_m4, build_m5
+from expertfuse.lattice import Model, make_frame
+from expertfuse.mass import mass_from_entries
+from expertfuse.stability import conflict_density, stability_table
 
 E1 = ExpertDeclaration.says_a(0.6)
 E2 = ExpertDeclaration.says_both(0.5, 0.6, 0.4)

@@ -12,28 +12,30 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from expertfuse import (
-    DEFAULT_WEIGHTS,
-    AnnotationEntry,
-    CertaintyWeights,
+from expertfuse.corpus import (
+    DEMO_EXPERTS,
+    DEMO_SEED,
+    DEMO_TILES,
     Corpus,
     CorpusError,
-    Model,
-    TileAnnotation,
-    combine,
-    combine_conjunctive,
     conflict_matrix,
-    decide,
     decision_difference,
     expert_pair,
     generate_demo_corpus,
     load_annotations,
-    make_frame,
     parse_annotations,
-    sediment_frame,
     tile_mass,
 )
-from expertfuse.corpus import DEMO_EXPERTS, DEMO_SEED, DEMO_TILES
+from expertfuse.decision import decide
+from expertfuse.expert_models import (
+    DEFAULT_WEIGHTS,
+    AnnotationEntry,
+    CertaintyWeights,
+    TileAnnotation,
+    sediment_frame,
+)
+from expertfuse.fusion import combine, combine_conjunctive
+from expertfuse.lattice import Model, make_frame
 
 HEADER = "tile_id,expert_id,class,certainty_level,proportion"
 
@@ -708,6 +710,26 @@ class TestDirectConstruction:
                    np.array([0, 1, 2]), np.array([2, 3, 3]), np.array([1, 1, 1]),
                    np.array([0.5, 0.9, 0.5]))
         assert str(refused.value) == "keys must be distinct, got ('t1', 'e1') twice"
+
+    @pytest.mark.parametrize("keys, bad", [
+        ((("t1", "e1", "x"), ("t1",)), ("t1", "e1", "x")),
+        ((("t1", "e1"), ("t1", 3)), ("t1", 3)),
+        ((("t1", "e1"), "t2"), "t2"),
+    ])
+    def test_a_key_that_is_not_two_strings(self, keys, bad):
+        # the first keys were once accepted as they stand
+        with pytest.raises(ValueError) as refused:
+            Corpus(sediment_frame(), keys, **self._columns())
+        assert str(refused.value) == (
+            f"keys must be (tile, expert) pairs of two strings, got {bad!r}"
+        )
+
+    def test_list_keys_become_tuples(self):
+        # these once ended in TypeError: unhashable type: 'list'
+        corpus = Corpus(sediment_frame(), [["t1", "e1"], ["t1", "e2"]], np.array([0, 1]),
+                        np.array([0, 0]), np.array([1, 1]), np.array([0.5, 0.5]))
+        assert corpus.keys == self.KEYS
+        assert corpus.tiles_of("e1") == ("t1",)
 
     @pytest.mark.parametrize("key", [("", "e2"), ("t1", "")])
     def test_an_empty_id(self, key):

@@ -9,28 +9,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from expertfuse import (
+from expertfuse.decision import (
     TIE_TOLERANCE,
     Criterion,
-    ExpertDeclaration,
-    Model,
-    World,
-    build_m1,
-    build_m3,
-    build_m4,
-    build_m5,
-    combine_conjunctive,
-    combine_pcr5,
     credibility,
     criteria_table,
     criterion_value,
     decide,
-    enumerate_elements,
-    make_frame,
-    mass_from_entries,
     pignistic,
     plausibility,
 )
+from expertfuse.expert_models import ExpertDeclaration, build_m1, build_m3, build_m4, build_m5
+from expertfuse.fusion import combine_conjunctive, combine_pcr5
+from expertfuse.lattice import Model, enumerate_elements, make_frame
+from expertfuse.mass import World, mass_from_entries
 
 AB = make_frame(("A", "B"))
 AB_FREE = make_frame(("A", "B"), Model.FREE)

@@ -5,25 +5,27 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from expertfuse import (
+from expertfuse.expert_models import (
+    DEFAULT_WEIGHTS,
     SEDIMENT_CLASSES,
     AnnotationEntry,
     CertaintyWeights,
     ExpertDeclaration,
-    Model,
     TileAnnotation,
-    World,
     build_generalized_m5,
     build_m1,
     build_m2,
     build_m3,
     build_m4,
     build_m5,
-    combine_conjunctive,
-    mass_from_entries,
+    _frame_ab,
+    _frame_abc,
+    _frame_primed,
     sediment_frame,
 )
-from expertfuse.expert_models import DEFAULT_WEIGHTS, _frame_ab, _frame_abc, _frame_primed
+from expertfuse.fusion import combine_conjunctive
+from expertfuse.lattice import Model
+from expertfuse.mass import World, mass_from_entries
 
 
 def expect(frame, entries, world="closed"):

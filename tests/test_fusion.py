@@ -10,25 +10,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from expertfuse import (
+from expertfuse.expert_models import (
     ExpertDeclaration,
-    Model,
-    World,
     build_m1,
     build_m2,
     build_m3,
     build_m4,
     build_m5,
+)
+from expertfuse.fusion import (
     combine,
     combine_conjunctive,
     combine_pcr5,
     combine_pcr6,
-    enumerate_elements,
-    make_frame,
-    mass_from_entries,
-    mass_from_masks,
     redistribute_conjunctions,
 )
+from expertfuse.lattice import Model, enumerate_elements, make_frame
+from expertfuse.mass import World, mass_from_entries, mass_from_masks
 
 AB = make_frame(("A", "B"))
 AB_FREE = make_frame(("A", "B"), Model.FREE)

@@ -7,11 +7,15 @@ stderr and the `--diff` JSON bytes; the `--matrix` values are compared
 with the manifest's floats at a relative tolerance of 1e-12, since the
 summation order inside numpy may move their last bits.  The object path
 (`fuse --decide` on ~3 000 stdlib-drawn requests) is pinned at full
-precision by the digests of `golden_objects.py`.  Each `simulate` case
+precision by the digests of `golden_objects.py`, which must also come out
+in a subprocess where numpy cannot be imported.  Each `fuse`/`decide` case
+runs the CLI in process on mass files written here; its digest covers the
+exit code, stdout, stderr and the `--json` bytes.  Each `simulate` case
 runs the CLI in process with a fixed seed; its digest covers the exit
 code, stdout, stderr and the bytes of the `--out` and `--histogram` files.
 The stdout of `scripts/run_worked_examples.py` is pinned by its digest,
-and `scripts/run_stability.py` must write the bytes `simulate` writes.
+and `scripts/run_stability.py` must write the bytes `simulate` writes and
+report a bad value in one `error:` line.
 
 Rewrite the manifest, and say why wherever the change is logged, with
 
@@ -61,6 +65,38 @@ SIMULATE_CASES = {
     "uniform-7-histogram": ["--classes", "7", "--histogram"],
     "product-4-bins13-histogram": ["--classes", "4", "--law", "product", "--bins", "13",
                                    "--histogram"],
+}
+
+_ABC = '{"frame": ["A", "B", "C"], "model": "shafer", "world": "closed", "masses": '
+_AB = '{"frame": ["A", "B"], "model": "shafer", "world": "closed", "masses": '
+_FREE_AB = '{"frame": ["A", "B"], "model": "free", "world": "closed", "masses": '
+MASS_FILES = {
+    "abc-1": _ABC + '{"A": 0.6, "Θ": 0.4}}',
+    "abc-2": _ABC + '{"B": 0.5, "A∪C": 0.3, "Θ": 0.2}}',
+    "abc-3": _ABC + '{"C": 0.45, "A∪B": 0.35, "Θ": 0.2}}',
+    "free-1": _FREE_AB + '{"A": 0.6, "Θ": 0.4}}',
+    "free-2": _FREE_AB + '{"B": 0.5, "A∩B": 0.2, "Θ": 0.3}}',
+    "tie": _AB + '{"A": 0.4, "B": 0.4, "Θ": 0.2}}',
+    "vacuous": _AB + '{"Θ": 1.0}}',
+    "sum-past-one": _AB + '{"A": 0.7, "B": 0.5}}',
+}
+FUSE_DECIDE_CASES = {
+    "fuse-conjunctive": ["fuse", "{abc-1}", "{abc-2}", "--rule", "conjunctive", "--decide"],
+    "fuse-pcr5": ["fuse", "{abc-1}", "{abc-2}", "--rule", "pcr5", "--decide"],
+    "fuse-pcr6": ["fuse", "{abc-1}", "{abc-2}", "--rule", "pcr6", "--decide"],
+    "fuse-pcr6-three-experts": ["fuse", "{abc-1}", "{abc-2}", "{abc-3}", "--rule", "pcr6",
+                                "--decide"],
+    "fuse-free-conjunctive": ["fuse", "{free-1}", "{free-2}", "--decide"],
+    "fuse-free-pcr5-projection": ["fuse", "{free-1}", "{free-2}", "--rule", "pcr5", "--decide"],
+    "fuse-tie": ["fuse", "{tie}", "{vacuous}", "--decide"],
+    "fuse-invalid-mass-file": ["fuse", "{abc-1}", "{sum-past-one}", "--decide"],
+    "decide-mass": ["decide", "{abc-2}", "--criterion", "mass"],
+    "decide-credibility": ["decide", "{abc-2}", "--criterion", "credibility"],
+    "decide-plausibility": ["decide", "{abc-2}", "--criterion", "plausibility"],
+    "decide-pignistic": ["decide", "{abc-2}", "--criterion", "pignistic"],
+    "decide-candidates": ["decide", "{abc-2}", "--criterion", "plausibility",
+                          "--candidates", "A, A∪C, B, Θ"],
+    "decide-tie": ["decide", "{tie}"],
 }
 
 
@@ -139,10 +175,33 @@ def simulate_digest(case: str, workdir: Path) -> str:
     return digest.hexdigest()
 
 
-def _script_env() -> dict:
-    src = str(ROOT / "src")
-    path = os.environ.get("PYTHONPATH")
-    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+def fuse_decide_digest(case: str, workdir: Path) -> str:
+    """Digest of one `fuse`/`decide` run: exit code, stdout, stderr, then the `--json` bytes.
+
+    The mass files are written to `workdir`, whose path is replaced by
+    `<dir>` in the printed text so the digest does not depend on it.
+    """
+    for name, text in MASS_FILES.items():
+        (workdir / f"{name}.json").write_text(text, encoding="utf-8")
+    json_path = workdir / "out.json"
+    paths = {name: str(workdir / f"{name}.json") for name in MASS_FILES}
+    argv = [arg.format(**paths) for arg in FUSE_DECIDE_CASES[case]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--json", str(json_path)])
+    digest = hashlib.sha256()
+    for part in (str(code), out.getvalue(), err.getvalue()):
+        digest.update(part.replace(str(workdir), "<dir>").encode("utf-8") + b"\0")
+    digest.update(json_path.read_bytes() if json_path.exists() else b"")
+    json_path.unlink(missing_ok=True)
+    return digest.hexdigest()
+
+
+def _script_env(*extra: Path) -> dict:
+    paths = [str(p) for p in (ROOT / "src", *extra)]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
 
 
 def worked_examples_digest() -> str:
@@ -160,8 +219,9 @@ def compute(workdir: Path) -> dict:
             digest, matrix = run_corpus_case(path, corpus, flags, workdir)
             cases[f"{corpus}/{flags}"] = {"sha256": digest, "matrix": matrix}
     simulate = {case: simulate_digest(case, workdir) for case in SIMULATE_CASES}
-    return {"corpus": cases, "objects": object_digests(), "simulate": simulate,
-            "worked_examples_sha256": worked_examples_digest()}
+    fuse_decide = {case: fuse_decide_digest(case, workdir) for case in FUSE_DECIDE_CASES}
+    return {"corpus": cases, "fuse_decide": fuse_decide, "objects": object_digests(),
+            "simulate": simulate, "worked_examples_sha256": worked_examples_digest()}
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +261,45 @@ def test_object_path_matches_manifest(golden):
     assert object_digests() == golden["objects"]
 
 
+ROOT_NAMES = [
+    "Criterion", "ExpertDeclaration", "Model", "__version__",
+    "build_m1", "build_m2", "build_m3", "build_m4", "build_m5",
+    "combine_conjunctive", "combine_pcr5", "criteria_table", "decide",
+    "redistribute_conjunctions",
+]
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_script_env(ROOT / "tests"))
+
+
+def test_object_path_matches_manifest_without_numpy(golden):
+    done = _python(
+        "import json, sys\n"
+        "sys.modules['numpy'] = None  # any import of numpy now raises ImportError\n"
+        "import expertfuse\n"
+        "print(json.dumps(sorted(expertfuse.__all__)))\n"
+        "from golden_objects import digests\n"
+        "print(json.dumps(digests()))\n"
+    )
+    assert done.returncode == 0, done.stderr
+    names, digests = map(json.loads, done.stdout.splitlines())
+    assert names == ROOT_NAMES
+    assert digests == golden["objects"]
+
+
+def test_package_root_does_not_import_numpy():
+    done = _python("import sys\nimport expertfuse\nprint('numpy' in sys.modules)\n")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
+@pytest.mark.parametrize("case", list(FUSE_DECIDE_CASES))
+def test_fuse_decide_case_matches_manifest(golden, tmp_path, case):
+    assert fuse_decide_digest(case, tmp_path) == golden["fuse_decide"][case]
+
+
 @pytest.mark.parametrize("case", list(SIMULATE_CASES))
 def test_simulate_case_matches_manifest(golden, tmp_path, case):
     assert simulate_digest(case, tmp_path) == golden["simulate"][case]
@@ -228,6 +327,19 @@ def test_run_stability_writes_what_simulate_writes(tmp_path):
             assert main(["simulate", "--classes", n, "--samples", samples, "--seed", seed,
                          "--bins", bins, "--histogram", str(hist)]) == 0
         assert (tmp_path / f"script_hist_{n}.csv").read_bytes() == hist.read_bytes()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--bins", "0"], "error: need at least one bin\n"),
+    (["--classes", "27"], "error: at most 26 classes are supported, got 27\n"),
+])
+def test_run_stability_reports_a_bad_value_in_one_line(tmp_path, flags, message):
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_stability.py"), *flags,
+                           "--samples", "100", "--stem", str(tmp_path / "script")],
+                          capture_output=True, text=True, env=_script_env())
+    assert done.returncode == 1
+    assert done.stderr == message
+    assert list(tmp_path.iterdir()) == []
 
 
 if __name__ == "__main__":

@@ -16,16 +16,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from expertfuse import (
+from expertfuse import lattice
+from expertfuse.lattice import (
     FocalElement,
     Frame,
-    MassFunction,
     Model,
     enumerate_elements,
     make_frame,
     parse_element,
 )
-from expertfuse import lattice
+from expertfuse.mass import MassFunction
 
 LABELS = ("A", "B", "C", "D")
 

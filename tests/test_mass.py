@@ -10,15 +10,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from expertfuse import (
-    Model,
+from expertfuse.lattice import Model, enumerate_elements, make_frame
+from expertfuse.mass import (
+    PRUNE_THRESHOLD,
+    MassFunction,
     World,
-    enumerate_elements,
-    make_frame,
     mass_from_entries,
     mass_from_masks,
 )
-from expertfuse.mass import PRUNE_THRESHOLD, MassFunction
 
 FRAME = make_frame(("A", "B", "C"))
 FREE = make_frame(("A", "B"), Model.FREE)

@@ -7,27 +7,22 @@ import math
 import numpy as np
 import pytest
 
-from expertfuse import (
-    TIE_TOLERANCE,
-    Model,
-    combine_conjunctive,
-    combine_pcr5,
-    conflict_density,
-    decide,
-    decision_change_rate,
-    invariance_check,
-    make_frame,
-    mass_from_entries,
-    pair_decisions,
-    rate_and_histograms,
-    stability_table,
-)
 from expertfuse import stability
+from expertfuse.decision import TIE_TOLERANCE, decide
+from expertfuse.fusion import combine_conjunctive, combine_pcr5
+from expertfuse.lattice import Model, make_frame
+from expertfuse.mass import mass_from_entries
 from expertfuse.stability import (
     _DEFAULT_CHUNK,
     MAX_CLASSES,
     PRODUCT_LAW_MAX_CLASSES,
     _accepted_masses,
+    conflict_density,
+    decision_change_rate,
+    invariance_check,
+    pair_decisions,
+    rate_and_histograms,
+    stability_table,
 )
 
 
