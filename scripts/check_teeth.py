@@ -4,9 +4,10 @@
 Each row of `MUTANTS` names a file under the repository root, an exact
 text in it, the text that replaces it, and the pytest ids that must fail
 once it is replaced.  The listed ids first run on an unedited copy of
-`src/` and `tests/`, where they must pass.  Then, for each row, the edit
-is applied to a fresh temporary copy and only that row's ids run; every
-one of them must fail.  The checkout itself is never edited.
+`src/`, `tests/` and `scripts/`, where they must pass.  Then, for each
+row, the edit is applied to a fresh temporary copy and only that row's
+ids run; every one of them must fail.  The checkout itself is never
+edited.
 
 The script exits 1 when an old text is not found exactly once, when a
 listed id fails on the unedited copy, or when a mutant survives.  It uses
@@ -87,11 +88,23 @@ MUTANTS = (
            "over = rows.sum(axis=1) > 1.0 + 1e-15\n        while over.any():",
            ("tests/test_stability.py::TestAcceptedMasses"
             "::test_rounding_past_one_is_stepped_back",)),
+    Mutant("scripts/run_stability.py",
+           "except (ValueError, OSError) as exc:",
+           "except OSError as exc:",
+           ("tests/test_golden.py::test_run_stability_reports_a_bad_value_in_one_line[bins-0]",)),
+    Mutant("src/expertfuse/stability.py",
+           "spawn_key=(n,)",
+           "spawn_key=(n + 1,)",
+           ("tests/test_golden.py::test_simulate_case_matches_manifest[uniform-2..7]",)),
+    Mutant("src/expertfuse/stability.py",
+           "if seed < 0:",
+           "if seed < -1:",
+           ("tests/test_stability.py::TestDecisionChangeRate::test_a_negative_seed_is_refused",)),
 )
 
 
 def _copy_tree(workdir: Path) -> None:
-    for name in ("src", "tests"):
+    for name in ("src", "tests", "scripts"):
         shutil.copytree(ROOT / name, workdir / name,
                         ignore=shutil.ignore_patterns("__pycache__"))
     (workdir / "data").symlink_to(ROOT / "data", target_is_directory=True)

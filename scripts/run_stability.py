@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from expertfuse.cli import write_histogram_csv, write_rate_csv
+from expertfuse.cli import DEFAULT_SEED, write_histogram_csv, write_rate_csv
 from expertfuse.stability import SAMPLING_LAWS, rate_and_histograms
 
 
@@ -19,7 +19,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--samples", type=int, default=200_000,
                         help="accepted pairs per class count")
-    parser.add_argument("--seed", type=int, default=2026)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--law", choices=SAMPLING_LAWS, default="uniform")
     parser.add_argument("--classes", type=int, nargs="+", default=[2, 3, 4, 5, 6, 7])
     parser.add_argument("--bins", type=int, default=30)

@@ -31,20 +31,7 @@ from .stability import (
     stability_table,
 )
 
-SEED_ENV_VAR = "EXPERTFUSE_SEED"
 DEFAULT_SEED = 2026
-
-
-def _resolve_seed(flag_value: int | None) -> int:
-    if flag_value is not None:
-        return flag_value
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -133,13 +120,16 @@ def _parse_class_counts(text: str) -> list[int]:
     counts: list[int] = []
     for part in text.split(","):
         part = part.strip()
-        if ".." in part:
-            low_text, high_text = part.split("..", 1)
-            low, high = int(low_text), int(high_text)
-            if high < low:
-                raise ValueError(f"empty class range {part!r}")
-        else:
-            low = high = int(part)
+        low_text, dots, high_text = part.partition("..")
+        try:
+            low = int(low_text)
+            high = int(high_text) if dots else low
+        except ValueError:
+            raise ValueError(
+                f"--classes: {part!r} is not a class count or a range such as 2..7"
+            ) from None
+        if high < low:
+            raise ValueError(f"empty class range {part!r}")
         if low < 2:
             raise ValueError(f"class counts start at 2, got {low}")
         if high > MAX_CLASSES:
@@ -168,17 +158,16 @@ def write_histogram_csv(path: str | os.PathLike, full: Histogram, flipped: Histo
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
     counts = _parse_class_counts(args.classes)
     if args.histogram:
         if len(counts) != 1:
             raise ValueError("--histogram needs a single class count")
         row, full, flipped = rate_and_histograms(
-            counts[0], args.samples, seed, args.bins, args.law
+            counts[0], args.samples, args.seed, args.bins, args.law
         )
         results = [row]
     else:
-        results = stability_table(counts, args.samples, seed, law=args.law)
+        results = stability_table(counts, args.samples, args.seed, law=args.law)
     print(f"{'n':>3}  {'samples':>9}  {'change_rate':>11}  {'ci':>8}")
     for r in results:
         print(f"{r.n_classes:>3}  {r.accepted_pairs:>9}  {r.change_rate:>11.4f}  "
@@ -194,8 +183,13 @@ def _parse_weights(text: str) -> CertaintyWeights:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3:
         raise ValueError(f"--weights needs three comma-separated values, got {text!r}")
-    c1, c2, c3 = (float(p) for p in parts)
-    return CertaintyWeights(c1, c2, c3)
+    values = []
+    for part in parts:
+        try:
+            values.append(float(part))
+        except ValueError:
+            raise ValueError(f"--weights: {part!r} is not a number") from None
+    return CertaintyWeights(*values)
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
@@ -265,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="class counts, e.g. 3 or 2..7 or 2,4,7 (default 2..7)")
     sim.add_argument("--samples", type=_positive_int, default=10000,
                      help="accepted expert pairs per class count")
-    sim.add_argument("--seed", type=int, default=None,
-                     help=f"RNG seed (default ${SEED_ENV_VAR} or {DEFAULT_SEED})")
+    sim.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                     help=f"RNG seed (default {DEFAULT_SEED})")
     sim.add_argument("--law", choices=SAMPLING_LAWS, default="uniform")
     sim.add_argument("--out", metavar="PATH", help="write the table as CSV")
     sim.add_argument("--histogram", metavar="PATH",

@@ -395,6 +395,10 @@ def expert_pair(
     experts = tuple(experts)
     if len(experts) != 2:
         raise ValueError(f"an expert pair compares exactly two experts, got {len(experts)}")
+    if experts[0] == experts[1]:
+        raise ValueError(
+            f"an expert pair compares two different experts, got {experts[0]!r} twice"
+        )
     frame = corpus.frame
     if frame.model is not Model.SHAFER:
         raise ValueError(

@@ -17,7 +17,11 @@ when the masses sum to at most 1; it concentrates mass lower and yields
 clearly smaller change rates from three classes on.  Its kept share
 collapses with the class count, so it stops at 12 classes.
 
-Everything here is deterministic given its arguments.
+A seed and a class count name one stream: every entry point that takes a
+class count draws the pairs for (seed, n) from a `SeedSequence` with
+entropy `seed` and spawn key ``(n,)``, and refuses a negative seed.
+`invariance_check`, which has no class count, draws from
+``default_rng(seed)``.  Everything here is deterministic given its arguments.
 """
 
 from __future__ import annotations
@@ -229,10 +233,10 @@ class _PairSample(NamedTuple):
     drawn: int
 
 
-def _sample_pairs(
-    n: int, n_samples: int, seed: int | np.random.SeedSequence, law: str
-) -> _PairSample:
-    rng = np.random.default_rng(seed)
+def _sample_pairs(n: int, n_samples: int, seed: int, law: str) -> _PairSample:
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(n,)))
     rows, drawn = _accepted_masses(n, 2 * n_samples, rng, law)
     choice_conj, choice_pcr, conflict = pair_decisions(rows[0::2], rows[1::2])
     return _PairSample(conflict, choice_conj != choice_pcr, drawn)
@@ -263,22 +267,17 @@ def _rate_row(n: int, n_samples: int, sample: _PairSample) -> StabilityResult:
 def decision_change_rate(
     n: int,
     n_samples: int,
-    seed: int | np.random.SeedSequence,
+    seed: int,
     law: str = "uniform",
 ) -> StabilityResult:
     """Fraction of sampled expert pairs whose decision flips between rules.
 
     `n_samples` counts accepted pairs, so every class count runs at equal
     statistical power.  The half-width is the 95% normal approximation.
+    The pairs are the stream of (`seed`, `n`).
     """
     _check_rate_args(n, n_samples, law)
     return _rate_row(n, n_samples, _sample_pairs(n, n_samples, seed, law))
-
-
-def _class_count_seed(seed: int, n: int) -> np.random.SeedSequence:
-    """The stream `stability_table`, `conflict_density` and
-    `rate_and_histograms` draw for n classes."""
-    return np.random.SeedSequence(entropy=seed, spawn_key=(n,))
 
 
 @dataclass(frozen=True)
@@ -303,8 +302,8 @@ def conflict_density(
 ) -> Histogram:
     """Histogram of conjunctive conflict over sampled pairs on [0, 1].
 
-    Pairs come from the same seed-derived stream as the `stability_table`
-    row for `n` classes, so equal arguments describe the same pairs.
+    Pairs are the stream of (`seed`, `n`), the pairs `decision_change_rate`
+    draws for the same arguments.
 
     With ``subset="decision_change"`` only pairs whose decision flips are
     counted.  Frequencies are normalized to sum to 1 over the counted
@@ -318,7 +317,7 @@ def conflict_density(
     if subset not in HISTOGRAM_SUBSETS:
         raise ValueError(f"unknown subset {subset!r}; expected one of {HISTOGRAM_SUBSETS}")
     _check_law(law, n)
-    sample = _sample_pairs(n, n_samples, _class_count_seed(seed, n), law)
+    sample = _sample_pairs(n, n_samples, seed, law)
     return _histogram(n, sample, bins, subset)
 
 
@@ -354,7 +353,7 @@ def rate_and_histograms(
     _check_rate_args(n, n_samples, law)
     if bins < 1:
         raise ValueError("need at least one bin")
-    sample = _sample_pairs(n, n_samples, _class_count_seed(seed, n), law)
+    sample = _sample_pairs(n, n_samples, seed, law)
     return (
         _rate_row(n, n_samples, sample),
         _histogram(n, sample, bins, "all"),
@@ -435,12 +434,11 @@ def stability_table(
 ) -> list[StabilityResult]:
     """Run the decision-change experiment for several class counts.
 
-    Each class count gets its own seed-derived stream, so a table row does
+    Row n is ``decision_change_rate(n, n_samples, seed, law)``, so it does
     not depend on which other rows were requested.  Every count is checked
     before any row is drawn.
     """
     class_counts = list(class_counts)
     for n in class_counts:
         _check_rate_args(n, n_samples, law)
-    return [decision_change_rate(n, n_samples, _class_count_seed(seed, n), law=law)
-            for n in class_counts]
+    return [decision_change_rate(n, n_samples, seed, law=law) for n in class_counts]

@@ -194,11 +194,7 @@ def test_criterion_07_rule_choice_flips_the_decision():
 def stability_results():
     """Decision-change runs at full sample size, one per class count."""
     return {
-        n: decision_change_rate(
-            n,
-            STABILITY_PAIRS,
-            seed=np.random.SeedSequence(entropy=STABILITY_SEED, spawn_key=(n,)),
-        )
+        n: decision_change_rate(n, STABILITY_PAIRS, seed=STABILITY_SEED)
         for n in range(2, 8)
     }
 

@@ -340,15 +340,25 @@ class TestSimulate:
         assert code == 1
         assert "single class count" in capsys.readouterr().err
 
-    def test_seed_env_var(self, capsys, monkeypatch):
-        main(["simulate", "--classes", "2", "--samples", "200", "--seed", "99"])
-        explicit = capsys.readouterr().out
-        monkeypatch.setenv("EXPERTFUSE_SEED", "99")
-        main(["simulate", "--classes", "2", "--samples", "200"])
-        assert capsys.readouterr().out == explicit
-        monkeypatch.setenv("EXPERTFUSE_SEED", "later")
-        assert main(["simulate", "--classes", "2", "--samples", "200"]) == 1
-        assert "must be an integer" in capsys.readouterr().err
+    def test_a_negative_seed_is_refused_in_one_line(self, tmp_path, capsys):
+        for extra in ([], ["--histogram", str(tmp_path / "hist.csv")]):
+            assert main(["simulate", "--classes", "2", "--samples", "20", "--seed", "-1",
+                         "--out", str(tmp_path / "rates.csv"), *extra]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("spec, bad", [
+        ("x", "x"), ("3..", "3.."), ("2,,3", ""), ("..4", "..4"), ("2..x", "2..x"),
+    ])
+    def test_a_malformed_class_spec_is_quoted(self, capsys, spec, bad):
+        assert main(["simulate", "--classes", spec, "--samples", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --classes: {bad!r} is not a class count or a range such as 2..7\n"
+        )
 
     def test_bad_class_spec(self, capsys):
         assert main(["simulate", "--classes", "1..3", "--samples", "50"]) == 1
@@ -418,6 +428,21 @@ class TestCorpus:
         assert "exactly two" in capsys.readouterr().err
         assert main(["corpus", str(corpus_file), "--experts", "expert1,ghost"]) == 1
         assert "unknown expert" in capsys.readouterr().err
+
+    def test_one_expert_named_twice_is_refused(self, corpus_file, capsys):
+        assert main(["corpus", str(corpus_file), "--experts", "expert1, expert1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: an expert pair compares two different experts, got 'expert1' twice\n"
+        )
+
+    def test_weights_must_be_numbers(self, corpus_file, capsys):
+        for weights, bad in (("a,b,c", "a"), ("1,0.5x,0.3", "0.5x"), ("1,,0.3", "")):
+            assert main(["corpus", str(corpus_file), "--weights", weights]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: --weights: {bad!r} is not a number\n"
 
     def test_builds_the_expert_pair_once(self, corpus_file, monkeypatch, capsys):
         calls = []

@@ -362,6 +362,11 @@ class TestExpertPair:
             with pytest.raises(ValueError, match="compares exactly two experts"):
                 expert_pair(three, experts)
 
+    def test_one_expert_named_twice_is_refused(self, small_corpus):
+        with pytest.raises(ValueError, match="^an expert pair compares two different "
+                                             "experts, got 'e1' twice$"):
+            expert_pair(small_corpus, ("e1", "e1"))
+
 
 class TestConflictMatrix:
     def test_hand_computed_entries(self, small_corpus):

@@ -14,8 +14,9 @@ exit code, stdout, stderr and the `--json` bytes.  Each `simulate` case
 runs the CLI in process with a fixed seed; its digest covers the exit
 code, stdout, stderr and the bytes of the `--out` and `--histogram` files.
 The stdout of `scripts/run_worked_examples.py` is pinned by its digest,
-and `scripts/run_stability.py` must write the bytes `simulate` writes and
-report a bad value in one `error:` line.
+`scripts/run_stability.py` must write the bytes `simulate` writes and
+report a bad value in one `error:` line, and `scripts/make_demo_corpus.py`
+must reproduce `data/demo_corpus.csv` with its default flags.
 
 Rewrite the manifest, and say why wherever the change is logged, with
 
@@ -332,13 +333,43 @@ def test_run_stability_writes_what_simulate_writes(tmp_path):
 @pytest.mark.parametrize("flags, message", [
     (["--bins", "0"], "error: need at least one bin\n"),
     (["--classes", "27"], "error: at most 26 classes are supported, got 27\n"),
-])
+], ids=["bins-0", "classes-27"])
 def test_run_stability_reports_a_bad_value_in_one_line(tmp_path, flags, message):
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_stability.py"), *flags,
                            "--samples", "100", "--stem", str(tmp_path / "script")],
                           capture_output=True, text=True, env=_script_env())
     assert done.returncode == 1
     assert done.stderr == message
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_stability_refuses_a_negative_seed(tmp_path):
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_stability.py"),
+                           "--seed", "-1", "--samples", "100", "--stem", str(tmp_path / "s")],
+                          capture_output=True, text=True, env=_script_env())
+    assert done.returncode == 1
+    assert done.stderr == "error: seed must be a non-negative integer, got -1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def _make_demo_corpus(*flags: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / "make_demo_corpus.py"), *flags],
+                          capture_output=True, text=True, env=_script_env())
+
+
+def test_make_demo_corpus_reproduces_the_shipped_file(tmp_path):
+    out = tmp_path / "demo.csv"
+    done = _make_demo_corpus("--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert out.read_bytes() == DEMO.read_bytes()
+
+
+@pytest.mark.parametrize("tiles", ["0", "-3"])
+def test_make_demo_corpus_refuses_fewer_than_one_tile(tmp_path, tiles):
+    done = _make_demo_corpus("--tiles", tiles, "--out", str(tmp_path / "demo.csv"))
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == f"error: --tiles must be a positive integer, got {tiles}\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -286,6 +286,19 @@ class TestDecisionChangeRate:
         assert result.change_rate == 0.0
         assert math.isnan(result.mean_conflict_changed)
 
+    def test_a_negative_seed_is_refused(self):
+        calls = (
+            lambda: decision_change_rate(2, 10, -1),
+            lambda: stability_table([2, 3], 10, -1),
+            lambda: conflict_density(2, 10, seed=-1),
+            lambda: rate_and_histograms(2, 10, -1),
+        )
+        for call in calls:
+            with pytest.raises(ValueError,
+                               match="^seed must be a non-negative integer, got -1$"):
+                call()
+        assert decision_change_rate(2, 10, 0).accepted_pairs == 10
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             decision_change_rate(1, 100, seed=0)
@@ -350,6 +363,17 @@ class TestRateAndHistograms:
             rate_and_histograms(1, 10, 0)
         with pytest.raises(ValueError, match="law"):
             rate_and_histograms(3, 10, 0, law="beta")
+
+
+class TestOneStreamPerSeedAndClassCount:
+    @pytest.mark.parametrize("law", ["uniform", "product"])
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_every_entry_point_draws_the_same_pairs(self, n, law):
+        row = decision_change_rate(n, 1500, 11, law)
+        assert stability_table([n], 1500, 11, law)[0] == row
+        from_one_draw, full, _ = rate_and_histograms(n, 1500, 11, bins=9, law=law)
+        assert from_one_draw == row
+        assert conflict_density(n, 1500, 9, "all", 11, law) == full
 
 
 class TestInvariance:
