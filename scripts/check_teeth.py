@@ -66,8 +66,8 @@ MUTANTS = (
            "if top - v < TIE_TOLERANCE",
            ("tests/test_decision.py::TestDecide::test_a_gap_of_exactly_the_tolerance_is_a_tie",)),
     Mutant("src/expertfuse/stability.py",
-           "return (gap <= TIE_TOLERANCE).argmax(axis=0)",
-           "return (gap < TIE_TOLERANCE).argmax(axis=0)",
+           "near_top = gap <= TIE_TOLERANCE",
+           "near_top = gap < TIE_TOLERANCE",
            ("tests/test_stability.py::TestPairKernels"
             "::test_a_gap_of_exactly_the_tolerance_is_a_tie",)),
     Mutant("src/expertfuse/fusion.py",
@@ -84,8 +84,8 @@ MUTANTS = (
            ("tests/test_fusion.py::TestRedistribution"
             "::test_pure_conjunction_splits_equally_without_witnesses",)),
     Mutant("src/expertfuse/stability.py",
-           "over = rows.sum(axis=1) > 1.0\n        while over.any():",
-           "over = rows.sum(axis=1) > 1.0 + 1e-15\n        while over.any():",
+           "over = suspect.sum(axis=1) > 1.0\n            while over.any():",
+           "over = suspect.sum(axis=1) > 1.0 + 1e-15\n            while over.any():",
            ("tests/test_stability.py::TestAcceptedMasses"
             "::test_rounding_past_one_is_stepped_back",)),
     Mutant("scripts/run_stability.py",
@@ -100,6 +100,33 @@ MUTANTS = (
            "if seed < 0:",
            "if seed < -1:",
            ("tests/test_stability.py::TestDecisionChangeRate::test_a_negative_seed_is_refused",)),
+    Mutant("src/expertfuse/stability.py",
+           "_ROUNDING_THETA = 1e-12",
+           "_ROUNDING_THETA = 0.0",
+           ("tests/test_stability.py::TestAcceptedMasses"
+            "::test_a_small_positive_theta_past_one_is_stepped_back",)),
+    Mutant("src/expertfuse/stability.py",
+           "range(len(near_top) - 1, -1, -1)",
+           "range(len(near_top) - 1, 0, -1)",
+           ("tests/test_stability.py::TestPairKernels::test_choice_equals_argmax[2]",
+            "tests/test_stability.py::TestPairKernels::test_choice_equals_argmax[26]")),
+    Mutant("src/expertfuse/stability.py",
+           "a.min(axis=1, initial=1.0) > 0.0",
+           "a.min(axis=1, initial=1.0) >= 0.0",
+           ("tests/test_stability.py::TestPairKernels"
+            "::test_pcr5_equals_the_always_guarded_loop[2-column-in-both]",
+            "tests/test_stability.py::TestPairKernels"
+            "::test_pcr5_equals_the_always_guarded_loop[7-column-in-both]")),
+    Mutant("src/expertfuse/cli.py",
+           "    check_distinct_class_counts(counts)\n",
+           "",
+           ("tests/test_cli.py::TestSimulate"
+            "::test_a_repeated_class_count_is_refused_before_drawing[2,2-2]",)),
+    Mutant("scripts/run_stability.py",
+           "        check_distinct_class_counts(args.classes)\n",
+           "",
+           ("tests/test_golden.py"
+            "::test_run_stability_reports_a_bad_value_in_one_line[classes-2-twice]",)),
 )
 
 

@@ -25,6 +25,9 @@ def main() -> int:
     if args.tiles < 1:
         print(f"error: --tiles must be a positive integer, got {args.tiles}", file=sys.stderr)
         return 1
+    if args.seed < 0:
+        print(f"error: --seed must be a non-negative integer, got {args.seed}", file=sys.stderr)
+        return 1
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(generate_demo_corpus(args.tiles, args.seed), encoding="utf-8")
     print(f"wrote {args.out} ({args.tiles} tiles, seed {args.seed})")

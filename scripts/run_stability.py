@@ -11,7 +11,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from expertfuse.cli import DEFAULT_SEED, write_histogram_csv, write_rate_csv
+from expertfuse.cli import (
+    DEFAULT_SEED,
+    check_distinct_class_counts,
+    write_histogram_csv,
+    write_rate_csv,
+)
 from expertfuse.stability import SAMPLING_LAWS, rate_and_histograms
 
 
@@ -28,6 +33,7 @@ def main() -> int:
     args = parser.parse_args()
 
     try:
+        check_distinct_class_counts(args.classes)
         # one draw per class count gives its table row and both histograms
         drawn = [rate_and_histograms(n, args.samples, args.seed, args.bins, args.law)
                  for n in args.classes]

@@ -135,7 +135,15 @@ def _parse_class_counts(text: str) -> list[int]:
         if high > MAX_CLASSES:
             raise ValueError(f"class counts stop at {MAX_CLASSES}, got {high}")
         counts.extend(range(low, high + 1))
+    check_distinct_class_counts(counts)
     return counts
+
+
+def check_distinct_class_counts(counts: Sequence[int]) -> None:
+    """Refuse a class count given twice: it would draw the same stream twice."""
+    for k, n in enumerate(counts):
+        if n in counts[:k]:
+            raise ValueError(f"--classes: class count {n} given twice")
 
 
 def write_rate_csv(path: str | os.PathLike, results: Sequence[StabilityResult]) -> None:

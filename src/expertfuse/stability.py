@@ -51,6 +51,14 @@ MAX_CLASSES = 26
 # at 26 classes one row did not arrive within 120 s.
 PRODUCT_LAW_MAX_CLASSES = 12
 
+# Largest Θ part of a uniform-law row whose singleton parts may still sum
+# past 1 after rounding.  With unit roundoff u = 2⁻⁵³, the row total has a
+# relative error of at most ~n·u, each quotient at most u and the sum of
+# the first n quotients at most ~n·u, so the computed singleton sum is at
+# most about 1 + 2n·u − Θ and cannot pass 1 once Θ > ~2n·u: 5.8e-15 at
+# n = 26.  This cut-off leaves a ~170× margin above that.
+_ROUNDING_THETA = 1e-12
+
 
 def _check_classes(n: int) -> None:
     if n < 2:
@@ -74,19 +82,27 @@ def _accepted_masses(
     """`count` singleton-mass rows drawn from the law, plus rows drawn.
 
     Under the uniform law every drawn row is kept: n + 1 standard
-    exponentials normalized by their sum are a flat Dirichlet, whose
-    first n parts are uniform on E (Devroye, Non-Uniform Random Variate
-    Generation, 1986, ch. V).  Under the product law candidates are drawn
-    in fixed chunks and kept, in stream order, when they sum to at most 1.
+    exponentials normalized in place by their sum are a flat Dirichlet,
+    whose first n parts are uniform on E (Devroye, Non-Uniform Random
+    Variate Generation, 1986, ch. V).  Rounding can lift the singleton sum
+    of a row whose Θ part is ~1e-16 just past 1; only rows whose Θ part is
+    at most `_ROUNDING_THETA` are checked, and those past 1 are stepped
+    toward 0 one ulp at a time until they sum to at most 1.  Under the
+    product law candidates are drawn in fixed chunks and kept, in stream
+    order, when they sum to at most 1.
     """
     if law == "uniform":
         e = rng.standard_exponential((count, n + 1))
-        rows = (e / e.sum(axis=1, keepdims=True))[:, :n]
-        # rounding can lift a row whose Θ part is ~1e-16 just past 1
-        over = rows.sum(axis=1) > 1.0
-        while over.any():
-            rows[over] = np.nextafter(rows[over], 0.0)
-            over = rows.sum(axis=1) > 1.0
+        e /= e.sum(axis=1, keepdims=True)
+        rows = e[:, :n]
+        near_one = np.flatnonzero(e[:, n] <= _ROUNDING_THETA)
+        if len(near_one):
+            suspect = rows[near_one]
+            over = suspect.sum(axis=1) > 1.0
+            while over.any():
+                suspect[over] = np.nextafter(suspect[over], 0.0)
+                over = suspect.sum(axis=1) > 1.0
+            rows[near_one] = suspect
         return rows, count
 
     def keep(u: np.ndarray) -> np.ndarray:
@@ -143,9 +159,16 @@ def _pcr5_parts(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
     the starting point: each conflicting product a_i·b_j (i ≠ j) returns
     to classes i and j in proportion to a_i and b_j.  The Θ mass is the
     conjunctive one.
+
+    A zero denominator a_i + b_j, where the product is 0 too, divides by
+    1 instead.  Class i skips that guard when every a_i is positive and
+    every b_j is non-negative, since no denominator can then be 0; a NaN
+    fails both tests and keeps the guard.
     """
     p = s.copy()
     n = len(a)
+    # initial= keeps an empty block from raising
+    safe = (a.min(axis=1, initial=1.0) > 0.0) & (b.min(initial=0.0) >= 0.0)
     for i in range(n):
         ai = a[i]
         for j in range(n):
@@ -153,7 +176,9 @@ def _pcr5_parts(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
                 continue
             bj = b[j]
             denom = ai + bj
-            shared = ai * bj / np.where(denom > 0.0, denom, 1.0)
+            if not safe[i]:
+                denom = np.where(denom > 0.0, denom, 1.0)
+            shared = ai * bj / denom
             p[i] += ai * shared
             p[j] += bj * shared
     return p
@@ -163,10 +188,17 @@ def _pignistic_choice(values: np.ndarray) -> np.ndarray:
     """Per pair, the lowest class index within the tie tolerance of the maximum.
 
     `values` is class-major and is overwritten; this is the choice
-    `decision.decide` makes among the singletons.
+    `decision.decide` makes among the singletons.  Classes are assigned
+    from the last down to the first, each over the pairs it is within the
+    tolerance for, so the lowest such class is written last; a pair with
+    no class within it (a NaN column) keeps class 0.
     """
     gap = np.subtract(values.max(axis=0), values, out=values)
-    return (gap <= TIE_TOLERANCE).argmax(axis=0)
+    near_top = gap <= TIE_TOLERANCE
+    choice = np.zeros(values.shape[1], dtype=np.intp)
+    for k in range(len(near_top) - 1, -1, -1):
+        choice[near_top[k]] = k
+    return choice
 
 
 def _decide_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from expertfuse import cli
 from expertfuse.cli import main
 from expertfuse.corpus import expert_pair, generate_demo_corpus
 from expertfuse.decision import criteria_table
@@ -347,6 +348,21 @@ class TestSimulate:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("spec, repeated", [("2,2", 2), ("2..3,3", 3), ("4,2..5", 4)])
+    def test_a_repeated_class_count_is_refused_before_drawing(
+        self, tmp_path, capsys, monkeypatch, spec, repeated
+    ):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a sample")
+
+        monkeypatch.setattr(cli, "stability_table", no_draw)
+        assert main(["simulate", "--classes", spec, "--samples", "5",
+                     "--out", str(tmp_path / "rates.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --classes: class count {repeated} given twice\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("spec, bad", [

@@ -333,7 +333,8 @@ def test_run_stability_writes_what_simulate_writes(tmp_path):
 @pytest.mark.parametrize("flags, message", [
     (["--bins", "0"], "error: need at least one bin\n"),
     (["--classes", "27"], "error: at most 26 classes are supported, got 27\n"),
-], ids=["bins-0", "classes-27"])
+    (["--classes", "2", "3", "2"], "error: --classes: class count 2 given twice\n"),
+], ids=["bins-0", "classes-27", "classes-2-twice"])
 def test_run_stability_reports_a_bad_value_in_one_line(tmp_path, flags, message):
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_stability.py"), *flags,
                            "--samples", "100", "--stem", str(tmp_path / "script")],
@@ -370,6 +371,14 @@ def test_make_demo_corpus_refuses_fewer_than_one_tile(tmp_path, tiles):
     assert done.returncode == 1
     assert done.stdout == ""
     assert done.stderr == f"error: --tiles must be a positive integer, got {tiles}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_make_demo_corpus_refuses_a_negative_seed(tmp_path):
+    done = _make_demo_corpus("--seed", "-1", "--out", str(tmp_path / "demo.csv"))
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == "error: --seed must be a non-negative integer, got -1\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -56,6 +56,38 @@ def _beta_1_n_ks(x, n):
     return max((k / len(x) - cdf).max(), (cdf - (k - 1) / len(x)).max())
 
 
+def _uniform_rows_checking_every_row(n, count, rng):
+    """Uniform-law rows with the rounding check run on every row."""
+    e = rng.standard_exponential((count, n + 1))
+    rows = (e / e.sum(axis=1, keepdims=True))[:, :n]
+    over = rows.sum(axis=1) > 1.0
+    while over.any():
+        rows[over] = np.nextafter(rows[over], 0.0)
+        over = rows.sum(axis=1) > 1.0
+    return rows
+
+
+def _pcr5_always_guarded(a, b, s):
+    """`_pcr5_parts` with the zero-denominator guard on every class pair."""
+    p = s.copy()
+    n = len(a)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            denom = a[i] + b[j]
+            shared = a[i] * b[j] / np.where(denom > 0.0, denom, 1.0)
+            p[i] += a[i] * shared
+            p[j] += b[j] * shared
+    return p
+
+
+def _choice_by_argmax(values):
+    """`_pignistic_choice` as the first class within the tolerance, by argmax."""
+    gap = values.max(axis=0) - values
+    return (gap <= TIE_TOLERANCE).argmax(axis=0)
+
+
 class TestClassLimit:
     def test_26_classes_run(self):
         assert MAX_CLASSES == 26
@@ -151,6 +183,24 @@ class TestAcceptedMasses:
         assert (rows >= 0.0).all()
         assert rows[0] == pytest.approx([1 / 6, 2 / 3, 1 / 6], abs=1e-15)
 
+    def test_a_small_positive_theta_past_one_is_stepped_back(self):
+        # the Θ part is ~8e-17, inside the checked band, and the three
+        # singleton parts still round to 1 + 2^-52
+        draw = [[0.1, 0.4, 0.1, 5e-17]]
+        normalized = np.array(draw) / np.sum(draw)
+        assert 0.0 < normalized[0, 3] <= 1e-12
+        assert normalized[0, :3].sum() > 1.0
+        rows, _ = _accepted_masses(3, 1, FakeRng([draw]), "uniform")
+        assert rows.sum() <= 1.0
+        assert np.array_equal(rows, _uniform_rows_checking_every_row(3, 1, FakeRng([draw])))
+
+    @pytest.mark.parametrize("n", [2, 7, 8, 26])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_uniform_rows_equal_the_every_row_check(self, n, seed):
+        rows, _ = _accepted_masses(n, 3000, np.random.default_rng(seed), "uniform")
+        expected = _uniform_rows_checking_every_row(n, 3000, np.random.default_rng(seed))
+        assert np.array_equal(rows, expected)
+
     @pytest.mark.parametrize("law", ["uniform", "product"])
     def test_rows_are_deterministic_per_seed(self, law):
         first, _ = _accepted_masses(4, 1000, np.random.default_rng(9), law)
@@ -234,6 +284,46 @@ class TestPairKernels:
         values = np.array([[0.0], [1e-12]])
         assert values[1, 0] - values[0, 0] == TIE_TOLERANCE
         assert stability._pignistic_choice(values).tolist() == [0]
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 26])
+    def test_choice_equals_argmax(self, n):
+        rng = np.random.default_rng(300 + n)
+        cols = 400
+        random = rng.random((n, cols))
+        # a top class and a second class exactly the tolerance below it
+        ties = -0.5 - rng.random((n, cols))
+        top, second = rng.integers(n, size=cols), rng.integers(n, size=cols)
+        ties[second, np.arange(cols)] = 0.0
+        ties[top, np.arange(cols)] = TIE_TOLERANCE
+        first_two = rng.random((n, cols)) * 0.5
+        first_two[:2] = 0.75
+        nan = random.copy()
+        nan[:, ::7] = np.nan
+        for values in (random, ties, first_two, nan):
+            expected = _choice_by_argmax(values.copy())
+            choice = stability._pignistic_choice(values.copy())
+            assert choice.dtype == expected.dtype
+            assert np.array_equal(choice, expected)
+        assert (_choice_by_argmax(first_two) == 0).all()
+        assert (_choice_by_argmax(nan[:, ::7]) == 0).all()
+
+    @pytest.mark.parametrize("zeros", ["none", "in-a", "in-b", "column-in-both"])
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_pcr5_equals_the_always_guarded_loop(self, n, zeros):
+        rng = np.random.default_rng(400 + n)
+        rows, _ = _accepted_masses(n, 2 * 500, rng, "uniform")
+        a, b = np.ascontiguousarray(rows[0::2].T), np.ascontiguousarray(rows[1::2].T)
+        hole = rng.random(a.shape) < 0.2
+        if zeros == "in-a":
+            a[hole] = 0.0
+        elif zeros == "in-b":
+            b[hole] = 0.0
+        elif zeros == "column-in-both":
+            a[:, 17] = b[:, 17] = 0.0
+        s, _, _ = stability._conjunctive_parts(a, b)
+        expected = _pcr5_always_guarded(a, b, s)
+        assert np.isfinite(expected).all()
+        assert np.array_equal(stability._pcr5_parts(a, b, s), expected)
 
     def test_total_conflict_has_no_decision(self):
         a = np.array([[0.2, 0.3], [1.0, 0.0]])
