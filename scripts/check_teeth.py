@@ -93,13 +93,15 @@ MUTANTS = (
            "except OSError as exc:",
            ("tests/test_golden.py::test_run_stability_reports_a_bad_value_in_one_line[bins-0]",)),
     Mutant("src/expertfuse/stability.py",
-           "spawn_key=(n,)",
-           "spawn_key=(n + 1,)",
+           "_stream(seed, n)",
+           "_stream(seed, n + 1)",
            ("tests/test_golden.py::test_simulate_case_matches_manifest[uniform-2..7]",)),
     Mutant("src/expertfuse/stability.py",
            "if seed < 0:",
            "if seed < -1:",
-           ("tests/test_stability.py::TestDecisionChangeRate::test_a_negative_seed_is_refused",)),
+           ("tests/test_stability.py::TestDecisionChangeRate::test_a_negative_seed_is_refused",
+            "tests/test_stability.py::TestInvariance"
+            "::test_a_negative_seed_is_refused_before_drawing")),
     Mutant("src/expertfuse/stability.py",
            "_ROUNDING_THETA = 1e-12",
            "_ROUNDING_THETA = 0.0",
@@ -118,15 +120,47 @@ MUTANTS = (
             "tests/test_stability.py::TestPairKernels"
             "::test_pcr5_equals_the_always_guarded_loop[7-column-in-both]")),
     Mutant("src/expertfuse/cli.py",
-           "    check_distinct_class_counts(counts)\n",
+           "        check_class_counts(counts, law)\n",
            "",
            ("tests/test_cli.py::TestSimulate"
             "::test_a_repeated_class_count_is_refused_before_drawing[2,2-2]",)),
-    Mutant("scripts/run_stability.py",
-           "        check_distinct_class_counts(args.classes)\n",
+    Mutant("src/expertfuse/cli.py",
+           "            check_class_counts(sorted({low, high}), law)\n",
            "",
+           ("tests/test_cli.py::TestSimulate::test_class_counts_stop_at_26",)),
+    Mutant("scripts/run_stability.py",
+           "check_class_counts(args.classes, args.law)",
+           "pass",
            ("tests/test_golden.py"
-            "::test_run_stability_reports_a_bad_value_in_one_line[classes-2-twice]",)),
+            "::test_run_stability_reports_a_bad_value_in_one_line[classes-2-twice]",
+            "tests/test_golden.py"
+            "::test_run_stability_checks_every_class_count_before_drawing[classes-7-27]",
+            "tests/test_golden.py"
+            "::test_run_stability_checks_every_class_count_before_drawing[product-12-13]")),
+    Mutant("scripts/run_stability.py",
+           "check_class_counts(args.classes, args.law)",
+           "check_class_counts(args.classes)",
+           ("tests/test_golden.py"
+            "::test_run_stability_checks_every_class_count_before_drawing[product-12-13]",)),
+    Mutant("src/expertfuse/stability.py",
+           "if n in class_counts[:k]:",
+           "if n in class_counts[:0]:",
+           ("tests/test_stability.py::TestCheckClassCounts"
+            "::test_a_repeated_count_is_refused_before_drawing",)),
+    Mutant("src/expertfuse/stability.py",
+           "int(choice_conj[k]), int(choice_pcr[k])",
+           "int(choice_pcr[k]), int(choice_conj[k])",
+           ("tests/test_stability.py::TestInvariance"
+            "::test_a_flipped_row_is_reported_field_by_field[across]",
+            "tests/test_stability.py::TestInvariance"
+            "::test_a_flipped_row_is_reported_field_by_field[within]")),
+    Mutant("src/expertfuse/lattice.py",
+           "            return NotImplemented\n        self._require_same_frame(other)\n"
+           "        return self.mask & ~other.mask == 0",
+           "            pass\n        self._require_same_frame(other)\n"
+           "        return self.mask & ~other.mask == 0",
+           ("tests/test_lattice.py::test_a_non_element_operand_raises_type_error[le-int]",
+            "tests/test_lattice.py::test_a_non_element_operand_raises_type_error[le-str]")),
 )
 
 

@@ -11,13 +11,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from expertfuse.cli import (
-    DEFAULT_SEED,
-    check_distinct_class_counts,
-    write_histogram_csv,
-    write_rate_csv,
-)
-from expertfuse.stability import SAMPLING_LAWS, rate_and_histograms
+from expertfuse.cli import DEFAULT_SEED, write_histogram_csv, write_rate_csv
+from expertfuse.stability import SAMPLING_LAWS, check_class_counts, rate_and_histograms
 
 
 def main() -> int:
@@ -33,7 +28,11 @@ def main() -> int:
     args = parser.parse_args()
 
     try:
-        check_distinct_class_counts(args.classes)
+        check_class_counts(args.classes, args.law)
+    except ValueError as exc:
+        print(f"error: --classes: {exc}", file=sys.stderr)
+        return 1
+    try:
         # one draw per class count gives its table row and both histograms
         drawn = [rate_and_histograms(n, args.samples, args.seed, args.bins, args.law)
                  for n in args.classes]

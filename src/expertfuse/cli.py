@@ -23,10 +23,10 @@ from .fusion import RULE_NAMES, combine, redistribute_conjunctions
 from .lattice import FocalElement, Model
 from .mass import MassFunction
 from .stability import (
-    MAX_CLASSES,
     SAMPLING_LAWS,
     Histogram,
     StabilityResult,
+    check_class_counts,
     rate_and_histograms,
     stability_table,
 )
@@ -116,34 +116,26 @@ def cmd_decide(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_class_counts(text: str) -> list[int]:
+def _parse_class_counts(text: str, law: str) -> list[int]:
+    """The counts of a ``--classes`` spec; range ends are checked before expansion."""
     counts: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        low_text, dots, high_text = part.partition("..")
-        try:
-            low = int(low_text)
-            high = int(high_text) if dots else low
-        except ValueError:
-            raise ValueError(
-                f"--classes: {part!r} is not a class count or a range such as 2..7"
-            ) from None
-        if high < low:
-            raise ValueError(f"empty class range {part!r}")
-        if low < 2:
-            raise ValueError(f"class counts start at 2, got {low}")
-        if high > MAX_CLASSES:
-            raise ValueError(f"class counts stop at {MAX_CLASSES}, got {high}")
-        counts.extend(range(low, high + 1))
-    check_distinct_class_counts(counts)
+    try:
+        for part in text.split(","):
+            part = part.strip()
+            low_text, dots, high_text = part.partition("..")
+            try:
+                low = int(low_text)
+                high = int(high_text) if dots else low
+            except ValueError:
+                raise ValueError(f"{part!r} is not a class count or a range such as 2..7") from None
+            if high < low:
+                raise ValueError(f"empty class range {part!r}")
+            check_class_counts(sorted({low, high}), law)
+            counts.extend(range(low, high + 1))
+        check_class_counts(counts, law)
+    except ValueError as exc:
+        raise ValueError(f"--classes: {exc}") from None
     return counts
-
-
-def check_distinct_class_counts(counts: Sequence[int]) -> None:
-    """Refuse a class count given twice: it would draw the same stream twice."""
-    for k, n in enumerate(counts):
-        if n in counts[:k]:
-            raise ValueError(f"--classes: class count {n} given twice")
 
 
 def write_rate_csv(path: str | os.PathLike, results: Sequence[StabilityResult]) -> None:
@@ -166,7 +158,7 @@ def write_histogram_csv(path: str | os.PathLike, full: Histogram, flipped: Histo
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    counts = _parse_class_counts(args.classes)
+    counts = _parse_class_counts(args.classes, args.law)
     if args.histogram:
         if len(counts) != 1:
             raise ValueError("--histogram needs a single class count")

@@ -195,26 +195,30 @@ class FocalElement:
                 "not a valid free-model element: cell set is not upward-closed"
             )
 
+    # A non-element operand gets NotImplemented, so Python raises TypeError.
+    # Python reflects `>=` and `>` to `<=` and `<`.
     def __and__(self, other: "FocalElement") -> "FocalElement":
+        if not isinstance(other, FocalElement):
+            return NotImplemented
         self._require_same_frame(other)
         return FocalElement(self.frame, self.mask & other.mask)
 
     def __or__(self, other: "FocalElement") -> "FocalElement":
+        if not isinstance(other, FocalElement):
+            return NotImplemented
         self._require_same_frame(other)
         return FocalElement(self.frame, self.mask | other.mask)
 
     def __le__(self, other: "FocalElement") -> bool:
+        if not isinstance(other, FocalElement):
+            return NotImplemented
         self._require_same_frame(other)
         return self.mask & ~other.mask == 0
 
     def __lt__(self, other: "FocalElement") -> bool:
+        if not isinstance(other, FocalElement):
+            return NotImplemented
         return self <= other and self.mask != other.mask
-
-    def __ge__(self, other: "FocalElement") -> bool:
-        return other <= self
-
-    def __gt__(self, other: "FocalElement") -> bool:
-        return other < self
 
     def __len__(self) -> int:
         return self.mask.bit_count()

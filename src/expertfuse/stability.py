@@ -19,16 +19,17 @@ collapses with the class count, so it stops at 12 classes.
 
 A seed and a class count name one stream: every entry point that takes a
 class count draws the pairs for (seed, n) from a `SeedSequence` with
-entropy `seed` and spawn key ``(n,)``, and refuses a negative seed.
+entropy `seed` and spawn key ``(n,)``, after `check_class_counts` passes.
 `invariance_check`, which has no class count, draws from
-``default_rng(seed)``.  Everything here is deterministic given its arguments.
+``default_rng(seed)``.  Every entry point refuses a negative seed, and
+everything here is deterministic given its arguments.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,20 +61,32 @@ PRODUCT_LAW_MAX_CLASSES = 12
 _ROUNDING_THETA = 1e-12
 
 
-def _check_classes(n: int) -> None:
-    if n < 2:
-        raise ValueError(f"need at least two classes, got {n}")
-    if n > MAX_CLASSES:
-        raise ValueError(f"at most {MAX_CLASSES} classes are supported, got {n}")
+def check_class_counts(class_counts: Sequence[int], law: str = "uniform") -> None:
+    """Refuse an unknown law and any count the Monte Carlo entry points cannot draw.
 
-
-def _check_law(law: str, n: int) -> None:
+    A count must lie in 2..`MAX_CLASSES`, or 2..`PRODUCT_LAW_MAX_CLASSES`
+    under the product law, and appear once, since it names one stream.
+    """
     if law not in SAMPLING_LAWS:
         raise ValueError(f"unknown sampling law {law!r}; expected one of {SAMPLING_LAWS}")
-    if law == "product" and n > PRODUCT_LAW_MAX_CLASSES:
-        raise ValueError(
-            f"the product law supports at most {PRODUCT_LAW_MAX_CLASSES} classes, got {n}"
-        )
+    for k, n in enumerate(class_counts):
+        if n < 2:
+            raise ValueError(f"need at least two classes, got {n}")
+        if n > MAX_CLASSES:
+            raise ValueError(f"at most {MAX_CLASSES} classes are supported, got {n}")
+        if law == "product" and n > PRODUCT_LAW_MAX_CLASSES:
+            raise ValueError(
+                f"the product law supports at most {PRODUCT_LAW_MAX_CLASSES} classes, got {n}"
+            )
+        if n in class_counts[:k]:
+            raise ValueError(f"class count {n} given twice")
+
+
+def _stream(seed: int, *spawn_key: int) -> np.random.Generator:
+    """The generator of `seed` and `spawn_key`; a negative seed is refused."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=spawn_key))
 
 
 def _accepted_masses(
@@ -266,19 +279,15 @@ class _PairSample(NamedTuple):
 
 
 def _sample_pairs(n: int, n_samples: int, seed: int, law: str) -> _PairSample:
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(n,)))
-    rows, drawn = _accepted_masses(n, 2 * n_samples, rng, law)
+    rows, drawn = _accepted_masses(n, 2 * n_samples, _stream(seed, n), law)
     choice_conj, choice_pcr, conflict = pair_decisions(rows[0::2], rows[1::2])
     return _PairSample(conflict, choice_conj != choice_pcr, drawn)
 
 
 def _check_rate_args(n: int, n_samples: int, law: str) -> None:
-    _check_classes(n)
+    check_class_counts([n], law)
     if n_samples < 1:
         raise ValueError("need at least one accepted pair")
-    _check_law(law, n)
 
 
 def _rate_row(n: int, n_samples: int, sample: _PairSample) -> StabilityResult:
@@ -341,14 +350,13 @@ def conflict_density(
     counted.  Frequencies are normalized to sum to 1 over the counted
     pairs; zero pairs give an all-zero histogram.
     """
-    _check_classes(n)
+    check_class_counts([n], law)
     if n_samples < 0:
         raise ValueError("sample count cannot be negative")
     if bins < 1:
         raise ValueError("need at least one bin")
     if subset not in HISTOGRAM_SUBSETS:
         raise ValueError(f"unknown subset {subset!r}; expected one of {HISTOGRAM_SUBSETS}")
-    _check_law(law, n)
     sample = _sample_pairs(n, n_samples, seed, law)
     return _histogram(n, sample, bins, subset)
 
@@ -417,8 +425,9 @@ def invariance_check(
     ``"across"`` samples pairs constrained by m1(A) = m2(B), ``"within"``
     by m1(A) = m1(B); in both situations the conjunctive and the
     redistributed decisions provably coincide, so the returned list of
-    counterexamples is expected to stay empty.  Exact pignistic ties under
-    either rule are excluded from the comparison.
+    counterexamples is expected to stay empty.  Both rules decide through
+    `pair_decisions`, so a pignistic tie goes to the lowest class, as in
+    `decision.decide`.
     """
     if n_samples < 0:
         raise ValueError("sample count cannot be negative")
@@ -426,36 +435,15 @@ def invariance_check(
         raise ValueError(
             f"unknown constraint {constraint!r}; expected one of {INVARIANCE_CONSTRAINTS}"
         )
-    rng = np.random.default_rng(seed)
-    if constraint == "across":
-        # m1 = (x, y), m2 = (z, x): both rows must stay inside E
-        rows, _ = _kept_rows(rng, 3, n_samples, lambda u: u[
-            (u[:, 0] + u[:, 1] <= 1.0) & (u[:, 2] + u[:, 0] <= 1.0)])
-        x, y, z = rows.T
-        a, b = np.stack((x, y)), np.stack((z, x))
-    else:
-        # m1 = (x, x), m2 = (y, z)
-        rows, _ = _kept_rows(rng, 3, n_samples, lambda u: u[
-            (2.0 * u[:, 0] <= 1.0) & (u[:, 1] + u[:, 2] <= 1.0)])
-        x, y, z = rows.T
-        a, b = np.stack((x, x)), np.stack((y, z))
-    s, _, _ = _conjunctive_parts(a, b)
-    p = _pcr5_parts(a, b, s)
-    tie = (np.abs(s[0] - s[1]) <= TIE_TOLERANCE) | (np.abs(p[0] - p[1]) <= TIE_TOLERANCE)
-    differ = (s.argmax(axis=0) != p.argmax(axis=0)) & ~tie
-    out: list[InvarianceCase] = []
-    for idx in np.flatnonzero(differ):
-        out.append(
-            InvarianceCase(
-                m1_a=float(a[0, idx]),
-                m1_b=float(a[1, idx]),
-                m2_a=float(b[0, idx]),
-                m2_b=float(b[1, idx]),
-                consensus_choice=int(s[:, idx].argmax()),
-                pcr5_choice=int(p[:, idx].argmax()),
-            )
-        )
-    return out
+    # a draw is (x, y, z): across, m1 = (x, y) and m2 = (z, x); within,
+    # m1 = (x, x) and m2 = (y, z); both experts must stay inside E
+    first, second = ([0, 1], [2, 0]) if constraint == "across" else ([0, 0], [1, 2])
+    rows, _ = _kept_rows(_stream(seed), 3, n_samples, lambda u: u[
+        (u[:, first].sum(axis=1) <= 1.0) & (u[:, second].sum(axis=1) <= 1.0)])
+    a, b = rows[:, first], rows[:, second]
+    choice_conj, choice_pcr, _ = pair_decisions(a, b)
+    return [InvarianceCase(*a[k].tolist(), *b[k].tolist(), int(choice_conj[k]), int(choice_pcr[k]))
+            for k in np.flatnonzero(choice_conj != choice_pcr)]
 
 
 def stability_table(
@@ -471,6 +459,5 @@ def stability_table(
     before any row is drawn.
     """
     class_counts = list(class_counts)
-    for n in class_counts:
-        _check_rate_args(n, n_samples, law)
+    check_class_counts(class_counts, law)
     return [decision_change_rate(n, n_samples, seed, law=law) for n in class_counts]

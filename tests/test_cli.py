@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from expertfuse import cli
+from expertfuse import cli, stability
 from expertfuse.cli import main
 from expertfuse.corpus import expert_pair, generate_demo_corpus
 from expertfuse.decision import criteria_table
@@ -378,17 +378,19 @@ class TestSimulate:
 
     def test_bad_class_spec(self, capsys):
         assert main(["simulate", "--classes", "1..3", "--samples", "50"]) == 1
-        assert "start at 2" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: --classes: need at least two classes, got 1\n"
         assert main(["simulate", "--classes", "5..3", "--samples", "50"]) == 1
-        assert "empty class range" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: --classes: empty class range '5..3'\n"
 
     def test_class_counts_stop_at_26(self, capsys):
         assert main(["simulate", "--classes", "26", "--samples", "5"]) == 0
         assert capsys.readouterr().out.splitlines()[1].split()[0] == "26"
-        for spec in ("27", "40..41", "2..27", "2..2000000"):
+        for spec, bad in (("27", 27), ("40..41", 40), ("2..27", 27), ("2..2000000", 2000000)):
             assert main(["simulate", "--classes", spec, "--samples", "1"]) == 1
             captured = capsys.readouterr()
-            assert captured.err.startswith("error: class counts stop at 26, got ")
+            assert captured.err == (
+                f"error: --classes: at most 26 classes are supported, got {bad}\n"
+            )
             assert captured.out == ""
 
     def test_product_law_stops_at_12_classes(self, tmp_path, capsys):
@@ -398,11 +400,31 @@ class TestSimulate:
             assert main(["simulate", "--law", "product", "--classes", spec,
                          "--samples", "5"]) == 1
             captured = capsys.readouterr()
-            assert captured.err == "error: the product law supports at most 12 classes, got 13\n"
+            assert captured.err == (
+                "error: --classes: the product law supports at most 12 classes, got 13\n"
+            )
             assert captured.out == ""
         assert main(["simulate", "--law", "product", "--classes", "13", "--samples", "5",
                      "--histogram", str(tmp_path / "hist.csv")]) == 1
         assert "at most 12 classes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--classes", "2..27"], "at most 26 classes are supported, got 27"),
+        (["--law", "product", "--classes", "2..13"],
+         "the product law supports at most 12 classes, got 13"),
+    ])
+    def test_a_bad_range_is_refused_before_drawing(self, tmp_path, capsys, monkeypatch,
+                                                   flags, message):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a sample")
+
+        monkeypatch.setattr(stability, "_sample_pairs", no_draw)
+        assert main(["simulate", *flags, "--samples", "5",
+                     "--out", str(tmp_path / "rates.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --classes: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCorpus:

@@ -32,6 +32,7 @@ import io
 import json
 import os
 import random
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -39,6 +40,7 @@ from pathlib import Path
 
 import pytest
 
+from expertfuse import stability
 from expertfuse.cli import main
 from expertfuse.expert_models import SEDIMENT_CLASSES
 from golden_objects import digests as object_digests
@@ -332,7 +334,7 @@ def test_run_stability_writes_what_simulate_writes(tmp_path):
 
 @pytest.mark.parametrize("flags, message", [
     (["--bins", "0"], "error: need at least one bin\n"),
-    (["--classes", "27"], "error: at most 26 classes are supported, got 27\n"),
+    (["--classes", "27"], "error: --classes: at most 26 classes are supported, got 27\n"),
     (["--classes", "2", "3", "2"], "error: --classes: class count 2 given twice\n"),
 ], ids=["bins-0", "classes-27", "classes-2-twice"])
 def test_run_stability_reports_a_bad_value_in_one_line(tmp_path, flags, message):
@@ -341,6 +343,25 @@ def test_run_stability_reports_a_bad_value_in_one_line(tmp_path, flags, message)
                           capture_output=True, text=True, env=_script_env())
     assert done.returncode == 1
     assert done.stderr == message
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--classes", "7", "27"], "at most 26 classes are supported, got 27"),
+    (["--law", "product", "--classes", "12", "13"],
+     "the product law supports at most 12 classes, got 13"),
+], ids=["classes-7-27", "product-12-13"])
+def test_run_stability_checks_every_class_count_before_drawing(tmp_path, monkeypatch, capsys,
+                                                               flags, message):
+    def no_draw(*args):
+        raise AssertionError("drew a sample")
+
+    monkeypatch.setattr(stability, "_sample_pairs", no_draw)
+    monkeypatch.setattr(sys, "argv", ["run_stability.py", *flags, "--samples", "200000",
+                                      "--stem", str(tmp_path / "s")])
+    script = runpy.run_path(str(ROOT / "scripts" / "run_stability.py"))
+    assert script["main"]() == 1
+    assert capsys.readouterr() == ("", f"error: --classes: {message}\n")
     assert list(tmp_path.iterdir()) == []
 
 

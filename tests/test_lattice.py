@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import operator
 
 import pytest
 from hypothesis import given
@@ -79,9 +80,22 @@ def test_meet_join_cardinality_against_oracle():
         assert cell_set(n, (x & y).mask) == sx & sy
         assert cell_set(n, (x | y).mask) == sx | sy
         assert (x <= y) == (sx <= sy)
+        assert (x < y) == (sx < sy)
+        assert (x >= y) == (sx >= sy)
+        assert (x > y) == (sx > sy)
     for x in elements:
         assert x.cardinality == len(cell_set(n, x.mask))
         assert x.cardinality == len(x)
+
+
+@pytest.mark.parametrize("other", [5, "A"], ids=["int", "str"])
+@pytest.mark.parametrize("op", [
+    operator.le, operator.lt, operator.ge, operator.gt, operator.and_, operator.or_,
+], ids=["le", "lt", "ge", "gt", "and", "or"])
+def test_a_non_element_operand_raises_type_error(op, other):
+    element = make_frame(LABELS[:2]).atoms()[0]
+    with pytest.raises(TypeError):
+        op(element, other)
 
 
 def test_atoms_cover_the_right_cells():

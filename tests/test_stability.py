@@ -16,7 +16,9 @@ from expertfuse.stability import (
     _DEFAULT_CHUNK,
     MAX_CLASSES,
     PRODUCT_LAW_MAX_CLASSES,
+    InvarianceCase,
     _accepted_masses,
+    check_class_counts,
     conflict_density,
     decision_change_rate,
     invariance_check,
@@ -103,6 +105,32 @@ class TestClassLimit:
         for call in calls:
             with pytest.raises(ValueError, match="at most 26 classes"):
                 call()
+
+
+class TestCheckClassCounts:
+    @pytest.mark.parametrize("counts, law, message", [
+        ([2, 1], "uniform", "need at least two classes, got 1"),
+        ([27], "uniform", "at most 26 classes are supported, got 27"),
+        ([12, 13], "product", "the product law supports at most 12 classes, got 13"),
+        ([], "beta", "unknown sampling law 'beta'; expected one of ('uniform', 'product')"),
+        ([2, 3, 2], "uniform", "class count 2 given twice"),
+    ])
+    def test_each_refusal_reads_its_reason(self, counts, law, message):
+        with pytest.raises(ValueError) as caught:
+            check_class_counts(counts, law)
+        assert str(caught.value) == message
+
+    def test_distinct_counts_in_range_pass(self):
+        check_class_counts([7, 2, 26])
+        check_class_counts(range(2, 13), "product")
+
+    def test_a_repeated_count_is_refused_before_drawing(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew a sample")
+
+        monkeypatch.setattr(stability, "_sample_pairs", no_draw)
+        with pytest.raises(ValueError, match="^class count 2 given twice$"):
+            stability_table([2, 2], 100, 1)
 
 
 class TestProductLawLimit:
@@ -477,8 +505,39 @@ class TestInvariance:
         with pytest.raises(ValueError):
             invariance_check(-1, seed=0)
 
+    def test_a_negative_seed_is_refused_before_drawing(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew a sample")
+
+        monkeypatch.setattr(stability, "_kept_rows", no_draw)
+        with pytest.raises(ValueError) as caught:
+            invariance_check(10, seed=-1)
+        assert str(caught.value) == "seed must be a non-negative integer, got -1"
+
     def test_zero_samples(self):
         assert invariance_check(0, seed=0) == []
+
+    @pytest.mark.parametrize("constraint", ["across", "within"])
+    def test_a_flipped_row_is_reported_field_by_field(self, monkeypatch, constraint):
+        seen = {}
+
+        def flip_row_3(a, b):
+            choice_conj, choice_pcr, conflict = pair_decisions(a, b)
+            choice_pcr[3] = 1 - choice_pcr[3]
+            seen.update(a=a, b=b, conj=choice_conj, pcr=choice_pcr)
+            return choice_conj, choice_pcr, conflict
+
+        monkeypatch.setattr(stability, "pair_decisions", flip_row_3)
+        [case] = invariance_check(10, seed=5, constraint=constraint)
+        a, b = seen["a"], seen["b"]
+        assert case == InvarianceCase(
+            m1_a=a[3, 0], m1_b=a[3, 1], m2_a=b[3, 0], m2_b=b[3, 1],
+            consensus_choice=seen["conj"][3], pcr5_choice=seen["pcr"][3],
+        )
+        assert case.consensus_choice != case.pcr5_choice
+        assert (case.m1_a == case.m2_b) if constraint == "across" else (case.m1_a == case.m1_b)
+        assert all(type(v) is float for v in case[:4])
+        assert all(type(v) is int for v in case[4:])
 
 
 class TestStabilityTable:
