@@ -88,17 +88,13 @@ MUTANTS = (
            "over = suspect.sum(axis=1) > 1.0 + 1e-15\n            while over.any():",
            ("tests/test_stability.py::TestAcceptedMasses"
             "::test_rounding_past_one_is_stepped_back",)),
-    Mutant("scripts/run_stability.py",
-           "except (ValueError, OSError) as exc:",
-           "except OSError as exc:",
-           ("tests/test_golden.py::test_run_stability_reports_a_bad_value_in_one_line[bins-0]",)),
     Mutant("src/expertfuse/stability.py",
            "_stream(seed, n)",
            "_stream(seed, n + 1)",
            ("tests/test_golden.py::test_simulate_case_matches_manifest[uniform-2..7]",)),
     Mutant("src/expertfuse/stability.py",
-           "if seed < 0:",
-           "if seed < -1:",
+           "or seed < 0:",
+           "or seed < -1:",
            ("tests/test_stability.py::TestDecisionChangeRate::test_a_negative_seed_is_refused",
             "tests/test_stability.py::TestInvariance"
             "::test_a_negative_seed_is_refused_before_drawing")),
@@ -128,20 +124,6 @@ MUTANTS = (
            "            check_class_counts(sorted({low, high}), law)\n",
            "",
            ("tests/test_cli.py::TestSimulate::test_class_counts_stop_at_26",)),
-    Mutant("scripts/run_stability.py",
-           "check_class_counts(args.classes, args.law)",
-           "pass",
-           ("tests/test_golden.py"
-            "::test_run_stability_reports_a_bad_value_in_one_line[classes-2-twice]",
-            "tests/test_golden.py"
-            "::test_run_stability_checks_every_class_count_before_drawing[classes-7-27]",
-            "tests/test_golden.py"
-            "::test_run_stability_checks_every_class_count_before_drawing[product-12-13]")),
-    Mutant("scripts/run_stability.py",
-           "check_class_counts(args.classes, args.law)",
-           "check_class_counts(args.classes)",
-           ("tests/test_golden.py"
-            "::test_run_stability_checks_every_class_count_before_drawing[product-12-13]",)),
     Mutant("src/expertfuse/stability.py",
            "if n in class_counts[:k]:",
            "if n in class_counts[:0]:",
@@ -161,6 +143,27 @@ MUTANTS = (
            "        return self.mask & ~other.mask == 0",
            ("tests/test_lattice.py::test_a_non_element_operand_raises_type_error[le-int]",
             "tests/test_lattice.py::test_a_non_element_operand_raises_type_error[le-str]")),
+    Mutant("src/expertfuse/cli.py",
+           "full.frequencies, flipped.frequencies",
+           "full.frequencies, full.frequencies",
+           ("tests/test_cli.py::TestSimulate::test_histogram_of_several_class_counts",
+            "tests/test_golden.py"
+            "::test_simulate_case_matches_manifest[uniform-2..7-bins30-histogram]")),
+    Mutant("src/expertfuse/stability.py",
+           "        if not _is_integer(n):\n"
+           "            raise ValueError(f\"class counts must be integers, got {n}\")\n",
+           "",
+           ("tests/test_stability.py::TestCheckClassCounts"
+            "::test_a_count_that_is_not_an_integer_is_refused_before_drawing[counts0-2.5]",
+            "tests/test_stability.py::TestCheckClassCounts"
+            "::test_a_count_that_is_not_an_integer_is_refused_before_drawing[counts2-True]")),
+    Mutant("src/expertfuse/cli.py",
+           "    except ValueError:\n        value = 0\n",
+           "    except ValueError:\n        raise\n",
+           ("tests/test_cli.py::TestSimulate"
+            "::test_a_count_flag_needs_a_positive_integer[x---samples]",
+            "tests/test_cli.py::TestSimulate"
+            "::test_a_count_flag_needs_a_positive_integer[1.5---bins]")),
 )
 
 

@@ -35,7 +35,10 @@ DEFAULT_SEED = 2026
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
     return value
@@ -147,25 +150,29 @@ def write_rate_csv(path: str | os.PathLike, results: Sequence[StabilityResult]) 
                          for r in results)
 
 
-def write_histogram_csv(path: str | os.PathLike, full: Histogram, flipped: Histogram) -> None:
-    """Write the all-pairs and decision-change conflict histograms side by side."""
-    edges = full.bin_edges
+def write_histogram_csv(path: str | os.PathLike,
+                        histograms: Sequence[tuple[Histogram, Histogram]]) -> None:
+    """Write each class count's all-pairs and decision-change histograms side by side.
+
+    One block of rows per (all, decision-change) pair, in the order given,
+    each row led by the pair's class count.
+    """
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(("bin_low", "bin_high", "freq_all", "freq_change"))
-        writer.writerows(map(repr, row) for row in
-                         zip(edges, edges[1:], full.frequencies, flipped.frequencies))
+        writer.writerow(("n", "bin_low", "bin_high", "freq_all", "freq_change"))
+        for full, flipped in histograms:
+            edges = full.bin_edges
+            writer.writerows((full.n_classes, *map(repr, row)) for row in
+                             zip(edges, edges[1:], full.frequencies, flipped.frequencies))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     counts = _parse_class_counts(args.classes, args.law)
     if args.histogram:
-        if len(counts) != 1:
-            raise ValueError("--histogram needs a single class count")
-        row, full, flipped = rate_and_histograms(
-            counts[0], args.samples, args.seed, args.bins, args.law
-        )
-        results = [row]
+        # one draw per class count gives its table row and both histograms
+        drawn = [rate_and_histograms(n, args.samples, args.seed, args.bins, args.law)
+                 for n in counts]
+        results = [row for row, _, _ in drawn]
     else:
         results = stability_table(counts, args.samples, args.seed, law=args.law)
     print(f"{'n':>3}  {'samples':>9}  {'change_rate':>11}  {'ci':>8}")
@@ -175,7 +182,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.out:
         write_rate_csv(args.out, results)
     if args.histogram:
-        write_histogram_csv(args.histogram, full, flipped)
+        write_histogram_csv(args.histogram, [(full, flipped) for _, full, flipped in drawn])
     return 0
 
 
@@ -264,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--law", choices=SAMPLING_LAWS, default="uniform")
     sim.add_argument("--out", metavar="PATH", help="write the table as CSV")
     sim.add_argument("--histogram", metavar="PATH",
-                     help="write a conflict histogram CSV (single class count only)")
+                     help="write each class count's conflict histograms as CSV")
     sim.add_argument("--bins", type=_positive_int, default=20)
     sim.set_defaults(handler=cmd_simulate)
 

@@ -286,11 +286,9 @@ def enumerate_elements(frame: Frame, include_empty: bool = False) -> list[FocalE
 def _minimal_cells(frame: Frame, mask: int) -> list[int]:
     """Label masks of the cells minimal under label inclusion.
 
-    On a free frame ``mask`` must be upward-closed: a cell is then minimal
-    exactly when no cell one class smaller is present.
+    The frame must be free and ``mask`` upward-closed: a cell is then
+    minimal exactly when no cell one class smaller is present.
     """
-    if frame.model is Model.SHAFER:
-        return [1 << i for i in range(frame.n_cells) if mask & (1 << i)]
     remaining = mask & ~_supersets_by_one(frame, mask)
     labels = []
     while remaining:

@@ -21,8 +21,9 @@ A seed and a class count name one stream: every entry point that takes a
 class count draws the pairs for (seed, n) from a `SeedSequence` with
 entropy `seed` and spawn key ``(n,)``, after `check_class_counts` passes.
 `invariance_check`, which has no class count, draws from
-``default_rng(seed)``.  Every entry point refuses a negative seed, and
-everything here is deterministic given its arguments.
+``default_rng(seed)``.  Every entry point refuses a seed that is not a
+non-negative integer, and everything here is deterministic given its
+arguments.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ SAMPLING_LAWS = ("uniform", "product")
 
 _DEFAULT_CHUNK = 1 << 16
 
-# Pairs per pass of the pair kernels: large enough to amortize numpy's
-# per-call cost, small enough to keep each pass's arrays in cache.
+# Pairs per pass of the pair kernels.  It bounds the size of each pass's
+# temporaries; the run time reads flat from 2¹² to 2¹⁵.
 _KERNEL_BLOCK = 1 << 12
 
 # Most classes a simulated expert may have: one per letter A..Z.
@@ -66,10 +67,13 @@ def check_class_counts(class_counts: Sequence[int], law: str = "uniform") -> Non
 
     A count must lie in 2..`MAX_CLASSES`, or 2..`PRODUCT_LAW_MAX_CLASSES`
     under the product law, and appear once, since it names one stream.
+    A count must be an int or a numpy integer, not a bool.
     """
     if law not in SAMPLING_LAWS:
         raise ValueError(f"unknown sampling law {law!r}; expected one of {SAMPLING_LAWS}")
     for k, n in enumerate(class_counts):
+        if not _is_integer(n):
+            raise ValueError(f"class counts must be integers, got {n}")
         if n < 2:
             raise ValueError(f"need at least two classes, got {n}")
         if n > MAX_CLASSES:
@@ -82,9 +86,13 @@ def check_class_counts(class_counts: Sequence[int], law: str = "uniform") -> Non
             raise ValueError(f"class count {n} given twice")
 
 
+def _is_integer(value: object) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _stream(seed: int, *spawn_key: int) -> np.random.Generator:
-    """The generator of `seed` and `spawn_key`; a negative seed is refused."""
-    if seed < 0:
+    """The generator of `seed` and `spawn_key`; `seed` must be a non-negative integer."""
+    if not _is_integer(seed) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=spawn_key))
 

@@ -326,20 +326,41 @@ class TestSimulate:
         assert [float(r["freq_change"]) for r in rows] == list(flipped.frequencies)
         assert [float(r["bin_low"]) for r in rows] == list(full.bin_edges[:-1])
 
-    def test_histogram_needs_one_class_count(self, tmp_path, capsys):
-        code = main(
-            [
-                "simulate",
-                "--classes",
-                "2..3",
-                "--samples",
-                "100",
-                "--histogram",
-                str(tmp_path / "h.csv"),
-            ]
+    def test_histogram_of_several_class_counts(self, tmp_path, capsys):
+        argv = ["simulate", "--classes", "2..4", "--samples", "300", "--seed", "9"]
+        assert main(argv + ["--out", str(tmp_path / "plain.csv")]) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--out", str(tmp_path / "with.csv"), "--bins", "6",
+                            "--histogram", str(tmp_path / "hist.csv")]) == 0
+        assert capsys.readouterr().out == plain
+        assert (tmp_path / "with.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        with open(tmp_path / "hist.csv", encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ["n", "bin_low", "bin_high", "freq_all", "freq_change"]
+        assert [row[0] for row in rows[1:]] == ["2"] * 6 + ["3"] * 6 + ["4"] * 6
+        for k, n in enumerate((2, 3, 4)):
+            block = rows[1 + 6 * k: 7 + 6 * k]
+            full = conflict_density(n, 300, 6, "all", 9)
+            flipped = conflict_density(n, 300, 6, "decision_change", 9)
+            assert [float(r[1]) for r in block] == list(full.bin_edges[:-1])
+            assert [float(r[2]) for r in block] == list(full.bin_edges[1:])
+            assert [float(r[3]) for r in block] == list(full.frequencies)
+            assert [float(r[4]) for r in block] == list(flipped.frequencies)
+
+    @pytest.mark.parametrize("flag", ["--samples", "--bins"])
+    @pytest.mark.parametrize("value", ["0", "-3", "x", "1.5"])
+    def test_a_count_flag_needs_a_positive_integer(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as caught:
+            main(["simulate", "--classes", "2", flag, value,
+                  "--histogram", str(tmp_path / "hist.csv")])
+        assert caught.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"expertfuse simulate: error: argument {flag}: "
+            f"must be a positive integer, got {value}"
         )
-        assert code == 1
-        assert "single class count" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_a_negative_seed_is_refused_in_one_line(self, tmp_path, capsys):
         for extra in ([], ["--histogram", str(tmp_path / "hist.csv")]):
@@ -412,6 +433,10 @@ class TestSimulate:
         (["--classes", "2..27"], "at most 26 classes are supported, got 27"),
         (["--law", "product", "--classes", "2..13"],
          "the product law supports at most 12 classes, got 13"),
+        (["--classes", "7,27", "--histogram", "{tmp}/hist.csv"],
+         "at most 26 classes are supported, got 27"),
+        (["--law", "product", "--classes", "12,13", "--histogram", "{tmp}/hist.csv"],
+         "the product law supports at most 12 classes, got 13"),
     ])
     def test_a_bad_range_is_refused_before_drawing(self, tmp_path, capsys, monkeypatch,
                                                    flags, message):
@@ -419,6 +444,7 @@ class TestSimulate:
             raise AssertionError("drew a sample")
 
         monkeypatch.setattr(stability, "_sample_pairs", no_draw)
+        flags = [flag.format(tmp=tmp_path) for flag in flags]
         assert main(["simulate", *flags, "--samples", "5",
                      "--out", str(tmp_path / "rates.csv")]) == 1
         captured = capsys.readouterr()

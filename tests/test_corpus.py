@@ -62,6 +62,13 @@ class TestParsing:
         assert note.entries[0].proportion == 0.5
         assert small_corpus.tiles_of("e2") == ("t1", "t2")
 
+    def test_equality_and_hash_follow_the_annotations(self, small_corpus):
+        again = parse_annotations(SMALL)
+        assert again == small_corpus
+        assert hash(again) == hash(small_corpus)
+        assert small_corpus.__eq__(5) is NotImplemented
+        assert (small_corpus == 5) is False
+
     def test_unknown_pair_raises(self, small_corpus):
         with pytest.raises(KeyError):
             small_corpus.annotation("t9", "e1")

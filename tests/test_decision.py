@@ -88,6 +88,11 @@ class TestFunctionalValues:
             fused_m1, a
         )
 
+    def test_criterion_value_refuses_what_is_not_a_criterion(self, fused_m1):
+        with pytest.raises(ValueError) as caught:
+            criterion_value(fused_m1, fused_m1.frame.atom(0), "entropy")
+        assert str(caught.value) == "unknown criterion 'entropy'"
+
 
 class TestFunctionalErrors:
     def test_pignistic_undefined_on_empty(self):

@@ -10,6 +10,7 @@ from expertfuse.expert_models import (
     SEDIMENT_CLASSES,
     AnnotationEntry,
     CertaintyWeights,
+    DeclarationKind,
     ExpertDeclaration,
     TileAnnotation,
     build_generalized_m5,
@@ -53,6 +54,16 @@ class TestDeclarations:
     def test_proportion_out_of_range(self):
         with pytest.raises(ValueError):
             ExpertDeclaration.says_both(1.3, 0.5, 0.5)
+
+    @pytest.mark.parametrize("kind, p_a, p_b, message", [
+        (DeclarationKind.SAYS_A, 0.5, 0.5, "a says-A declaration covers the whole tile (p_a = 1)"),
+        (DeclarationKind.SAYS_B, 0.5, 0.5, "a says-B declaration covers the whole tile (p_b = 1)"),
+        (DeclarationKind.SAYS_BOTH, 0.5, 0.4, "says-both proportions must sum to 1"),
+    ])
+    def test_proportions_must_fit_the_kind(self, kind, p_a, p_b, message):
+        with pytest.raises(ValueError) as caught:
+            ExpertDeclaration(kind, p_a, p_b, 0.6, 0.4)
+        assert str(caught.value) == message
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_values_rejected(self, value):

@@ -190,6 +190,22 @@ def test_frame_label_validation():
         make_frame(("∅", "B"))
     with pytest.raises(ValueError):
         make_frame(("A", ""))
+    with pytest.raises(ValueError) as caught:
+        make_frame((["A"], "B"))  # unhashable, so it skips the intern cache
+    assert str(caught.value) == "class labels must be non-empty strings"
+
+
+def test_frame_needs_a_model_member():
+    with pytest.raises(TypeError) as caught:
+        Frame(("A",), "shafer")
+    assert str(caught.value) == "model must be a Model"
+
+
+def test_atom_index_out_of_range():
+    frame = make_frame(("A", "B"))
+    with pytest.raises(ValueError) as caught:
+        frame.atom(5)
+    assert str(caught.value) == "class index 5 out of range"
 
 
 def test_free_enumeration_refuses_large_frames():

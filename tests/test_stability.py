@@ -17,6 +17,7 @@ from expertfuse.stability import (
     MAX_CLASSES,
     PRODUCT_LAW_MAX_CLASSES,
     InvarianceCase,
+    StabilityResult,
     _accepted_masses,
     check_class_counts,
     conflict_density,
@@ -123,6 +124,18 @@ class TestCheckClassCounts:
     def test_distinct_counts_in_range_pass(self):
         check_class_counts([7, 2, 26])
         check_class_counts(range(2, 13), "product")
+        check_class_counts([np.int64(2), np.int32(7)])
+
+    @pytest.mark.parametrize("counts, bad", [([2.5], "2.5"), ([3.0], "3.0"), ([True], "True")])
+    def test_a_count_that_is_not_an_integer_is_refused_before_drawing(self, monkeypatch,
+                                                                      counts, bad):
+        def no_draw(*args):
+            raise AssertionError("drew a sample")
+
+        monkeypatch.setattr(stability, "_sample_pairs", no_draw)
+        with pytest.raises(ValueError) as caught:
+            stability_table(counts, 10, 0)
+        assert str(caught.value) == f"class counts must be integers, got {bad}"
 
     def test_a_repeated_count_is_refused_before_drawing(self, monkeypatch):
         def no_draw(*args):
@@ -417,6 +430,17 @@ class TestDecisionChangeRate:
                 call()
         assert decision_change_rate(2, 10, 0).accepted_pairs == 10
 
+    def test_a_seed_that_is_not_an_integer_is_refused(self):
+        with pytest.raises(ValueError) as caught:
+            decision_change_rate(3, 10, 2.0)
+        assert str(caught.value) == "seed must be a non-negative integer, got 2.0"
+        assert decision_change_rate(3, 10, np.int64(2)) == decision_change_rate(3, 10, 2)
+
+    def test_a_rate_outside_the_unit_interval_is_refused(self):
+        with pytest.raises(ValueError) as caught:
+            StabilityResult(2, 10, 20, 1.5, 0.0, 0.1, 0.2)
+        assert str(caught.value) == "change rate must lie in [0, 1]"
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             decision_change_rate(1, 100, seed=0)
@@ -513,6 +537,15 @@ class TestInvariance:
         with pytest.raises(ValueError) as caught:
             invariance_check(10, seed=-1)
         assert str(caught.value) == "seed must be a non-negative integer, got -1"
+
+    def test_a_seed_that_is_not_an_integer_is_refused_before_drawing(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew a sample")
+
+        monkeypatch.setattr(stability, "_kept_rows", no_draw)
+        with pytest.raises(ValueError) as caught:
+            invariance_check(10, 1.5)
+        assert str(caught.value) == "seed must be a non-negative integer, got 1.5"
 
     def test_zero_samples(self):
         assert invariance_check(0, seed=0) == []
