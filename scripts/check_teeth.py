@@ -164,6 +164,35 @@ MUTANTS = (
             "::test_a_count_flag_needs_a_positive_integer[x---samples]",
             "tests/test_cli.py::TestSimulate"
             "::test_a_count_flag_needs_a_positive_integer[1.5---bins]")),
+    Mutant("src/expertfuse/stability.py",
+           "self.conflict[self.change]",
+           "self.conflict",
+           ("tests/test_stability.py::TestStabilityResultHistogram"
+            "::test_no_flips_give_an_all_zero_change_histogram",
+            "tests/test_stability.py::TestStabilityResultHistogram"
+            "::test_equals_conflict_density[decision_change-uniform]",
+            "tests/test_stability.py::TestConflictDensity::test_change_subset_counts_the_flips",
+            "tests/test_golden.py"
+            "::test_simulate_case_matches_manifest[uniform-2..7-bins30-histogram]")),
+    Mutant("src/expertfuse/stability.py",
+           "    if not _is_integer(n_samples):\n"
+           "        raise ValueError(f\"sample count must be an integer, got {n_samples}\")\n"
+           "    if n_samples < 1:",
+           "    if n_samples < 1:",
+           ("tests/test_stability.py::TestIntegerCounts"
+            "::test_a_sample_count_that_is_not_an_integer_is_refused_before_drawing[rate-bool]",
+            "tests/test_stability.py::TestIntegerCounts"
+            "::test_a_sample_count_that_is_not_an_integer_is_refused_before_drawing[rate-float]",
+            "tests/test_stability.py::TestIntegerCounts"
+            "::test_a_sample_count_that_is_not_an_integer_is_refused_before_drawing[table-float]")),
+    Mutant("src/expertfuse/stability.py",
+           "    if not _is_integer(n_samples):\n"
+           "        raise ValueError(f\"sample count must be an integer, got {n_samples}\")\n"
+           "    if n_samples < 0:",
+           "    if n_samples < 0:",
+           ("tests/test_stability.py::TestIntegerCounts"
+            "::test_a_sample_count_that_is_not_an_integer_is_refused_before_drawing"
+            "[invariance-float]",)),
 )
 
 

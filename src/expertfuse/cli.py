@@ -27,7 +27,6 @@ from .stability import (
     Histogram,
     StabilityResult,
     check_class_counts,
-    rate_and_histograms,
     stability_table,
 )
 
@@ -168,13 +167,7 @@ def write_histogram_csv(path: str | os.PathLike,
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     counts = _parse_class_counts(args.classes, args.law)
-    if args.histogram:
-        # one draw per class count gives its table row and both histograms
-        drawn = [rate_and_histograms(n, args.samples, args.seed, args.bins, args.law)
-                 for n in counts]
-        results = [row for row, _, _ in drawn]
-    else:
-        results = stability_table(counts, args.samples, args.seed, law=args.law)
+    results = stability_table(counts, args.samples, args.seed, law=args.law)
     print(f"{'n':>3}  {'samples':>9}  {'change_rate':>11}  {'ci':>8}")
     for r in results:
         print(f"{r.n_classes:>3}  {r.accepted_pairs:>9}  {r.change_rate:>11.4f}  "
@@ -182,7 +175,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.out:
         write_rate_csv(args.out, results)
     if args.histogram:
-        write_histogram_csv(args.histogram, [(full, flipped) for _, full, flipped in drawn])
+        histograms = [(r.histogram(args.bins), r.histogram(args.bins, "decision_change"))
+                      for r in results]
+        write_histogram_csv(args.histogram, histograms)
     return 0
 
 

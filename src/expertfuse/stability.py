@@ -17,19 +17,19 @@ when the masses sum to at most 1; it concentrates mass lower and yields
 clearly smaller change rates from three classes on.  Its kept share
 collapses with the class count, so it stops at 12 classes.
 
-A seed and a class count name one stream: every entry point that takes a
-class count draws the pairs for (seed, n) from a `SeedSequence` with
-entropy `seed` and spawn key ``(n,)``, after `check_class_counts` passes.
-`invariance_check`, which has no class count, draws from
-``default_rng(seed)``.  Every entry point refuses a seed that is not a
-non-negative integer, and everything here is deterministic given its
-arguments.
+A seed and a class count name one stream, and `decision_change_rate`
+alone draws it, from a `SeedSequence` with entropy `seed` and spawn key
+``(n,)``; its result keeps the pairs for `StabilityResult.histogram`.
+`conflict_density` is that histogram, so it needs at least one pair.
+`invariance_check` draws from ``default_rng(seed)``.  Every entry point
+refuses a seed that is not a non-negative integer and a sample or bin
+count that is not an integer; all is deterministic given the arguments.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -264,7 +264,24 @@ def pair_decisions(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 @dataclass(frozen=True)
+class Histogram:
+    n_classes: int
+    subset: str
+    bin_edges: tuple[float, ...]
+    frequencies: tuple[float, ...]
+    count: int
+
+
+HISTOGRAM_SUBSETS = ("all", "decision_change")
+
+
+@dataclass(frozen=True)
 class StabilityResult:
+    """A class count's decision-change row, plus each pair's conflict and flip.
+
+    `conflict` and `change` are read-only and outside ``==``, `hash` and `repr`.
+    """
+
     n_classes: int
     accepted_pairs: int
     candidate_draws: int
@@ -272,45 +289,41 @@ class StabilityResult:
     ci_halfwidth: float
     mean_conflict: float
     mean_conflict_changed: float
+    conflict: np.ndarray = field(default=(), repr=False, compare=False)
+    change: np.ndarray = field(default=(), repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.change_rate <= 1.0:
             raise ValueError("change rate must lie in [0, 1]")
+        for name, dtype in (("conflict", float), ("change", bool)):
+            # a read-only view: the caller's own array stays writable
+            view = np.asarray(getattr(self, name), dtype=dtype).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
+    def histogram(self, bins: int = 20, subset: str = "all") -> Histogram:
+        """Histogram of the pairs' conjunctive conflict on [0, 1].
 
-class _PairSample(NamedTuple):
-    """Conjunctive conflict and decision flip of every sampled pair, plus rows drawn."""
-
-    conflict: np.ndarray
-    change: np.ndarray
-    drawn: int
-
-
-def _sample_pairs(n: int, n_samples: int, seed: int, law: str) -> _PairSample:
-    rows, drawn = _accepted_masses(n, 2 * n_samples, _stream(seed, n), law)
-    choice_conj, choice_pcr, conflict = pair_decisions(rows[0::2], rows[1::2])
-    return _PairSample(conflict, choice_conj != choice_pcr, drawn)
-
-
-def _check_rate_args(n: int, n_samples: int, law: str) -> None:
-    check_class_counts([n], law)
-    if n_samples < 1:
-        raise ValueError("need at least one accepted pair")
-
-
-def _rate_row(n: int, n_samples: int, sample: _PairSample) -> StabilityResult:
-    rate = float(sample.change.mean())
-    ci = 1.96 * math.sqrt(rate * (1.0 - rate) / n_samples)
-    changed = sample.conflict[sample.change]
-    return StabilityResult(
-        n_classes=n,
-        accepted_pairs=n_samples,
-        candidate_draws=sample.drawn,
-        change_rate=rate,
-        ci_halfwidth=ci,
-        mean_conflict=float(sample.conflict.mean()),
-        mean_conflict_changed=float(changed.mean()) if len(changed) else float("nan"),
-    )
+        ``"decision_change"`` counts only the flipped pairs.  Frequencies sum
+        to 1 over the counted pairs, or are all 0 when none is counted.
+        """
+        if not _is_integer(bins):
+            raise ValueError(f"bin count must be an integer, got {bins}")
+        if bins < 1:
+            raise ValueError("need at least one bin")
+        if subset not in HISTOGRAM_SUBSETS:
+            raise ValueError(f"unknown subset {subset!r}; expected one of {HISTOGRAM_SUBSETS}")
+        conflict = self.conflict[self.change] if subset == "decision_change" else self.conflict
+        counts, edges = np.histogram(conflict, bins=bins, range=(0.0, 1.0))
+        total = int(counts.sum())
+        freqs = counts / total if total else np.zeros(bins)
+        return Histogram(
+            n_classes=self.n_classes,
+            subset=subset,
+            bin_edges=tuple(float(e) for e in edges),
+            frequencies=tuple(float(f) for f in freqs),
+            count=total,
+        )
 
 
 def decision_change_rate(
@@ -325,20 +338,27 @@ def decision_change_rate(
     statistical power.  The half-width is the 95% normal approximation.
     The pairs are the stream of (`seed`, `n`).
     """
-    _check_rate_args(n, n_samples, law)
-    return _rate_row(n, n_samples, _sample_pairs(n, n_samples, seed, law))
-
-
-@dataclass(frozen=True)
-class Histogram:
-    n_classes: int
-    subset: str
-    bin_edges: tuple[float, ...]
-    frequencies: tuple[float, ...]
-    count: int
-
-
-HISTOGRAM_SUBSETS = ("all", "decision_change")
+    check_class_counts([n], law)
+    if not _is_integer(n_samples):
+        raise ValueError(f"sample count must be an integer, got {n_samples}")
+    if n_samples < 1:
+        raise ValueError("need at least one accepted pair")
+    rows, drawn = _accepted_masses(n, 2 * n_samples, _stream(seed, n), law)
+    choice_conj, choice_pcr, conflict = pair_decisions(rows[0::2], rows[1::2])
+    change = choice_conj != choice_pcr
+    rate = float(change.mean())
+    changed = conflict[change]
+    return StabilityResult(
+        n_classes=n,
+        accepted_pairs=n_samples,
+        candidate_draws=drawn,
+        change_rate=rate,
+        ci_halfwidth=1.96 * math.sqrt(rate * (1.0 - rate) / n_samples),
+        mean_conflict=float(conflict.mean()),
+        mean_conflict_changed=float(changed.mean()) if len(changed) else float("nan"),
+        conflict=conflict,
+        change=change,
+    )
 
 
 def conflict_density(
@@ -349,64 +369,12 @@ def conflict_density(
     seed: int = 0,
     law: str = "uniform",
 ) -> Histogram:
-    """Histogram of conjunctive conflict over sampled pairs on [0, 1].
+    """Histogram of conjunctive conflict over the pairs of (`seed`, `n`) on [0, 1].
 
-    Pairs are the stream of (`seed`, `n`), the pairs `decision_change_rate`
-    draws for the same arguments.
-
-    With ``subset="decision_change"`` only pairs whose decision flips are
-    counted.  Frequencies are normalized to sum to 1 over the counted
-    pairs; zero pairs give an all-zero histogram.
+    ``decision_change_rate(n, n_samples, seed, law).histogram(bins, subset)``,
+    so it needs at least one pair.
     """
-    check_class_counts([n], law)
-    if n_samples < 0:
-        raise ValueError("sample count cannot be negative")
-    if bins < 1:
-        raise ValueError("need at least one bin")
-    if subset not in HISTOGRAM_SUBSETS:
-        raise ValueError(f"unknown subset {subset!r}; expected one of {HISTOGRAM_SUBSETS}")
-    sample = _sample_pairs(n, n_samples, seed, law)
-    return _histogram(n, sample, bins, subset)
-
-
-def _histogram(n: int, sample: _PairSample, bins: int, subset: str) -> Histogram:
-    conflict = sample.conflict
-    if subset == "decision_change":
-        conflict = conflict[sample.change]
-    counts, edges = np.histogram(conflict, bins=bins, range=(0.0, 1.0))
-    total = int(counts.sum())
-    freqs = counts / total if total else np.zeros(bins)
-    return Histogram(
-        n_classes=n,
-        subset=subset,
-        bin_edges=tuple(float(e) for e in edges),
-        frequencies=tuple(float(f) for f in freqs),
-        count=total,
-    )
-
-
-def rate_and_histograms(
-    n: int,
-    n_samples: int,
-    seed: int,
-    bins: int = 20,
-    law: str = "uniform",
-) -> tuple[StabilityResult, Histogram, Histogram]:
-    """One class count's table row and both conflict histograms, from one draw.
-
-    The three results equal ``stability_table([n], n_samples, seed, law)[0]``
-    and the ``"all"`` and ``"decision_change"`` `conflict_density`
-    histograms for the same arguments, for the sampling cost of one.
-    """
-    _check_rate_args(n, n_samples, law)
-    if bins < 1:
-        raise ValueError("need at least one bin")
-    sample = _sample_pairs(n, n_samples, seed, law)
-    return (
-        _rate_row(n, n_samples, sample),
-        _histogram(n, sample, bins, "all"),
-        _histogram(n, sample, bins, "decision_change"),
-    )
+    return decision_change_rate(n, n_samples, seed, law).histogram(bins, subset)
 
 
 class InvarianceCase(NamedTuple):
@@ -437,6 +405,8 @@ def invariance_check(
     `pair_decisions`, so a pignistic tie goes to the lowest class, as in
     `decision.decide`.
     """
+    if not _is_integer(n_samples):
+        raise ValueError(f"sample count must be an integer, got {n_samples}")
     if n_samples < 0:
         raise ValueError("sample count cannot be negative")
     if constraint not in INVARIANCE_CONSTRAINTS:

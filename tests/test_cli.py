@@ -443,7 +443,7 @@ class TestSimulate:
         def no_draw(*args, **kwargs):
             raise AssertionError("drew a sample")
 
-        monkeypatch.setattr(stability, "_sample_pairs", no_draw)
+        monkeypatch.setattr(stability, "_accepted_masses", no_draw)
         flags = [flag.format(tmp=tmp_path) for flag in flags]
         assert main(["simulate", *flags, "--samples", "5",
                      "--out", str(tmp_path / "rates.csv")]) == 1

@@ -24,7 +24,6 @@ from expertfuse.stability import (
     decision_change_rate,
     invariance_check,
     pair_decisions,
-    rate_and_histograms,
     stability_table,
 )
 
@@ -100,7 +99,6 @@ class TestClassLimit:
         calls = (
             lambda: decision_change_rate(27, 5, 0),
             lambda: stability_table([2, 27], 5, 0),
-            lambda: rate_and_histograms(27, 5, 0),
             lambda: conflict_density(27, 5),
         )
         for call in calls:
@@ -132,7 +130,7 @@ class TestCheckClassCounts:
         def no_draw(*args):
             raise AssertionError("drew a sample")
 
-        monkeypatch.setattr(stability, "_sample_pairs", no_draw)
+        monkeypatch.setattr(stability, "_accepted_masses", no_draw)
         with pytest.raises(ValueError) as caught:
             stability_table(counts, 10, 0)
         assert str(caught.value) == f"class counts must be integers, got {bad}"
@@ -141,7 +139,7 @@ class TestCheckClassCounts:
         def no_draw(*args):
             raise AssertionError("drew a sample")
 
-        monkeypatch.setattr(stability, "_sample_pairs", no_draw)
+        monkeypatch.setattr(stability, "_accepted_masses", no_draw)
         with pytest.raises(ValueError, match="^class count 2 given twice$"):
             stability_table([2, 2], 100, 1)
 
@@ -151,14 +149,12 @@ class TestProductLawLimit:
         assert PRODUCT_LAW_MAX_CLASSES == 12
         assert decision_change_rate(12, 5, 0, law="product").n_classes == 12
         assert stability_table([11, 12], 5, 0, law="product")[1].n_classes == 12
-        assert rate_and_histograms(12, 5, 0, law="product")[1].n_classes == 12
         assert conflict_density(12, 5, law="product").n_classes == 12
 
     def test_13_classes_are_refused(self):
         calls = (
             lambda: decision_change_rate(13, 5, 0, law="product"),
             lambda: stability_table([2, 13], 5, 0, law="product"),
-            lambda: rate_and_histograms(13, 5, 0, law="product"),
             lambda: conflict_density(13, 5, law="product"),
         )
         for call in calls:
@@ -169,7 +165,7 @@ class TestProductLawLimit:
 
     def test_a_table_checks_every_count_before_drawing(self, monkeypatch):
         drawn = []
-        monkeypatch.setattr(stability, "_sample_pairs", lambda *args: drawn.append(args))
+        monkeypatch.setattr(stability, "_accepted_masses", lambda *args: drawn.append(args))
         with pytest.raises(ValueError, match="got 13$"):
             stability_table(range(2, 14), 5, 0, law="product")
         assert drawn == []
@@ -422,7 +418,6 @@ class TestDecisionChangeRate:
             lambda: decision_change_rate(2, 10, -1),
             lambda: stability_table([2, 3], 10, -1),
             lambda: conflict_density(2, 10, seed=-1),
-            lambda: rate_and_histograms(2, 10, -1),
         )
         for call in calls:
             with pytest.raises(ValueError,
@@ -473,11 +468,6 @@ class TestConflictDensity:
         mean_changed = sum(c * f for c, f in zip(centers, changed.frequencies))
         assert mean_changed > mean_all
 
-    def test_zero_samples_give_a_flat_zero_histogram(self):
-        hist = conflict_density(3, 0, bins=10, seed=0)
-        assert hist.count == 0
-        assert all(f == 0.0 for f in hist.frequencies)
-
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="subset"):
             conflict_density(3, 10, subset="everything")
@@ -485,26 +475,93 @@ class TestConflictDensity:
             conflict_density(3, 10, bins=0)
         with pytest.raises(ValueError):
             conflict_density(3, -1)
+        with pytest.raises(ValueError, match="^need at least one accepted pair$"):
+            conflict_density(3, 0)
 
 
-class TestRateAndHistograms:
+class TestStabilityResultHistogram:
     @pytest.mark.parametrize("law", ["uniform", "product"])
-    def test_equals_the_separate_draws(self, law):
-        row, full, flipped = rate_and_histograms(4, 1500, 12, bins=13, law=law)
-        assert row == stability_table([4], 1500, 12, law=law)[0]
-        assert full == conflict_density(4, 1500, 13, "all", 12, law)
-        assert flipped == conflict_density(4, 1500, 13, "decision_change", 12, law)
-        assert flipped.count == round(row.change_rate * 1500)
+    @pytest.mark.parametrize("subset", ["all", "decision_change"])
+    def test_equals_conflict_density(self, law, subset):
+        row = decision_change_rate(4, 1500, 12, law)
+        hist = row.histogram(13, subset)
+        assert hist == conflict_density(4, 1500, 13, subset, 12, law)
+        assert hist.count == (1500 if subset == "all" else round(row.change_rate * 1500))
 
-    def test_argument_validation(self):
-        with pytest.raises(ValueError, match="bin"):
-            rate_and_histograms(3, 10, 0, bins=0)
-        with pytest.raises(ValueError, match="accepted pair"):
-            rate_and_histograms(3, 0, 0)
-        with pytest.raises(ValueError, match="two classes"):
-            rate_and_histograms(1, 10, 0)
-        with pytest.raises(ValueError, match="law"):
-            rate_and_histograms(3, 10, 0, law="beta")
+    def test_no_flips_give_an_all_zero_change_histogram(self):
+        row = decision_change_rate(2, 3, seed=1)
+        assert row.change_rate == 0.0
+        hist = row.histogram(10, "decision_change")
+        assert hist.count == 0
+        assert hist.frequencies == (0.0,) * 10
+        assert row.histogram(10).count == 3
+
+    @pytest.mark.parametrize("bins, subset, message", [
+        (0, "all", "need at least one bin"),
+        (10, "everything",
+         "unknown subset 'everything'; expected one of ('all', 'decision_change')"),
+    ], ids=["no-bin", "unknown-subset"])
+    def test_argument_validation(self, bins, subset, message):
+        with pytest.raises(ValueError) as caught:
+            decision_change_rate(3, 10, 0).histogram(bins, subset)
+        assert str(caught.value) == message
+
+    def test_the_pair_arrays_are_read_only_and_outside_equality(self):
+        row = decision_change_rate(3, 200, 4)
+        assert row.conflict.shape == row.change.shape == (200,)
+        assert row.conflict.dtype == float and row.change.dtype == bool
+        for values in (row.conflict, row.change):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = values[1]
+        bare = StabilityResult(*(getattr(row, name) for name in (
+            "n_classes", "accepted_pairs", "candidate_draws", "change_rate",
+            "ci_halfwidth", "mean_conflict", "mean_conflict_changed")))
+        assert bare.conflict.shape == bare.change.shape == (0,)
+        assert bare == row
+        assert hash(bare) == hash(row)
+        assert repr(bare) == repr(row)
+
+    def test_the_callers_arrays_stay_writable(self):
+        conflict, change = np.array([0.25, 0.5]), np.array([False, True])
+        row = StabilityResult(2, 2, 4, 0.5, 0.7, 0.375, 0.5, conflict, change)
+        assert conflict.flags.writeable and change.flags.writeable
+        assert not row.conflict.flags.writeable and not row.change.flags.writeable
+        assert row.histogram(2, "decision_change").frequencies == (0.0, 1.0)
+
+
+class TestIntegerCounts:
+    """A sample or bin count must be an int or a numpy integer, not a bool."""
+
+    @pytest.fixture
+    def no_draw(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("drew a sample")
+
+        monkeypatch.setattr(stability, "_accepted_masses", refuse)
+        monkeypatch.setattr(stability, "_kept_rows", refuse)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: decision_change_rate(3, True, 0), "sample count must be an integer, got True"),
+        (lambda: decision_change_rate(3, 10.5, 0), "sample count must be an integer, got 10.5"),
+        (lambda: stability_table([3], 10.0, 0), "sample count must be an integer, got 10.0"),
+        (lambda: invariance_check(2.5, 0), "sample count must be an integer, got 2.5"),
+    ], ids=["rate-bool", "rate-float", "table-float", "invariance-float"])
+    def test_a_sample_count_that_is_not_an_integer_is_refused_before_drawing(
+            self, no_draw, call, message):
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert str(caught.value) == message
+
+    def test_a_bin_count_that_is_not_an_integer_is_refused(self):
+        with pytest.raises(ValueError) as caught:
+            conflict_density(3, 10, bins=2.5)
+        assert str(caught.value) == "bin count must be an integer, got 2.5"
+
+    def test_numpy_integer_counts_are_accepted(self):
+        row = decision_change_rate(3, np.int64(200), 0)
+        assert row == decision_change_rate(3, 200, 0)
+        assert row.histogram(np.int32(4)) == row.histogram(4)
+        assert invariance_check(np.int64(10), 0) == []
 
 
 class TestOneStreamPerSeedAndClassCount:
@@ -513,9 +570,7 @@ class TestOneStreamPerSeedAndClassCount:
     def test_every_entry_point_draws_the_same_pairs(self, n, law):
         row = decision_change_rate(n, 1500, 11, law)
         assert stability_table([n], 1500, 11, law)[0] == row
-        from_one_draw, full, _ = rate_and_histograms(n, 1500, 11, bins=9, law=law)
-        assert from_one_draw == row
-        assert conflict_density(n, 1500, 9, "all", 11, law) == full
+        assert conflict_density(n, 1500, 9, "all", 11, law) == row.histogram(9)
 
 
 class TestInvariance:
