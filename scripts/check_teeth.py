@@ -4,10 +4,10 @@
 Each row of `MUTANTS` names a file under the repository root, an exact
 text in it, the text that replaces it, and the pytest ids that must fail
 once it is replaced.  The listed ids first run on an unedited copy of
-`src/`, `tests/` and `scripts/`, where they must pass.  Then, for each
-row, the edit is applied to a fresh temporary copy and only that row's
-ids run; every one of them must fail.  The checkout itself is never
-edited.
+`src/`, `tests/`, `scripts/` and `pyproject.toml` (so under the pytest
+settings of the suite), where they must pass.  Then, for each row, the
+edit is applied to a fresh temporary copy and only that row's ids run;
+every one of them must fail.  The checkout itself is never edited.
 
 The script exits 1 when an old text is not found exactly once, when a
 listed id fails on the unedited copy, or when a mutant survives.  It uses
@@ -57,10 +57,10 @@ MUTANTS = (
            "if new_sum > 1.0 + 10 * SUM_TOLERANCE:",
            ("tests/test_corpus.py::TestParseErrors::test_group_sum_on_the_tolerance_edge",)),
     Mutant("src/expertfuse/corpus.py",
-           "if (out.sum(axis=1) > 1.0 + SUM_TOLERANCE).any():",
-           "if (out.sum(axis=1) > 2.0).any():",
+           "sums > 1.0 + SUM_TOLERANCE",
+           "sums > 1.0 + 10 * SUM_TOLERANCE",
            ("tests/test_corpus.py::TestDirectConstruction"
-            "::test_a_group_past_one_is_refused_by_the_pair",)),
+            "::test_group_sum_on_the_tolerance_edge",)),
     Mutant("src/expertfuse/decision.py",
            "if top - v <= TIE_TOLERANCE",
            "if top - v < TIE_TOLERANCE",
@@ -193,6 +193,20 @@ MUTANTS = (
            ("tests/test_stability.py::TestIntegerCounts"
             "::test_a_sample_count_that_is_not_an_integer_is_refused_before_drawing"
             "[invariance-float]",)),
+    Mutant("src/expertfuse/stability.py",
+           "    _check_histogram_args(bins, subset)\n    return decision_change_rate(",
+           "    return decision_change_rate(",
+           ("tests/test_stability.py::TestIntegerCounts"
+            "::test_conflict_density_checks_its_histogram_before_drawing[float-bins]",
+            "tests/test_stability.py::TestIntegerCounts"
+            "::test_conflict_density_checks_its_histogram_before_drawing[no-bin]",
+            "tests/test_stability.py::TestIntegerCounts"
+            "::test_conflict_density_checks_its_histogram_before_drawing[unknown-subset]")),
+    Mutant("src/expertfuse/stability.py",
+           "if len(changed) else None,",
+           "if len(changed) else float(\"nan\"),",
+           ("tests/test_stability.py::TestDecisionChangeRate"
+            "::test_a_row_with_no_flip_equals_itself",)),
 )
 
 
@@ -200,6 +214,7 @@ def _copy_tree(workdir: Path) -> None:
     for name in ("src", "tests", "scripts"):
         shutil.copytree(ROOT / name, workdir / name,
                         ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy2(ROOT / "pyproject.toml", workdir / "pyproject.toml")
     (workdir / "data").symlink_to(ROOT / "data", target_is_directory=True)
 
 

@@ -84,12 +84,12 @@ class Corpus:
     first appearance.  The arrays hold one element per entry in file
     order: `owner` is the index of its annotation in `keys`, then its class
     index in the frame, certainty level and proportion.  Build a corpus
-    with `parse_annotations` or `Corpus.from_annotations`; the
+    with `parse_annotations` or directly from its columns; the
     `TileAnnotation` objects are built only when `annotations` is read.
-    Built directly, a corpus turns list keys into tuples and refuses a key
-    that is not two strings, an empty id, a repeated key, and columns that
-    do not fit its keys and frame; it keeps a read-only copy of every
-    writable array.
+    Built directly, a corpus refuses a key that is not two strings, an
+    empty id, a repeated key, columns that do not fit its keys and frame,
+    and an annotation whose proportions sum past 1; it keeps a read-only
+    copy of every writable array.
     """
 
     frame: Frame
@@ -101,12 +101,10 @@ class Corpus:
 
     def __post_init__(self) -> None:
         keys = tuple(self.keys)
-        if any(map(_key_fault, keys)):
-            keys = tuple(tuple(key) if isinstance(key, (list, tuple)) else key for key in keys)
-            for key in keys:
-                fault = _key_fault(key)
-                if fault:
-                    raise ValueError(f"keys {fault}, got {key!r}")
+        for key in keys:
+            fault = _key_fault(key)
+            if fault:
+                raise ValueError(f"keys {fault}, got {key!r}")
         object.__setattr__(self, "keys", keys)
         if len(set(keys)) != len(keys):
             twice = next(key for key, count in Counter(keys).items() if count > 1)
@@ -136,33 +134,13 @@ class Corpus:
                 array = array.astype(dtype)
                 array.flags.writeable = False
             object.__setattr__(self, name, array)
-
-    @classmethod
-    def from_annotations(cls, frame: Frame, annotations: Iterable[TileAnnotation]) -> "Corpus":
-        """The corpus of these annotations, in order.
-
-        Refuses a class label outside the frame and a second annotation
-        for one (tile, expert).
-        """
-        class_of = {label: k for k, label in enumerate(frame.labels)}
-        ids: dict[tuple[str, str], int] = {}
-        owners, classes, levels, proportions = [], [], [], []
-        for ann in annotations:
-            key = (ann.tile_id, ann.expert_id)
-            if key in ids:
-                raise ValueError(
-                    f"tile {ann.tile_id!r} has two annotations by expert {ann.expert_id!r}"
-                )
-            owner = ids[key] = len(ids)
-            for label, level, proportion in ann.entries:
-                k = class_of.get(label)
-                if k is None:
-                    raise ValueError(f"unknown class label {label!r}")
-                owners.append(owner)
-                classes.append(k)
-                levels.append(level)
-                proportions.append(proportion)
-        return _from_lists(frame, ids, owners, classes, levels, proportions)
+        # bincount adds in entry order from 0.0, as parsing and TileAnnotation do
+        sums = np.bincount(self.owner, weights=self.proportion, minlength=len(keys))
+        over = np.flatnonzero(sums > 1.0 + SUM_TOLERANCE)
+        if len(over):
+            tile, expert = keys[over[0]]
+            raise ValueError(f"proportions for tile {tile!r} by expert {expert!r} "
+                             f"sum to {sums[over[0]].item()!r} > 1")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Corpus):
@@ -210,27 +188,6 @@ class Corpus:
             raise KeyError(
                 f"no annotation for tile {tile_id!r} by expert {expert_id!r}"
             ) from None
-
-    def tiles_of(self, expert_id: str) -> tuple[str, ...]:
-        return tuple(tile for tile, expert in self.keys if expert == expert_id)
-
-
-def _from_lists(
-    frame: Frame,
-    keys: Iterable[tuple[str, str]],
-    owners: list[int],
-    classes: list[int],
-    levels: list[int],
-    proportions: list[float],
-) -> Corpus:
-    return Corpus(
-        frame,
-        tuple(keys),
-        np.array(owners, dtype=np.intp),
-        np.array(classes, dtype=np.intp),
-        np.array(levels, dtype=np.intp),
-        np.array(proportions, dtype=np.float64),
-    )
 
 
 # The certainty levels as they are written when unpadded.
@@ -341,7 +298,14 @@ def parse_annotations(
         classes.append(k)
         levels.append(level)
         proportions.append(proportion)
-    return _from_lists(frame, ids, owners, classes, levels, proportions)
+    return Corpus(
+        frame,
+        tuple(ids),
+        np.array(owners, dtype=np.intp),
+        np.array(classes, dtype=np.intp),
+        np.array(levels, dtype=np.intp),
+        np.array(proportions, dtype=np.float64),
+    )
 
 
 def load_annotations(path: str, frame: Frame | None = None) -> Corpus:
@@ -385,8 +349,10 @@ def expert_pair(
     from 0.0, as `build_generalized_m5` does, so each entry equals that
     function's class mass before it is assembled into a mass function.
     Rows follow the first appearance of each tile for either expert, so
-    swapping the experts swaps the two arrays.  The closed forms the
-    arrays feed assume disjoint classes, so a free frame is refused.
+    swapping the experts swaps the two arrays.  A row sums to at most 1
+    up to rounding, since the corpus caps each annotation's proportions
+    and no weight exceeds 1.  The closed forms the arrays feed assume disjoint classes, so a free
+    frame is refused.
     """
     if experts is None:
         experts = corpus.experts
@@ -428,8 +394,6 @@ def expert_pair(
         mine = rows >= 0
         out = np.zeros((len(order), frame.n_classes))
         np.add.at(out, (rows[mine], corpus.class_index[mine]), share[mine])
-        if (out.sum(axis=1) > 1.0 + SUM_TOLERANCE).any():
-            raise ValueError("class masses exceed 1; check proportions and weights")
         out.flags.writeable = False
         return out
 

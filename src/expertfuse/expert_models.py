@@ -208,8 +208,6 @@ def build_generalized_m5(
         frame.label_index(label)  # unknown labels fail here
         per_class[label] = per_class.get(label, 0.0) + proportion * weights.weight(level)
     total = _sum_in_order(per_class.values())
-    if total > 1.0 + SUM_TOLERANCE:
-        raise ValueError("class masses exceed 1; check proportions and weights")
     entries: list[tuple[str, float]] = list(per_class.items())
     entries.append(("Θ", max(1.0 - total, 0.0)))
     return mass_from_entries(frame, entries, World.CLOSED)

@@ -20,7 +20,8 @@ collapses with the class count, so it stops at 12 classes.
 A seed and a class count name one stream, and `decision_change_rate`
 alone draws it, from a `SeedSequence` with entropy `seed` and spawn key
 ``(n,)``; its result keeps the pairs for `StabilityResult.histogram`.
-`conflict_density` is that histogram, so it needs at least one pair.
+`conflict_density` is that histogram, so it needs at least one pair, and
+it checks its bin count and subset before drawing.
 `invariance_check` draws from ``default_rng(seed)``.  Every entry point
 refuses a seed that is not a non-negative integer and a sample or bin
 count that is not an integer; all is deterministic given the arguments.
@@ -275,11 +276,21 @@ class Histogram:
 HISTOGRAM_SUBSETS = ("all", "decision_change")
 
 
+def _check_histogram_args(bins: int, subset: str) -> None:
+    if not _is_integer(bins):
+        raise ValueError(f"bin count must be an integer, got {bins}")
+    if bins < 1:
+        raise ValueError("need at least one bin")
+    if subset not in HISTOGRAM_SUBSETS:
+        raise ValueError(f"unknown subset {subset!r}; expected one of {HISTOGRAM_SUBSETS}")
+
+
 @dataclass(frozen=True)
 class StabilityResult:
     """A class count's decision-change row, plus each pair's conflict and flip.
 
-    `conflict` and `change` are read-only and outside ``==``, `hash` and `repr`.
+    `mean_conflict_changed` is None when no pair flips.  `conflict` and
+    `change` are read-only and outside ``==``, `hash` and `repr`.
     """
 
     n_classes: int
@@ -288,7 +299,7 @@ class StabilityResult:
     change_rate: float
     ci_halfwidth: float
     mean_conflict: float
-    mean_conflict_changed: float
+    mean_conflict_changed: float | None
     conflict: np.ndarray = field(default=(), repr=False, compare=False)
     change: np.ndarray = field(default=(), repr=False, compare=False)
 
@@ -307,12 +318,7 @@ class StabilityResult:
         ``"decision_change"`` counts only the flipped pairs.  Frequencies sum
         to 1 over the counted pairs, or are all 0 when none is counted.
         """
-        if not _is_integer(bins):
-            raise ValueError(f"bin count must be an integer, got {bins}")
-        if bins < 1:
-            raise ValueError("need at least one bin")
-        if subset not in HISTOGRAM_SUBSETS:
-            raise ValueError(f"unknown subset {subset!r}; expected one of {HISTOGRAM_SUBSETS}")
+        _check_histogram_args(bins, subset)
         conflict = self.conflict[self.change] if subset == "decision_change" else self.conflict
         counts, edges = np.histogram(conflict, bins=bins, range=(0.0, 1.0))
         total = int(counts.sum())
@@ -355,7 +361,7 @@ def decision_change_rate(
         change_rate=rate,
         ci_halfwidth=1.96 * math.sqrt(rate * (1.0 - rate) / n_samples),
         mean_conflict=float(conflict.mean()),
-        mean_conflict_changed=float(changed.mean()) if len(changed) else float("nan"),
+        mean_conflict_changed=float(changed.mean()) if len(changed) else None,
         conflict=conflict,
         change=change,
     )
@@ -372,8 +378,10 @@ def conflict_density(
     """Histogram of conjunctive conflict over the pairs of (`seed`, `n`) on [0, 1].
 
     ``decision_change_rate(n, n_samples, seed, law).histogram(bins, subset)``,
-    so it needs at least one pair.
+    so it needs at least one pair; `bins` and `subset` are checked before
+    drawing.
     """
+    _check_histogram_args(bins, subset)
     return decision_change_rate(n, n_samples, seed, law).histogram(bins, subset)
 
 

@@ -60,7 +60,7 @@ class TestParsing:
         assert note.entries[0].label == "sand"
         assert note.entries[0].level == 2
         assert note.entries[0].proportion == 0.5
-        assert small_corpus.tiles_of("e2") == ("t1", "t2")
+        assert expert_pair(small_corpus).tiles == ("t1", "t2")
 
     def test_equality_and_hash_follow_the_annotations(self, small_corpus):
         again = parse_annotations(SMALL)
@@ -284,10 +284,7 @@ class TestColumnsMatchAPlainGrouping:
         assert corpus.annotations == expected
         assert corpus.tiles == tuple(dict.fromkeys(a.tile_id for a in expected))
         assert corpus.experts == tuple(dict.fromkeys(a.expert_id for a in expected))
-        for expert in corpus.experts:
-            assert corpus.tiles_of(expert) == tuple(
-                a.tile_id for a in expected if a.expert_id == expert
-            )
+        assert corpus.keys == tuple((a.tile_id, a.expert_id) for a in expected)
 
     def test_padded_quoted_and_respelled_fields(self):
         text = (
@@ -498,8 +495,8 @@ class TestDemoCorpus:
         corpus = load_annotations(str(repo_root / "data" / "demo_corpus.csv"))
         assert len(corpus.tiles) == DEMO_TILES
         assert corpus.experts == DEMO_EXPERTS
-        for expert in corpus.experts:
-            assert len(corpus.tiles_of(expert)) == DEMO_TILES
+        assert len(corpus.keys) == 2 * DEMO_TILES
+        assert expert_pair(corpus).tiles == corpus.tiles
 
     def test_single_class_tiles_agree_under_both_rules(self):
         corpus = parse_annotations(generate_demo_corpus(300, DEMO_SEED))
@@ -514,7 +511,7 @@ def _object_route(corpus, experts, weights=DEFAULT_WEIGHTS, rules=("conjunctive"
     """
     frame = corpus.frame
     atoms = frame.atoms()
-    tiles = corpus.tiles_of(experts[0])
+    tiles = [tile for tile, expert in corpus.keys if expert == experts[0]]
     totals = np.zeros((frame.n_classes, frame.n_classes))
     differing = 0
     for tile in tiles:
@@ -647,13 +644,10 @@ class TestArrayRouteRejections:
             decision_difference(expert_pair(corpus))
 
     def test_unknown_label_in_a_built_corpus(self):
+        # a corpus holds class indices, refused outside the frame on construction
         lava = TileAnnotation("t1", "e1", (("lava", 1, 0.5),))
-        with pytest.raises(ValueError, match="unknown class label 'lava'"):
-            tile_mass(lava)
         with pytest.raises(ValueError, match="^unknown class label 'lava'$"):
-            Corpus.from_annotations(
-                sediment_frame(), (lava, TileAnnotation("t1", "e2", (("sand", 1, 0.5),)))
-            )
+            tile_mass(lava)
 
     def test_total_conflict_has_no_decision(self):
         corpus = parse_annotations(f"{HEADER}\nt1,e1,A,1,1.0\nt1,e2,B,1,1.0\n",
@@ -664,14 +658,20 @@ class TestArrayRouteRejections:
         with pytest.raises(ValueError, match="total conflict"):
             decision_difference(expert_pair(corpus, weights=flat))
 
-    def test_two_annotations_for_one_tile_and_expert(self):
-        annotations = (
-            TileAnnotation("t1", "e1", (("sand", 1, 0.5),)),
-            TileAnnotation("t1", "e1", (("silt", 1, 0.9),)),
-            TileAnnotation("t1", "e2", (("silt", 1, 0.5),)),
-        )
-        with pytest.raises(ValueError, match="^tile 't1' has two annotations by expert 'e1'$"):
-            Corpus.from_annotations(sediment_frame(), annotations)
+
+@st.composite
+def _small_columns(draw):
+    """Distinct keys and a few entry rows (owner, class, level, proportion),
+    each field now and then outside what a TileAnnotation accepts."""
+    keys = draw(st.lists(st.tuples(st.sampled_from(("t1", "t2")), st.sampled_from(("e1", "e2"))),
+                         min_size=1, max_size=3, unique=True))
+    rows = draw(st.lists(st.tuples(
+        st.integers(0, len(keys) - 1),
+        st.integers(0, 7),
+        st.integers(1, 4),
+        st.floats(0.0, 1.0) | st.sampled_from((0.5, 0.5000000005, 0.7, 1.25, float("nan"))),
+    ), max_size=5))
+    return tuple(keys), rows
 
 
 class TestDirectConstruction:
@@ -716,7 +716,7 @@ class TestDirectConstruction:
         assert str(refused.value) == message
 
     def test_a_repeated_key(self):
-        # once accepted: tiles_of("e1") listed t1 twice and annotation() kept the second
+        # once accepted: annotation() kept the second
         with pytest.raises(ValueError) as refused:
             Corpus(sediment_frame(), (("t1", "e1"), ("t1", "e1"), ("t1", "e2")),
                    np.array([0, 1, 2]), np.array([2, 3, 3]), np.array([1, 1, 1]),
@@ -727,21 +727,16 @@ class TestDirectConstruction:
         ((("t1", "e1", "x"), ("t1",)), ("t1", "e1", "x")),
         ((("t1", "e1"), ("t1", 3)), ("t1", 3)),
         ((("t1", "e1"), "t2"), "t2"),
+        ((["t1", "e1"], ("t1", "e2")), ["t1", "e1"]),
     ])
     def test_a_key_that_is_not_two_strings(self, keys, bad):
-        # the first keys were once accepted as they stand
+        # the first two keys were once accepted as they stand, the list key
+        # as the tuple ("t1", "e1")
         with pytest.raises(ValueError) as refused:
             Corpus(sediment_frame(), keys, **self._columns())
         assert str(refused.value) == (
             f"keys must be (tile, expert) pairs of two strings, got {bad!r}"
         )
-
-    def test_list_keys_become_tuples(self):
-        # these once ended in TypeError: unhashable type: 'list'
-        corpus = Corpus(sediment_frame(), [["t1", "e1"], ["t1", "e2"]], np.array([0, 1]),
-                        np.array([0, 0]), np.array([1, 1]), np.array([0.5, 0.5]))
-        assert corpus.keys == self.KEYS
-        assert corpus.tiles_of("e1") == ("t1",)
 
     @pytest.mark.parametrize("key", [("", "e2"), ("t1", "")])
     def test_an_empty_id(self, key):
@@ -758,13 +753,42 @@ class TestDirectConstruction:
             "columns differ in length: owner 2, class_index 2, level 3, proportion 2"
         )
 
-    def test_a_group_past_one_is_refused_by_the_pair(self):
-        # the constructor checks each proportion, not each group's sum
-        columns = self._columns(owner=np.array([0, 0, 1]), class_index=np.array([0, 1, 0]),
-                                level=np.array([1, 1, 1]), proportion=np.array([0.9, 0.9, 0.5]))
-        corpus = Corpus(sediment_frame(), self.KEYS, **columns)
-        with pytest.raises(ValueError, match="^class masses exceed 1; check proportions"):
-            expert_pair(corpus)
+    def test_a_group_past_one_is_refused(self):
+        # once accepted: the weighted row (0.933) passed expert_pair, and only
+        # ==, annotations and annotation() then raised
+        columns = self._columns(owner=np.array([0, 0, 1]), class_index=np.array([0, 1, 2]),
+                                level=np.array([1, 1, 1]), proportion=np.array([0.7, 0.7, 0.5]))
+        with pytest.raises(ValueError) as refused:
+            Corpus(sediment_frame(), self.KEYS, **columns)
+        assert str(refused.value) == "proportions for tile 't1' by expert 'e1' sum to 1.4 > 1"
+
+    def test_group_sum_on_the_tolerance_edge(self):
+        # 1 + 0.5e-9 lies inside SUM_TOLERANCE (1e-9), 1 + 2e-9 outside it
+        def corpus(second):
+            return Corpus(sediment_frame(), self.KEYS, np.array([1, 0, 0]), np.array([0, 0, 1]),
+                          np.array([1, 1, 1]), np.array([0.5, 0.5, second]))
+
+        assert corpus(0.5000000005).annotation("t1", "e1").entries == (
+            ("rock", 1, 0.5), ("cobble", 1, 0.5000000005)
+        )
+        with pytest.raises(ValueError) as refused:
+            corpus(0.500000002)
+        assert str(refused.value) == (
+            "proportions for tile 't1' by expert 'e1' sum to 1.0000000020000002 > 1"
+        )
+
+    @given(_small_columns())
+    def test_a_corpus_refuses_what_its_annotations_would(self, columns):
+        keys, rows = columns
+        owner, class_index, level = (np.array([row[i] for row in rows], dtype=np.intp)
+                                     for i in range(3))
+        proportion = np.array([row[3] for row in rows], dtype=np.float64)
+        try:
+            corpus = Corpus(sediment_frame(), keys, owner, class_index, level, proportion)
+        except ValueError:
+            return
+        assert len(corpus.annotations) == len(keys)
+        assert corpus == corpus
 
     def test_writable_arrays_are_copied_read_only(self):
         columns = self._columns(level=np.array([1, 3], dtype=np.int8))
@@ -791,7 +815,8 @@ class TestBuiltAndParsedCorpora:
     def test_a_built_corpus_gives_the_parsed_statistics(self):
         text = _uniform_corpus_text(4, 200, ("rock", "sand", "silt"), 5)
         parsed = parse_annotations(text)
-        built = Corpus.from_annotations(parsed.frame, parsed.annotations)
+        built = Corpus(parsed.frame, list(parsed.keys), parsed.owner.copy(),
+                       parsed.class_index.copy(), parsed.level.copy(), parsed.proportion.copy())
         assert built == parsed
         assert built.tiles == parsed.tiles
         assert built.experts == parsed.experts
@@ -802,7 +827,9 @@ class TestBuiltAndParsedCorpora:
     def test_a_built_corpus_holds_the_parsed_columns(self):
         text = _uniform_corpus_text(3, 120, ("rock", "sand", "silt"), 9)
         parsed = parse_annotations(text)
-        built = Corpus.from_annotations(parsed.frame, parsed.annotations)
+        built = Corpus(parsed.frame, parsed.keys, parsed.owner.astype(np.int32),
+                       parsed.class_index.astype(np.uint8), parsed.level.astype(np.int8),
+                       parsed.proportion.copy())
         assert built.keys == parsed.keys
         for field in ("owner", "class_index", "level", "proportion"):
             assert np.array_equal(getattr(built, field), getattr(parsed, field))
@@ -820,7 +847,7 @@ class TestBuiltAndParsedCorpora:
         monkeypatch.setattr(TileAnnotation, "__post_init__", refuse)
         corpus = parse_annotations(_uniform_corpus_text(2, 50, ("rock", "sand"), 3))
         assert corpus.experts == ("e1", "e2")
-        assert len(corpus.tiles) == len(corpus.tiles_of("e1")) == 50
+        assert len(corpus.tiles) == len(expert_pair(corpus).tiles) == 50
         conflict_matrix(expert_pair(corpus, ("e1", "e2")))
         decision_difference(expert_pair(corpus))
         repr(corpus)
@@ -828,11 +855,9 @@ class TestBuiltAndParsedCorpora:
             corpus.annotations
 
     def test_repr_names_the_frame_and_the_annotation_count(self, small_corpus):
-        built = Corpus.from_annotations(small_corpus.frame, small_corpus.annotations)
-        for corpus in (parse_annotations(SMALL), built):
-            assert repr(corpus) == (
-                f"Corpus(frame={small_corpus.frame!r}, annotations=<4 annotations>)"
-            )
+        assert repr(small_corpus) == (
+            f"Corpus(frame={small_corpus.frame!r}, annotations=<4 annotations>)"
+        )
 
     def test_corpus_is_immutable(self, small_corpus):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -841,12 +866,11 @@ class TestBuiltAndParsedCorpora:
             small_corpus.annotations = ()
         with pytest.raises(dataclasses.FrozenInstanceError):
             del small_corpus.frame
-        built = Corpus.from_annotations(small_corpus.frame, small_corpus.annotations)
-        for corpus in (small_corpus, built):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                corpus.keys = ()
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                corpus.proportion = corpus.proportion.copy()
-            for array in (corpus.owner, corpus.class_index, corpus.level, corpus.proportion):
-                with pytest.raises(ValueError, match="read-only"):
-                    array[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            small_corpus.keys = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            small_corpus.proportion = small_corpus.proportion.copy()
+        for array in (small_corpus.owner, small_corpus.class_index, small_corpus.level,
+                      small_corpus.proportion):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0

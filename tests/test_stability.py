@@ -409,9 +409,17 @@ class TestDecisionChangeRate:
         assert result.mean_conflict_changed > result.mean_conflict
 
     def test_no_changes_yields_nan_conflict_mean(self):
+        # a mean over no flipped pair does not exist: None, not NaN
         result = decision_change_rate(2, 3, seed=1)
         assert result.change_rate == 0.0
-        assert math.isnan(result.mean_conflict_changed)
+        assert result.mean_conflict_changed is None
+
+    def test_a_row_with_no_flip_equals_itself(self):
+        # with a NaN mean this row was unequal to itself, and its hash varied
+        row, again = decision_change_rate(2, 3, seed=1), decision_change_rate(2, 3, seed=1)
+        assert row.change_rate == 0.0
+        assert row == again
+        assert hash(row) == hash(again)
 
     def test_a_negative_seed_is_refused(self):
         calls = (
@@ -550,6 +558,18 @@ class TestIntegerCounts:
             self, no_draw, call, message):
         with pytest.raises(ValueError) as caught:
             call()
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("bins, subset, message", [
+        (2.5, "all", "bin count must be an integer, got 2.5"),
+        (0, "all", "need at least one bin"),
+        (10, "everything",
+         "unknown subset 'everything'; expected one of ('all', 'decision_change')"),
+    ], ids=["float-bins", "no-bin", "unknown-subset"])
+    def test_conflict_density_checks_its_histogram_before_drawing(
+            self, no_draw, bins, subset, message):
+        with pytest.raises(ValueError) as caught:
+            conflict_density(3, 200000, bins, subset)
         assert str(caught.value) == message
 
     def test_a_bin_count_that_is_not_an_integer_is_refused(self):
