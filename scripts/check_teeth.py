@@ -38,6 +38,9 @@ class Mutant(NamedTuple):
     test_ids: tuple[str, ...]
 
 
+_READER_MATCH = ("tests/test_corpus.py::TestColumnarReader"
+                 "::test_the_same_corpus_or_error_as_the_row_loop")
+
 MUTANTS = (
     Mutant("src/expertfuse/mass.py",
            "accumulated.get(0, 0.0) > PRUNE_THRESHOLD",
@@ -207,6 +210,59 @@ MUTANTS = (
            "if len(changed) else float(\"nan\"),",
            ("tests/test_stability.py::TestDecisionChangeRate"
             "::test_a_row_with_no_flip_equals_itself",)),
+    # The columnar reader's range check is the Corpus constructor's.
+    Mutant("src/expertfuse/corpus.py",
+           '        _refuse_outside(proportion, 0.0, 1.0, "proportion must lie in [0, 1]")\n',
+           "",
+           (f"{_READER_MATCH}[proportion-nan]", f"{_READER_MATCH}[proportion--0.5]")),
+    Mutant("src/expertfuse/corpus.py",
+           'f"S{max(width, 1)}"',
+           '"S16"',
+           (f"{_READER_MATCH}[ids-of-200-chars]", f"{_READER_MATCH}[id-of-100000-chars]")),
+    Mutant("src/expertfuse/corpus.py",
+           "    except ValueError:  # an unknown class or level",
+           "    except IndexError:  # an unknown class or level",
+           (f"{_READER_MATCH}[proportion-1.5]", f"{_READER_MATCH}[level-4]",
+            f"{_READER_MATCH}[empty-tile-id]")),
+    Mutant("src/expertfuse/corpus.py",
+           "(tile[1:] != tile[:-1]) | (expert[1:] != expert[:-1])",
+           "(tile[1:] != tile[:-1])",
+           (f"{_READER_MATCH}[a-key-returns]",
+            "tests/test_corpus.py::TestColumnarReader"
+            "::test_the_shipped_corpus_takes_the_columnar_reader")),
+    Mutant("src/expertfuse/corpus.py",
+           "max(widths) > csv.field_size_limit()",
+           "max(widths) > 10 * csv.field_size_limit()",
+           (f"{_READER_MATCH}[id-past-the-csv-limit]",)),
+    Mutant("src/expertfuse/corpus.py",
+           "_TABLE_BYTES_PER_TEXT_BYTE = 4\n",
+           "_TABLE_BYTES_PER_TEXT_BYTE = 400\n",
+           ("tests/test_corpus.py::TestColumnarReader"
+            "::test_a_table_far_larger_than_the_text_is_handed_over",)),
+    Mutant("src/expertfuse/corpus.py",
+           "if label.isascii() and label == label.strip():",
+           "if label.isascii():",
+           ("tests/test_corpus.py::TestColumnarReader"
+            "::test_a_padded_frame_label_matches_no_field",)),
+    Mutant("src/expertfuse/corpus.py",
+           "    except csv.Error as exc:",
+           "    except ValueError as exc:",
+           ("tests/test_corpus.py::TestParseErrors"
+            "::test_text_the_csv_module_cannot_split_is_located",
+            "tests/test_cli.py::TestCorpus"
+            "::test_text_the_csv_module_cannot_split_is_located[field-past-the-csv-limit]")),
+    Mutant("src/expertfuse/mass.py",
+           "            if key not in _JSON_KEYS:\n",
+           "            if key not in _JSON_KEYS | {key}:\n",
+           ("tests/test_mass.py::test_malformed_json_names_the_field"
+            "[payload6-mass JSON has an unknown key 'wrold']",)),
+    Mutant("src/expertfuse/expert_models.py",
+           "if isinstance(value, bool) or not isinstance(value, numbers.Real):",
+           "if isinstance(value, bool) and not isinstance(value, numbers.Real):",
+           ("tests/test_expert_models.py::TestCertaintyWeights"
+            "::test_a_bool_or_non_real_weight_names_the_field[bool]",
+            "tests/test_expert_models.py::TestCertaintyWeights"
+            "::test_a_bool_or_non_real_weight_names_the_field[str]")),
 )
 
 

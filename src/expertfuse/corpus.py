@@ -11,6 +11,15 @@ two experts and the fraction of tiles on which two combination rules
 reach different decisions.  Parsing fills one column per entry field;
 `expert_pair` builds both experts' mass arrays from those columns once,
 and both statistics read them.
+
+Two readers fill the columns.  Plain text (the header as written above,
+printable ASCII without quotes, "\n" line ends, five fields on every
+line), as `generate_demo_corpus` writes it, goes to the columnar reader:
+one `np.loadtxt` call splits and converts it, and whole-array compares
+map its classes and levels.  Everything else (quoted, padded, CRLF or
+non-ASCII text, line iterables) goes to the row loop, as does plain text
+the columnar reader finds a fault in: the row loop is the reference and
+names the line of the first fault.  Both give the same corpus.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -220,24 +229,20 @@ def _padded_proportion(text: str, lineno: int) -> float:
         raise CorpusError(f"line {lineno}: proportion {text!r} is not a number") from None
 
 
-def parse_annotations(
-    stream: Iterable[str] | str,
-    frame: Frame | None = None,
-) -> Corpus:
-    """Read and validate annotation CSV from a string or line iterable.
-
-    Every failure names the offending 1-based line: a bad header, a wrong
-    column count, an unknown class, a non-integer certainty level, a
-    proportion outside [0, 1], an empty tile or expert id, or a (tile,
-    expert) group whose proportions climb past 1.
-    """
-    if frame is None:
-        frame = sediment_frame()
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
+def _csv_rows(stream: Iterable[str]) -> Iterator[list[str]]:
+    """The csv rows of `stream`; a csv.Error becomes a CorpusError on its line."""
     reader = csv.reader(stream)
     try:
-        header = next(reader)
+        yield from reader
+    except csv.Error as exc:
+        raise CorpusError(f"line {reader.line_num}: {exc}") from None
+
+
+def _read_rows(stream: Iterable[str], frame: Frame) -> Corpus:
+    """The row loop: any CSV text, and the line of its first fault."""
+    rows = _csv_rows(stream)
+    try:
+        header = next(rows)
     except StopIteration:
         raise CorpusError("line 1: empty input, expected header "
                           + ",".join(CSV_HEADER)) from None
@@ -255,7 +260,7 @@ def parse_annotations(
     # in `owner`: rows of one annotation usually follow each other, and a
     # repeat needs no key.
     last_tile = last_expert = None
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(rows, start=2):
         try:
             tile_text, expert_text, label, level_text, proportion_text = row
         except ValueError:
@@ -308,9 +313,131 @@ def parse_annotations(
     )
 
 
+# Plain text: the header line as written, then printable ASCII without
+# quotes, lines ending in "\n".
+_PLAIN_HEADER = (",".join(CSV_HEADER) + "\n").encode("ascii")
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
+# The separators that end the five fields of a plain line.
+_LINE_ENDS = np.frombuffer(b",,,,\n", dtype=np.uint8)
+# loadtxt gives every entry its column's widest field, so one long field
+# can make the table far larger than the text.  The table may take this
+# many times the text's bytes, or 1 MiB on a small text.
+_TABLE_BYTES_PER_TEXT_BYTE = 4
+_TABLE_BYTES_FLOOR = 1 << 20
+
+
+def _field_widths(body: np.ndarray) -> list[int] | None:
+    """The widest of each of the five fields over the lines of `body`.
+
+    `body` holds the bytes after the header, ending in a newline.  None
+    unless every line holds exactly five fields, so also on a blank line.
+    """
+    fields = len(_LINE_ENDS)
+    ends = np.flatnonzero((body == _LINE_ENDS[0]) | (body == _LINE_ENDS[-1]))
+    if len(ends) % fields or (body[ends].reshape(-1, fields) != _LINE_ENDS).any():
+        return None
+    ends = ends.reshape(-1, fields)
+    # A field starts one byte past the separator before it.  One column at
+    # a time keeps the temporaries at one entry per line.
+    before = np.concatenate(([-1], ends[:-1, -1]))
+    widths = []
+    for field in range(fields):
+        widths.append(int((ends[:, field] - before).max()) - 1)
+        before = ends[:, field]
+    return widths
+
+
+def _read_plain(text: str, frame: Frame) -> Corpus | None:
+    """The columnar reader: plain CSV text in one `np.loadtxt` pass.
+
+    It reads only text whose header is written exactly as `CSV_HEADER`,
+    whose other bytes are printable ASCII other than `"` or newlines, and
+    whose lines hold five fields each.  It returns None, so that the row
+    loop reads the text and names the line of its first fault, for any
+    other text, for a field past the csv module's size limit, for string
+    columns far larger than the text, and for any field or group the
+    row loop would refuse; the `Corpus` constructor refuses those.
+    """
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    # The header alone goes to the row loop too: loadtxt warns on no rows.
+    if (data.translate(None, _PLAIN_BYTES) or not data.startswith(_PLAIN_HEADER)
+            or len(data) == len(_PLAIN_HEADER)):
+        return None
+    widths = _field_widths(np.frombuffer(data, dtype=np.uint8)[len(_PLAIN_HEADER):])
+    if widths is None or max(widths) > csv.field_size_limit():
+        return None
+    # An all-empty column still takes S1: S0 would let loadtxt pick a width.
+    dtype = np.dtype([(name, f"S{max(width, 1)}")
+                      for name, width in zip(CSV_HEADER, widths[:-1])]
+                     + [(CSV_HEADER[-1], np.float64)])
+    n_rows = data.count(b"\n") - 1
+    if n_rows * dtype.itemsize > max(_TABLE_BYTES_PER_TEXT_BYTE * len(data), _TABLE_BYTES_FLOOR):
+        return None
+    try:
+        table = np.loadtxt(io.BytesIO(data), dtype=dtype, delimiter=",", comments=None,
+                           quotechar=None, skiprows=1, encoding="ascii", ndmin=1)
+    except ValueError:
+        return None
+    labels = table["class"]
+    class_index = np.full(len(table), -1, dtype=np.intp)
+    for k, label in enumerate(frame.labels):
+        # the row loop strips a field before it looks the class up
+        if label.isascii() and label == label.strip():
+            class_index[labels == label.encode("ascii")] = k
+    level_texts = table["certainty_level"]
+    level = np.zeros(len(table), dtype=np.intp)
+    for level_text, value in _LEVEL_OF_TEXT.items():
+        level[level_texts == level_text.encode("ascii")] = value
+    # One key per run of rows that repeat the (tile, expert) text, as the
+    # row loop looks a key up only when that text changes.
+    tile, expert = table["tile_id"], table["expert_id"]
+    run_start = np.ones(len(table), dtype=bool)
+    run_start[1:] = (tile[1:] != tile[:-1]) | (expert[1:] != expert[:-1])
+    ids: dict[tuple[str, str], int] = {}
+    run_owner = [
+        ids.setdefault((tile_id.strip().decode(), expert_id.strip().decode()), len(ids))
+        for tile_id, expert_id in zip(tile[run_start].tolist(), expert[run_start].tolist())
+    ]
+    owner = np.array(run_owner, dtype=np.intp)[np.cumsum(run_start) - 1]
+    try:
+        return Corpus(frame, tuple(ids), owner, class_index, level, table["proportion"])
+    except ValueError:  # an unknown class or level (-1, 0), a range, an empty id, a sum
+        return None
+
+
+def parse_annotations(
+    stream: Iterable[str] | str,
+    frame: Frame | None = None,
+) -> Corpus:
+    """Read and validate annotation CSV from a string or line iterable.
+
+    Every failure names the offending 1-based line: a bad header, a wrong
+    column count, an unknown class, a non-integer certainty level, a
+    proportion outside [0, 1], an empty tile or expert id, a (tile,
+    expert) group whose proportions climb past 1, or text the csv module
+    cannot split.  A string splits into lines as a file opened with
+    ``newline=""`` does.  Plain text goes to the columnar reader
+    (`_read_plain`); any other input, and any text it hands over, to the
+    row loop (`_read_rows`), which yields the same corpus.
+    """
+    if frame is None:
+        frame = sediment_frame()
+    if isinstance(stream, str):
+        corpus = _read_plain(stream, frame)
+        if corpus is not None:
+            return corpus
+        stream = io.StringIO(stream, newline="")
+    return _read_rows(stream, frame)
+
+
 def load_annotations(path: str, frame: Frame | None = None) -> Corpus:
     with open(path, encoding="utf-8", newline="") as handle:
-        return parse_annotations(handle, frame)
+        text = handle.read()
+    return parse_annotations(text, frame)
 
 
 def tile_mass(

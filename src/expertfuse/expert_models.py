@@ -11,6 +11,7 @@ quantized to three levels.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -140,6 +141,10 @@ class CertaintyWeights:
     c3: float = 1.0 / 3.0
 
     def __post_init__(self) -> None:
+        for name in ("c1", "c2", "c3"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"certainty weight {name} must be a real number, got {value!r}")
         if not 0.0 < self.c3 <= self.c2 <= self.c1 <= 1.0:
             raise ValueError("certainty weights must satisfy 0 < c3 <= c2 <= c1 <= 1")
 
@@ -183,7 +188,7 @@ class TileAnnotation:
             total += entry.proportion
         if total > 1.0 + SUM_TOLERANCE:
             raise ValueError(
-                f"proportions for tile {self.tile_id!r} / expert "
+                f"proportions for tile {self.tile_id!r} by expert "
                 f"{self.expert_id!r} sum to {total!r} > 1"
             )
 

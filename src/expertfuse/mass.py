@@ -12,14 +12,18 @@ from __future__ import annotations
 import enum
 import json
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
 
 from .lattice import FocalElement, Frame, Model, format_element, make_frame, parse_element
 
 SUM_TOLERANCE = 1e-9
 PRUNE_THRESHOLD = 1e-12
+
+
+# The keys `MassFunction.to_json_dict` writes; `world` may be left out.
+_JSON_KEYS = frozenset(("frame", "model", "world", "masses"))
 
 
 class World(enum.Enum):
@@ -97,6 +101,9 @@ class MassFunction:
             masses = payload["masses"]
         except KeyError as exc:
             raise ValueError(f"mass JSON is missing the {exc.args[0]!r} key") from None
+        for key in payload:
+            if key not in _JSON_KEYS:
+                raise ValueError(f"mass JSON has an unknown key {key!r}")
         if not isinstance(labels, (list, tuple)) or not all(
             isinstance(label, str) for label in labels
         ):

@@ -521,6 +521,20 @@ class TestCorpus:
         out = capsys.readouterr().out
         assert "(expert2 rows, expert1 columns, 40 tiles)" in out
 
+    @pytest.mark.parametrize("row, message", [
+        # once a _csv.Error traceback
+        ("t" * 140_000 + ",e1,sand,1,0.5", "line 2: field larger than field limit (131072)"),
+        ("t1,e1,sa\rnd,1,0.5", "line 2: expected 5 fields, got 3"),
+    ], ids=["field-past-the-csv-limit", "lone-carriage-return"])
+    def test_text_the_csv_module_cannot_split_is_located(self, tmp_path, capsys, row, message):
+        path = tmp_path / "notes.csv"
+        path.write_bytes(("tile_id,expert_id,class,certainty_level,proportion\n"
+                          f"{row}\nt1,e2,silt,1,0.5\n").encode("ascii"))
+        assert main(["corpus", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_three_experts_need_the_flag(self, tmp_path, capsys):
         path = tmp_path / "three.csv"
         path.write_text("tile_id,expert_id,class,certainty_level,proportion\n"

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import io
 import json
+import string
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from expertfuse.corpus import (
     parse_annotations,
     tile_mass,
 )
+from expertfuse.corpus import _read_plain, _read_rows
 from expertfuse.decision import decide
 from expertfuse.expert_models import (
     DEFAULT_WEIGHTS,
@@ -216,6 +218,23 @@ class TestParseErrors:
         with pytest.raises(CorpusError, match=r"^line 2: proportion 'half' is not a number$"):
             parse_annotations(f"{HEADER}\nt1,e1,sand,1,\x1chalf\x1c\n")
 
+    def test_text_the_csv_module_cannot_split_is_located(self, tmp_path):
+        # both were once a bare _csv.Error, which is no ValueError
+        too_long = r"^line 2: field larger than field limit \(131072\)$"
+        with pytest.raises(CorpusError, match=too_long):
+            parse_annotations(f"{HEADER}\n{'t' * 140_000},e1,sand,1,0.5\n")
+        new_line = "^line 3: new-line character seen in unquoted field"
+        with pytest.raises(CorpusError, match=new_line):
+            parse_annotations([HEADER, "t1,e1,sand,1,0.5", "t1,e2,sa\rnd,1,0.5"])
+        # a string splits its lines as the file of the same text does
+        text = f"{HEADER}\nt1,e1,sand,1,0.5\nt1,e2,sa\rnd,1,0.5\n"
+        path = tmp_path / "notes.csv"
+        path.write_bytes(text.encode("ascii"))
+        for read in (lambda: parse_annotations(text), lambda: load_annotations(str(path))):
+            with pytest.raises(CorpusError) as refused:
+                read()
+            assert str(refused.value) == "line 3: expected 5 fields, got 3"
+
     def test_corpus_error_is_a_value_error(self):
         assert issubclass(CorpusError, ValueError)
 
@@ -299,6 +318,133 @@ class TestColumnsMatchAPlainGrouping:
             TileAnnotation("t,1", "e1", (("sand", 2, 0.25),)),
             TileAnnotation("t2", "e1", (("silt", 3, 0.5), ("silt", 1, 0.125))),
         )
+
+
+_PLAIN_ID = st.text(string.ascii_letters + string.digits + " #'-./:_", min_size=1, max_size=12)
+
+
+@st.composite
+def _plain_text(draw):
+    """Plain CSV text: no padding, no quoting, "\n" line ends, the trailing
+    one now and then left out; each (tile, expert) group keeps its
+    proportions ≤ 1, and a key may come back after another key."""
+    ident = _PLAIN_ID.filter(lambda text: text == text.strip())
+    tiles = draw(st.lists(ident | st.just("t" * 300), min_size=1, max_size=4, unique=True))
+    experts = draw(st.lists(ident, min_size=1, max_size=3, unique=True))
+    labels = sediment_frame().labels
+    sums: dict[tuple[str, str], int] = {}
+    lines = [HEADER]
+    for _ in range(draw(st.integers(1, 25))):
+        key = (draw(st.sampled_from(tiles)), draw(st.sampled_from(experts)))
+        parts = draw(st.integers(0, 1000 - sums.get(key, 0)))
+        sums[key] = sums.get(key, 0) + parts
+        proportion = draw(st.sampled_from((f"{parts / 1000}", f"{parts / 1000:.4f}",
+                                           f"{parts}e-3")))
+        lines.append(",".join((*key, draw(st.sampled_from(labels)),
+                               str(draw(st.integers(1, 3))), proportion)))
+    return "\n".join(lines) + draw(st.sampled_from(("\n", "")))
+
+
+def _columns(corpus):
+    """Keys, then each array's name, dtype and bytes."""
+    return corpus.keys, tuple(
+        (name, getattr(corpus, name).dtype, getattr(corpus, name).tobytes())
+        for name in ("owner", "class_index", "level", "proportion")
+    )
+
+
+def _row_loop(text, frame):
+    return _read_rows(io.StringIO(text, newline=""), frame)
+
+
+def _outcome(read):
+    try:
+        return _columns(read())
+    except CorpusError as exc:
+        return str(exc)
+
+
+def _rows(*rows, end="\n"):
+    return end.join((HEADER, *rows)) + end
+
+
+_LONG = "t" * 200
+
+
+class TestColumnarReader:
+    """Plain text takes the columnar reader, which gives the row loop's corpus."""
+
+    @given(_plain_text())
+    def test_plain_text_takes_the_columnar_reader(self, text):
+        frame = sediment_frame()
+        columnar = _read_plain(text, frame)
+        assert columnar is not None
+        assert _columns(columnar) == _columns(_row_loop(text, frame))
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(_rows(f"{_LONG},e1,sand,1,0.5", f"{_LONG},{_LONG}x,silt,2,0.25"),
+                     id="ids-of-200-chars"),
+        pytest.param(_rows(f"{'t' * 100_000},e1,sand,1,0.5", "t2,e1,silt,2,0.25"),
+                     id="id-of-100000-chars"),
+        pytest.param(_rows(f"{'t' * 140_000},e1,sand,1,0.5"), id="id-past-the-csv-limit"),
+        pytest.param(_rows("t\x00,e1,sand,1,0.5", "t,e1,silt,1,0.5"), id="nul"),
+        pytest.param(_rows("t1,e1,sa\rnd,1,0.5"), id="carriage-return"),
+        pytest.param(_rows("t1,e1,sand,1,0.5", "t1,e2,silt,1,0.5", end="\r\n"), id="crlf"),
+        pytest.param(_rows('"t,1",e1,sand,1,0.5', 'q"4,e1,"silt",1,0.25'), id="quote"),
+        pytest.param(_rows("t 1,e1,sand,1,0.5", " t 1 , e1 ,silt,1,0.25"), id="space"),
+        pytest.param(_rows("t1,e1, sand,1,0.5"), id="padded-class"),
+        pytest.param(_rows("t1,e1,sand,1,0.5", "é5,e1,silt,1,0.5"), id="non-ascii"),
+        *(pytest.param(_rows(f"t1,e1,sand,1,{field}"), id=f"proportion-{field}")
+          for field in ("nan", "1.5", "+1", "01", "1.0", "-0.5", "-0", "0.2_5", "")),
+        *(pytest.param(_rows(f"t1,e1,sand,{field},0.5"), id=f"level-{field}")
+          for field in ("nan", "1.5", "+1", "01", "1.0", "4")),
+        pytest.param(_rows("t1,e1,sand,1,0.25", "t1,e2,silt,1,0.25", "t1,e1,rock,3,0.25"),
+                     id="a-key-returns"),
+        pytest.param(_rows("t1,e1,sand,1,0.25", "t1,e2,silt,1,0.5", "t1,e1,rock,3,0.875"),
+                     id="a-returning-key-past-one"),
+        pytest.param(_rows("t1,e1,sand,1,0.5", "t1,e1,silt,1,0.5000000005"),
+                     id="sum-inside-the-tolerance"),
+        pytest.param(_rows("t1,e1,sand,1,0.5", "t1,e1,silt,1,0.500000002"),
+                     id="sum-past-the-tolerance"),
+        pytest.param(_rows(",e1,sand,1,0.5"), id="empty-tile-id"),
+        pytest.param(_rows("t1,e1,sand,1,0.5", "", "t1,e2,silt,1,0.5"), id="blank-line"),
+        pytest.param(_rows("t1,e1,sand,1,0.5", ""), id="blank-last-line"),
+        pytest.param(_rows("t1,e1,sand,1,0.5", "t1,e2,silt,1,0.5", end="\n")[:-1],
+                     id="no-trailing-newline"),
+        pytest.param(_rows("t1,e1,sand,1", "t1,e2,silt,1,0.5,x"), id="four-then-six-fields"),
+        pytest.param(f"{HEADER}\n", id="header-only"),
+        pytest.param(HEADER, id="header-only-no-newline"),
+    ])
+    def test_the_same_corpus_or_error_as_the_row_loop(self, text):
+        frame = sediment_frame()
+        assert _outcome(lambda: parse_annotations(text, frame)) == _outcome(
+            lambda: _row_loop(text, frame))
+
+    def test_a_table_far_larger_than_the_text_is_handed_over(self):
+        # loadtxt would give all 201 entries the long id's 100 000 bytes
+        text = _rows(f"{'t' * 100_000},e1,sand,1,0.5",
+                     *(f"t{k},e1,sand,1,0.5" for k in range(200)))
+        assert _read_plain(text, sediment_frame()) is None
+        assert _columns(parse_annotations(text)) == _columns(_row_loop(text, sediment_frame()))
+
+    def test_a_padded_frame_label_matches_no_field(self):
+        # the row loop strips ' B' to 'B' before it looks the class up
+        frame = make_frame(("A", " B"))
+        text = _rows("t1,e1, B,1,0.5")
+        assert _outcome(lambda: parse_annotations(text, frame)) == "line 2: unknown class 'B'"
+        assert _outcome(lambda: _row_loop(text, frame)) == "line 2: unknown class 'B'"
+
+    def test_the_shipped_corpus_takes_the_columnar_reader(self, repo_root):
+        text = (repo_root / "data" / "demo_corpus.csv").read_text(encoding="utf-8")
+        columnar = _read_plain(text, sediment_frame())
+        assert columnar is not None
+        assert _columns(columnar) == _columns(_row_loop(text, sediment_frame()))
+        # a CRLF, fully quoted copy takes the row loop to the same corpus
+        out = io.StringIO()
+        csv.writer(out, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(
+            csv.reader(io.StringIO(text)))
+        assert _read_plain(out.getvalue(), sediment_frame()) is None
+        assert _columns(parse_annotations(out.getvalue())) == _columns(columnar)
 
 
 class TestExpertPair:

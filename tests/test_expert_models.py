@@ -229,6 +229,18 @@ class TestCertaintyWeights:
             with pytest.raises(ValueError, match="c3 <= c2 <= c1"):
                 CertaintyWeights(*weights)
 
+    @pytest.mark.parametrize("weights, message", [
+        ((True, 1, 1), "certainty weight c1 must be a real number, got True"),
+        ((1.0, "0.5", 0.3), "certainty weight c2 must be a real number, got '0.5'"),
+        ((1.0, 0.5, None), "certainty weight c3 must be a real number, got None"),
+        ((1.0, 0.5, 0.3j), "certainty weight c3 must be a real number, got 0.3j"),
+    ], ids=["bool", "str", "none", "complex"])
+    def test_a_bool_or_non_real_weight_names_the_field(self, weights, message):
+        # CertaintyWeights(True, 1, 1) was once accepted as weights 1, 1, 1
+        with pytest.raises(ValueError) as refused:
+            CertaintyWeights(*weights)
+        assert str(refused.value) == message
+
 
 class TestGeneralizedModel:
     def test_single_confident_class(self):
@@ -289,6 +301,11 @@ class TestTileAnnotationValidation:
             TileAnnotation("t", "e", (AnnotationEntry("sand", 1, 1.5),))
         with pytest.raises(ValueError, match="proportion"):
             TileAnnotation("t", "e", (AnnotationEntry("sand", 1, -0.1),))
+
+    def test_the_sum_refusal_reads_as_the_corpus_one(self):
+        with pytest.raises(ValueError) as refused:
+            TileAnnotation("t1", "e1", (("sand", 1, 0.75), ("silt", 1, 0.5)))
+        assert str(refused.value) == "proportions for tile 't1' by expert 'e1' sum to 1.25 > 1"
 
     def test_proportions_cannot_exceed_the_tile(self):
         with pytest.raises(ValueError):

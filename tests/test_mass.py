@@ -273,6 +273,8 @@ def test_malformed_json_payloads_raise_value_error(payload):
         (_payload(masses={"A": None, "Θ": 0.5}), "value for 'A' is not a number: None"),
         (_payload(masses={"A": True}), "value for 'A' is not a number: True"),
         (_payload(frame="AB"), "'frame' must be a list of class labels, not 'AB'"),
+        # once loaded as a closed world, the misspelt key unread
+        (_payload(wrold="open"), "mass JSON has an unknown key 'wrold'"),
     ],
 )
 def test_malformed_json_names_the_field(payload, message):
