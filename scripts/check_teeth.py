@@ -251,6 +251,34 @@ MUTANTS = (
             "::test_text_the_csv_module_cannot_split_is_located",
             "tests/test_cli.py::TestCorpus"
             "::test_text_the_csv_module_cannot_split_is_located[field-past-the-csv-limit]")),
+    # A quoted field may span lines: a row is named by its last line, not its count.
+    Mutant("src/expertfuse/corpus.py",
+           "        for row in reader:\n            yield reader.line_num, row\n",
+           "        for lineno, row in enumerate(reader, start=1):\n"
+           "            yield lineno, row\n",
+           ("tests/test_corpus.py::TestParseErrors"
+            "::test_a_row_after_a_multi_line_id_names_its_line[unknown-class]",
+            "tests/test_corpus.py::TestParseErrors"
+            "::test_a_row_after_a_multi_line_id_names_its_line[proportion-not-a-number]",
+            "tests/test_cli.py::TestCorpus::test_a_row_after_a_multi_line_id_names_its_line")),
+    Mutant("src/expertfuse/cli.py",
+           "    except RecursionError:\n"
+           "        raise ValueError(f\"{path}: not valid JSON (nested too deeply)\") from None\n",
+           "",
+           ("tests/test_cli.py::TestFuse"
+            "::test_a_deeply_nested_mass_file_fails_without_traceback",
+            "tests/test_cli.py::TestDecide"
+            "::test_a_deeply_nested_mass_file_fails_without_traceback")),
+    Mutant("src/expertfuse/expert_models.py",
+           "            if isinstance(v, bool) or not isinstance(v, numbers.Real):\n"
+           "                raise ValueError(f\"{name} must be a real number, got {v!r}\")\n",
+           "",
+           ("tests/test_expert_models.py::TestDeclarations"
+            "::test_a_bool_or_non_real_field_is_refused[c_a-bool]",
+            "tests/test_expert_models.py::TestDeclarations"
+            "::test_a_bool_or_non_real_field_is_refused[p_a-bool]",
+            "tests/test_expert_models.py::TestDeclarations"
+            "::test_a_bool_or_non_real_field_is_refused[str]")),
     Mutant("src/expertfuse/mass.py",
            "            if key not in _JSON_KEYS:\n",
            "            if key not in _JSON_KEYS | {key}:\n",

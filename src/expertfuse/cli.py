@@ -49,10 +49,10 @@ def _load_mass(path: str) -> MassFunction:
             return MassFunction.from_json(handle.read())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    except RecursionError:
+        raise ValueError(f"{path}: not valid JSON (nested too deeply)") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: not a valid mass file ({exc})") from None
 
 
 def _write_json(path: str, payload: dict) -> None:

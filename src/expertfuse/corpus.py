@@ -19,7 +19,10 @@ one `np.loadtxt` call splits and converts it, and whole-array compares
 map its classes and levels.  Everything else (quoted, padded, CRLF or
 non-ASCII text, line iterables) goes to the row loop, as does plain text
 the columnar reader finds a fault in: the row loop is the reference and
-names the line of the first fault.  Both give the same corpus.
+names the line of the first fault.  It strips and converts each row's
+fields in one plain pass.  A fault is named by the line its row ends on,
+so a row after a quoted field that spans lines keeps its line number in
+the file.  Both give the same corpus.
 """
 
 from __future__ import annotations
@@ -199,41 +202,16 @@ class Corpus:
             ) from None
 
 
-# The certainty levels as they are written when unpadded.
-_LEVEL_OF_TEXT = {str(level): level for level in CERTAINTY_LEVELS}
+def _csv_rows(stream: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """Each csv row of `stream` with the line it ends on.
 
-
-def _padded_level(text: str, lineno: int) -> int:
-    """The certainty level of a field `_LEVEL_OF_TEXT` does not hold as written."""
-    text = text.strip()
-    try:
-        level = int(text)
-    except ValueError:
-        raise CorpusError(f"line {lineno}: certainty level {text!r} "
-                          "is not an integer") from None
-    if level not in CERTAINTY_LEVELS:
-        raise CorpusError(f"line {lineno}: certainty level must be 1, 2 or 3, got {level}")
-    return level
-
-
-def _padded_proportion(text: str, lineno: int) -> float:
-    """The proportion of a field float() refuses as written.
-
-    float() skips most padding itself, but not the separators U+001C to
-    U+001F, which str.strip() removes.
+    A quoted field may span lines, so the line is the reader's count, not
+    the row's.  A csv.Error becomes a CorpusError on its line.
     """
-    text = text.strip()
-    try:
-        return float(text)
-    except ValueError:
-        raise CorpusError(f"line {lineno}: proportion {text!r} is not a number") from None
-
-
-def _csv_rows(stream: Iterable[str]) -> Iterator[list[str]]:
-    """The csv rows of `stream`; a csv.Error becomes a CorpusError on its line."""
     reader = csv.reader(stream)
     try:
-        yield from reader
+        for row in reader:
+            yield reader.line_num, row
     except csv.Error as exc:
         raise CorpusError(f"line {reader.line_num}: {exc}") from None
 
@@ -242,7 +220,7 @@ def _read_rows(stream: Iterable[str], frame: Frame) -> Corpus:
     """The row loop: any CSV text, and the line of its first fault."""
     rows = _csv_rows(stream)
     try:
-        header = next(rows)
+        _, header = next(rows)
     except StopIteration:
         raise CorpusError("line 1: empty input, expected header "
                           + ",".join(CSV_HEADER)) from None
@@ -256,47 +234,43 @@ def _read_rows(stream: Iterable[str], frame: Frame) -> Corpus:
     classes: list[int] = []
     levels: list[int] = []
     proportions: list[float] = []
-    # The raw (tile, expert) text of the previous row, whose owner is still
-    # in `owner`: rows of one annotation usually follow each other, and a
-    # repeat needs no key.
-    last_tile = last_expert = None
-    for lineno, row in enumerate(rows, start=2):
-        try:
-            tile_text, expert_text, label, level_text, proportion_text = row
-        except ValueError:
-            if not row:
-                continue
-            raise CorpusError(
-                f"line {lineno}: expected {len(CSV_HEADER)} fields, got {len(row)}"
-            ) from None
-        k = class_of.get(label.strip())
+    for lineno, row in rows:
+        if not row:
+            continue
+        if len(row) != len(CSV_HEADER):
+            raise CorpusError(f"line {lineno}: expected {len(CSV_HEADER)} fields, got {len(row)}")
+        tile_id, expert_id, label, level_text, proportion_text = map(str.strip, row)
+        k = class_of.get(label)
         if k is None:
-            raise CorpusError(f"line {lineno}: unknown class {label.strip()!r}")
-        level = _LEVEL_OF_TEXT.get(level_text)
-        if level is None:
-            level = _padded_level(level_text, lineno)
+            raise CorpusError(f"line {lineno}: unknown class {label!r}")
+        try:
+            level = int(level_text)
+        except ValueError:
+            raise CorpusError(f"line {lineno}: certainty level {level_text!r} "
+                              "is not an integer") from None
+        if level not in CERTAINTY_LEVELS:
+            raise CorpusError(f"line {lineno}: certainty level must be 1, 2 or 3, got {level}")
         try:
             proportion = float(proportion_text)
         except ValueError:
-            proportion = _padded_proportion(proportion_text, lineno)
+            raise CorpusError(f"line {lineno}: proportion {proportion_text!r} "
+                              "is not a number") from None
         if not 0.0 <= proportion <= 1.0:
             raise CorpusError(f"line {lineno}: proportion must lie in [0, 1], got {proportion}")
-        if tile_text != last_tile or expert_text != last_expert:
-            key = (tile_text.strip(), expert_text.strip())
-            owner = ids.get(key)
-            if owner is None:
-                if not key[0]:
-                    raise CorpusError(f"line {lineno}: empty tile id")
-                if not key[1]:
-                    raise CorpusError(f"line {lineno}: empty expert id")
-                owner = ids[key] = len(sums)
-                sums.append(0.0)
-            last_tile, last_expert = tile_text, expert_text
+        key = (tile_id, expert_id)
+        owner = ids.get(key)
+        if owner is None:
+            if not tile_id:
+                raise CorpusError(f"line {lineno}: empty tile id")
+            if not expert_id:
+                raise CorpusError(f"line {lineno}: empty expert id")
+            owner = ids[key] = len(sums)
+            sums.append(0.0)
         new_sum = sums[owner] + proportion
         if new_sum > 1.0 + SUM_TOLERANCE:
             raise CorpusError(
-                f"line {lineno}: proportions for tile {tile_text.strip()!r} by expert "
-                f"{expert_text.strip()!r} sum to {new_sum!r} > 1"
+                f"line {lineno}: proportions for tile {tile_id!r} by expert "
+                f"{expert_id!r} sum to {new_sum!r} > 1"
             )
         sums[owner] = new_sum
         owners.append(owner)
@@ -390,10 +364,10 @@ def _read_plain(text: str, frame: Frame) -> Corpus | None:
             class_index[labels == label.encode("ascii")] = k
     level_texts = table["certainty_level"]
     level = np.zeros(len(table), dtype=np.intp)
-    for level_text, value in _LEVEL_OF_TEXT.items():
-        level[level_texts == level_text.encode("ascii")] = value
-    # One key per run of rows that repeat the (tile, expert) text, as the
-    # row loop looks a key up only when that text changes.
+    for value in CERTAINTY_LEVELS:
+        level[level_texts == str(value).encode("ascii")] = value
+    # One key per run of rows that repeat the (tile, expert) text, since
+    # rows of one annotation usually follow each other.
     tile, expert = table["tile_id"], table["expert_id"]
     run_start = np.ones(len(table), dtype=bool)
     run_start[1:] = (tile[1:] != tile[:-1]) | (expert[1:] != expert[:-1])

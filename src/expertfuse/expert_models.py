@@ -44,6 +44,8 @@ class ExpertDeclaration:
     def __post_init__(self) -> None:
         for name, v in (("p_a", self.p_a), ("p_b", self.p_b),
                         ("c_a", self.c_a), ("c_b", self.c_b)):
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {v!r}")
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
         if self.kind is DeclarationKind.SAYS_A and self.p_a != 1.0:

@@ -61,9 +61,6 @@ class MassFunction:
         """Weight sitting on the empty element."""
         return self._by_mask.get(0, 0.0)
 
-    def focal_elements(self) -> list[tuple[FocalElement, float]]:
-        return [(FocalElement(self.frame, mask), v) for mask, v in self.pairs]
-
     def total(self) -> float:
         return _sum_in_order(v for _, v in self.pairs)
 

@@ -191,6 +191,16 @@ class TestFuse:
         assert proc.returncode == 1
         assert proc.stderr == f"error: {paths[0]}: mass on Θ is too large for a float\n"
 
+    def test_a_deeply_nested_mass_file_fails_without_traceback(self, mass_dir, tmp_path,
+                                                                capsys):
+        # once a RecursionError traceback
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000, encoding="utf-8")
+        assert main(["fuse", str(path), str(mass_dir / "m1_one.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: not valid JSON (nested too deeply)\n"
+
 
 class TestDecide:
     def test_defaults_to_pignistic_over_classes(self, mass_dir, capsys):
@@ -239,6 +249,15 @@ class TestDecide:
         code = main(["decide", str(mass_dir / "tie.json"), "--candidates", "A,X"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_a_deeply_nested_mass_file_fails_without_traceback(self, tmp_path, capsys):
+        # once a RecursionError traceback
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000, encoding="utf-8")
+        assert main(["decide", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: not valid JSON (nested too deeply)\n"
 
 
 class TestSimulate:
@@ -581,6 +600,16 @@ class TestCorpus:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: line 3: certainty level must be 1, 2 or 3, got 4\n"
+
+    def test_a_row_after_a_multi_line_id_names_its_line(self, tmp_path, capsys):
+        # the quoted id spans lines 2 and 3; this was once reported as line 3
+        path = tmp_path / "multi_line_id.csv"
+        path.write_text('tile_id,expert_id,class,certainty_level,proportion\n'
+                        '"t\n1",e1,sand,1,0.5\nt2,e1,lava,1,0.5\n', encoding="utf-8")
+        assert main(["corpus", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 4: unknown class 'lava'\n"
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["corpus", str(tmp_path / "nowhere.csv")]) == 1

@@ -235,6 +235,20 @@ class TestParseErrors:
                 read()
             assert str(refused.value) == "line 3: expected 5 fields, got 3"
 
+    @pytest.mark.parametrize("row, message", [
+        ("t2,e1,lava,1,0.5", "line 4: unknown class 'lava'"),
+        ("t2,e1,sand,1,half", "line 4: proportion 'half' is not a number"),
+    ], ids=["unknown-class", "proportion-not-a-number"])
+    def test_a_row_after_a_multi_line_id_names_its_line(self, tmp_path, row, message):
+        # the quoted id spans lines 2 and 3; the row after it was once line 3
+        text = f'{HEADER}\n"t\n1",e1,sand,1,0.5\n{row}\n'
+        path = tmp_path / "notes.csv"
+        path.write_text(text, encoding="utf-8")
+        for read in (lambda: parse_annotations(text), lambda: load_annotations(str(path))):
+            with pytest.raises(CorpusError) as refused:
+                read()
+            assert str(refused.value) == message
+
     def test_corpus_error_is_a_value_error(self):
         assert issubclass(CorpusError, ValueError)
 

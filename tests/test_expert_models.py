@@ -25,7 +25,7 @@ from expertfuse.expert_models import (
     sediment_frame,
 )
 from expertfuse.fusion import combine_conjunctive
-from expertfuse.lattice import Model
+from expertfuse.lattice import FocalElement, Model
 from expertfuse.mass import World, mass_from_entries
 
 
@@ -74,6 +74,20 @@ class TestDeclarations:
         with pytest.raises(ValueError, match=r"c_b must lie in \[0, 1\]"):
             ExpertDeclaration.says_both(0.5, 0.5, value)
 
+    @pytest.mark.parametrize("fields, message", [
+        ((1.0, 0.0, True, 0.0), "c_a must be a real number, got True"),
+        ((True, 0.0, 0.6, 0.0), "p_a must be a real number, got True"),
+        ((1.0, False, 0.6, 0.0), "p_b must be a real number, got False"),
+        ((1.0, 0.0, "0.6", 0.0), "c_a must be a real number, got '0.6'"),
+        ((1.0, 0.0, 0.6, None), "c_b must be a real number, got None"),
+        ((1.0, 0.0, 0.6j, 0.0), "c_a must be a real number, got 0.6j"),
+    ], ids=["c_a-bool", "p_a-bool", "p_b-bool", "str", "none", "complex"])
+    def test_a_bool_or_non_real_field_is_refused(self, fields, message):
+        # the first case is says_a(True), whose build_m5 mass was once {A: 1}
+        with pytest.raises(ValueError) as refused:
+            ExpertDeclaration(DeclarationKind.SAYS_A, *fields)
+        assert str(refused.value) == message
+
 
 class TestSingleExpertMasses:
     """Mass tables for the two running declarations, model by model."""
@@ -109,7 +123,8 @@ class TestSingleExpertMasses:
         shafer = build_m5(expert_two)
         free = build_m5(expert_two, Model.FREE)
         assert free.frame.model is Model.FREE
-        for element, value in shafer.focal_elements():
+        for mask, value in shafer.pairs:
+            element = FocalElement(shafer.frame, mask)
             assert free.value(free.frame.parse_element(str(element))) == value
 
     def test_says_b_mirrors_says_a(self):

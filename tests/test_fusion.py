@@ -25,7 +25,7 @@ from expertfuse.fusion import (
     combine_pcr6,
     redistribute_conjunctions,
 )
-from expertfuse.lattice import Model, enumerate_elements, make_frame
+from expertfuse.lattice import FocalElement, Model, enumerate_elements, make_frame
 from expertfuse.mass import World, mass_from_entries, mass_from_masks
 
 AB = make_frame(("A", "B"))
@@ -34,7 +34,7 @@ ABC_FREE = make_frame(("A", "B", "C"), Model.FREE)
 
 
 def table(m) -> dict[str, float]:
-    return {str(element): value for element, value in m.focal_elements()}
+    return {str(FocalElement(m.frame, mask)): value for mask, value in m.pairs}
 
 
 def assert_table(m, expected: dict[str, float], tol: float = 1e-12):
@@ -177,8 +177,8 @@ class TestPcr6:
         conj = combine_conjunctive([m1, m2, m3])
         assert conj.conflict == 0.0
         fused6 = combine_pcr6([m1, m2, m3])
-        for element, value in conj.focal_elements():
-            assert fused6.value_of_mask(element.mask) == pytest.approx(value, abs=0)
+        for mask, value in conj.pairs:
+            assert fused6.value_of_mask(mask) == pytest.approx(value, abs=0)
 
     @staticmethod
     def _spread(focal_count):

@@ -109,18 +109,18 @@ def test_tiny_masses_are_pruned_and_the_rest_renormalized():
     m = mass_from_entries(FRAME, {"A": 0.5, "B": PRUNE_THRESHOLD / 4, "Θ": 0.5})
     assert m.value(FRAME.atom(1)) == 0.0
     assert m.total() == pytest.approx(1.0, abs=1e-15)
-    assert len(m.focal_elements()) == 2
+    assert len(m.pairs) == 2
 
 
 def test_a_mass_of_exactly_the_prune_threshold_is_kept():
     m = mass_from_entries(FRAME, {"A": 0.5, "B": PRUNE_THRESHOLD, "Θ": 0.5 - PRUNE_THRESHOLD})
-    assert len(m.focal_elements()) == 3
+    assert len(m.pairs) == 3
     assert m.value(FRAME.atom(1)) == pytest.approx(PRUNE_THRESHOLD, rel=1e-9, abs=0.0)
 
 
 def test_focal_elements_sorted_by_mask():
     m = mass_from_entries(FRAME, {"Θ": 0.2, "A": 0.5, "B": 0.3})
-    masks = [element.mask for element, _ in m.focal_elements()]
+    masks = [mask for mask, _ in m.pairs]
     assert masks == sorted(masks)
 
 
@@ -188,7 +188,7 @@ def test_any_nonnegative_vector_normalizes(values):
     elements = enumerate_elements(FRAME)
     m = mass_from_entries(FRAME, zip(elements, scaled))
     assert math.isclose(m.total(), 1.0, abs_tol=1e-12)
-    assert all(v >= 0.0 for _, v in m.focal_elements())
+    assert all(v >= 0.0 for _, v in m.pairs)
 
 
 ROUND_TRIP_FRAMES = (
