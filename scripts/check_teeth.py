@@ -291,6 +291,43 @@ MUTANTS = (
             "::test_a_bool_or_non_real_weight_names_the_field[bool]",
             "tests/test_expert_models.py::TestCertaintyWeights"
             "::test_a_bool_or_non_real_weight_names_the_field[str]")),
+    Mutant("src/expertfuse/corpus.py",
+           "    if not isinstance(text, str):\n"
+           "        raise TypeError(f\"annotation text must be a str, got {type(text).__name__}\")\n",
+           "",
+           ("tests/test_corpus.py::TestParseErrors::test_anything_but_text_is_refused[lines]",
+            "tests/test_corpus.py::TestParseErrors::test_anything_but_text_is_refused[stream]")),
+    Mutant("src/expertfuse/expert_models.py",
+           "if isinstance(level, bool) or not isinstance(level, numbers.Integral)",
+           "if not isinstance(level, numbers.Integral)",
+           ("tests/test_expert_models.py::TestCertaintyWeights"
+            "::test_a_bool_or_non_integer_level_is_refused[bool]",
+            "tests/test_expert_models.py::TestTileAnnotationValidation"
+            "::test_a_bool_or_non_integer_level_is_refused[bool]")),
+    Mutant("src/expertfuse/expert_models.py",
+           "or not isinstance(level, numbers.Integral) or (",
+           "or (",
+           ("tests/test_expert_models.py::TestCertaintyWeights"
+            "::test_a_bool_or_non_integer_level_is_refused[float]",
+            "tests/test_expert_models.py::TestTileAnnotationValidation"
+            "::test_a_bool_or_non_integer_level_is_refused[float]")),
+    Mutant("src/expertfuse/expert_models.py",
+           "if isinstance(entry.proportion, bool) or not",
+           "if not",
+           ("tests/test_expert_models.py::TestTileAnnotationValidation"
+            "::test_a_bool_or_non_real_proportion_is_refused[bool]",)),
+    Mutant("src/expertfuse/mass.py",
+           "isinstance(value, bool) or not isinstance(value, numbers.Real)",
+           "not isinstance(value, numbers.Real)",
+           ("tests/test_mass.py::test_a_bool_or_non_real_mass_names_the_element[bool]",)),
+    # Damped PCR5 redistribution: every rate stays inside criterion 8's one
+    # point, but n = 3..6 fall 3.5 to 4.8 thousandths below the reference.
+    Mutant("src/expertfuse/stability.py",
+           "shared = ai * bj / denom",
+           "shared = ai * bj / (denom + 0.15)",
+           tuple(f"tests/test_acceptance.py"
+                 f"::test_rates_agree_with_the_seed_independent_reference[{n}]"
+                 for n in range(3, 7))),
 )
 
 

@@ -200,8 +200,6 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     experts = None
     if args.experts:
         experts = [e.strip() for e in args.experts.split(",")]
-        if len(experts) != 2:
-            raise ValueError("--experts needs exactly two comma-separated ids")
     rules = [r.strip() for r in args.rules.split(",")]
     if len(rules) != 2:
         raise ValueError(f"--rules needs two comma-separated rule names, got {args.rules!r}")

@@ -17,9 +17,9 @@ printable ASCII without quotes, "\n" line ends, five fields on every
 line), as `generate_demo_corpus` writes it, goes to the columnar reader:
 one `np.loadtxt` call splits and converts it, and whole-array compares
 map its classes and levels.  Everything else (quoted, padded, CRLF or
-non-ASCII text, line iterables) goes to the row loop, as does plain text
-the columnar reader finds a fault in: the row loop is the reference and
-names the line of the first fault.  It strips and converts each row's
+non-ASCII text) goes to the row loop, as does plain text the columnar
+reader finds a fault in: the row loop is the reference and names the
+line of the first fault.  It strips and converts each row's
 fields in one plain pass.  A fault is named by the line its row ends on,
 so a row after a quoted field that spans lines keeps its line number in
 the file.  Both give the same corpus.
@@ -33,7 +33,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -202,13 +202,14 @@ class Corpus:
             ) from None
 
 
-def _csv_rows(stream: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
-    """Each csv row of `stream` with the line it ends on.
+def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
+    """Each csv row of `text` with the line it ends on.
 
+    The text splits into lines as a file opened with ``newline=""`` does.
     A quoted field may span lines, so the line is the reader's count, not
     the row's.  A csv.Error becomes a CorpusError on its line.
     """
-    reader = csv.reader(stream)
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         for row in reader:
             yield reader.line_num, row
@@ -216,9 +217,9 @@ def _csv_rows(stream: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
         raise CorpusError(f"line {reader.line_num}: {exc}") from None
 
 
-def _read_rows(stream: Iterable[str], frame: Frame) -> Corpus:
+def _read_rows(text: str, frame: Frame) -> Corpus:
     """The row loop: any CSV text, and the line of its first fault."""
-    rows = _csv_rows(stream)
+    rows = _csv_rows(text)
     try:
         _, header = next(rows)
     except StopIteration:
@@ -383,35 +384,29 @@ def _read_plain(text: str, frame: Frame) -> Corpus | None:
         return None
 
 
-def parse_annotations(
-    stream: Iterable[str] | str,
-    frame: Frame | None = None,
-) -> Corpus:
-    """Read and validate annotation CSV from a string or line iterable.
+def parse_annotations(text: str, frame: Frame | None = None) -> Corpus:
+    """Read and validate annotation CSV text.
 
     Every failure names the offending 1-based line: a bad header, a wrong
     column count, an unknown class, a non-integer certainty level, a
     proportion outside [0, 1], an empty tile or expert id, a (tile,
     expert) group whose proportions climb past 1, or text the csv module
-    cannot split.  A string splits into lines as a file opened with
+    cannot split.  The text splits into lines as a file opened with
     ``newline=""`` does.  Plain text goes to the columnar reader
-    (`_read_plain`); any other input, and any text it hands over, to the
+    (`_read_plain`); any other text, and any text it hands over, to the
     row loop (`_read_rows`), which yields the same corpus.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"annotation text must be a str, got {type(text).__name__}")
     if frame is None:
         frame = sediment_frame()
-    if isinstance(stream, str):
-        corpus = _read_plain(stream, frame)
-        if corpus is not None:
-            return corpus
-        stream = io.StringIO(stream, newline="")
-    return _read_rows(stream, frame)
+    return _read_plain(text, frame) or _read_rows(text, frame)
 
 
-def load_annotations(path: str, frame: Frame | None = None) -> Corpus:
+def load_annotations(path: str) -> Corpus:
     with open(path, encoding="utf-8", newline="") as handle:
         text = handle.read()
-    return parse_annotations(text, frame)
+    return parse_annotations(text)
 
 
 def tile_mass(

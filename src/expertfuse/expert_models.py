@@ -134,6 +134,13 @@ SEDIMENT_CLASSES = ("rock", "cobble", "sand", "silt", "ripple", "shadow", "other
 CERTAINTY_LEVELS = (1, 2, 3)
 
 
+def _check_level(level: object) -> None:
+    """Refuse a certainty level that is not the integer 1, 2 or 3; a bool included."""
+    if isinstance(level, bool) or not isinstance(level, numbers.Integral) or (
+            level not in CERTAINTY_LEVELS):
+        raise ValueError(f"certainty level must be 1, 2 or 3, got {level!r}")
+
+
 @dataclass(frozen=True)
 class CertaintyWeights:
     """Weights for the three spoken certainty levels, sure first."""
@@ -151,8 +158,7 @@ class CertaintyWeights:
             raise ValueError("certainty weights must satisfy 0 < c3 <= c2 <= c1 <= 1")
 
     def weight(self, level: int) -> float:
-        if level not in CERTAINTY_LEVELS:
-            raise ValueError(f"certainty level must be 1, 2 or 3, got {level!r}")
+        _check_level(level)
         return (self.c1, self.c2, self.c3)[level - 1]
 
 
@@ -179,10 +185,9 @@ class TileAnnotation:
         )
         total = 0.0
         for entry in self.entries:
-            if entry.level not in CERTAINTY_LEVELS:
-                raise ValueError(
-                    f"certainty level must be 1, 2 or 3, got {entry.level!r}"
-                )
+            _check_level(entry.level)
+            if isinstance(entry.proportion, bool) or not isinstance(entry.proportion, numbers.Real):
+                raise ValueError(f"proportion must be a real number, got {entry.proportion!r}")
             if not 0.0 <= entry.proportion <= 1.0:
                 raise ValueError(
                     f"proportion must lie in [0, 1], got {entry.proportion!r}"

@@ -3,12 +3,15 @@
 Golden fusion tables are pinned at the four printed decimals (1e-4), the
 Monte Carlo flip rates at one percentage point, fuzzed algebraic
 properties at 1e-12 or exactly, and the corpus cross-check at two
-standard errors.  The conftest hook turns these into the CRITERION
-summary lines at the end of the run.
+standard errors.  An unnumbered test holds the flip rates to four
+standard errors of the seed-independent reference in
+`tests/reference_rates.json`.  The conftest hook turns the numbered
+tests into the CRITERION summary lines at the end of the run.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -212,6 +215,24 @@ def test_criterion_09_conflict_concentrates_on_flips(stability_results, n):
     """Mean conflict over flipped pairs beats the unconditional mean."""
     result = stability_results[n]
     assert result.mean_conflict_changed > result.mean_conflict
+
+
+@pytest.fixture(scope="module")
+def reference_rates(repo_root):
+    """Flip rates pooled over 10^8 pairs per class count, from scripts/reference_rates.py."""
+    document = json.loads((repo_root / "tests" / "reference_rates.json").read_text(encoding="utf-8"))
+    return {int(n): row for n, row in document["rates"].items()}
+
+
+@pytest.mark.parametrize("n", sorted(RATE_TARGETS))
+def test_rates_agree_with_the_seed_independent_reference(stability_results, reference_rates, n):
+    # Criterion 8's one-point band spans ~12 standard errors at n = 7; this
+    # one spans 4 of the difference between two independent samples.
+    reference = reference_rates[n]
+    assert reference["rate"] == reference["flips"] / reference["pairs"]
+    rate = stability_results[n].change_rate
+    se_fixture = math.sqrt(rate * (1.0 - rate) / STABILITY_PAIRS)
+    assert abs(rate - reference["rate"]) <= 4.0 * math.hypot(se_fixture, reference["se"])
 
 
 @pytest.mark.parametrize("constraint", ["across", "within"])
@@ -471,7 +492,7 @@ def test_criterion_13_conflict_matrix_pipeline(demo_corpus, stability_results):
 
     # A corpus drawn from the sampling law itself must reproduce the
     # simulated flip rate for seven classes within two standard errors.
-    corpus = parse_annotations(_consistency_corpus_lines())
+    corpus = parse_annotations("\n".join(_consistency_corpus_lines()) + "\n")
     difference = decision_difference(
         expert_pair(corpus, weights=CertaintyWeights(1.0, 1.0, 1.0)),
         rule_a="conjunctive",

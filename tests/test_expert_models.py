@@ -231,6 +231,16 @@ class TestCertaintyWeights:
         with pytest.raises(ValueError, match="level"):
             DEFAULT_WEIGHTS.weight(4)
 
+    @pytest.mark.parametrize("level", [True, 2.0, "2", None], ids=["bool", "float", "str", "none"])
+    def test_a_bool_or_non_integer_level_is_refused(self, level):
+        # weight(True) was once the weight of level 1, weight(2.0) a bare TypeError
+        with pytest.raises(ValueError) as refused:
+            DEFAULT_WEIGHTS.weight(level)
+        assert str(refused.value) == f"certainty level must be 1, 2 or 3, got {level!r}"
+
+    def test_a_numpy_integer_level_is_weighed(self):
+        assert DEFAULT_WEIGHTS.weight(np.int64(2)) == 0.5
+
     def test_weights_must_decrease(self):
         with pytest.raises(ValueError):
             CertaintyWeights(0.5, 0.6, 0.3)
@@ -310,6 +320,21 @@ class TestTileAnnotationValidation:
     def test_level_must_be_spoken(self):
         with pytest.raises(ValueError, match="level"):
             TileAnnotation("t", "e", (AnnotationEntry("sand", 5, 0.5),))
+
+    @pytest.mark.parametrize("level", [True, 2.0, "2", None], ids=["bool", "float", "str", "none"])
+    def test_a_bool_or_non_integer_level_is_refused(self, level):
+        # a level of True was once weighed as level 1
+        with pytest.raises(ValueError) as refused:
+            TileAnnotation("t", "e", (("sand", level, 0.5),))
+        assert str(refused.value) == f"certainty level must be 1, 2 or 3, got {level!r}"
+
+    @pytest.mark.parametrize("proportion", [True, "0.5", None, 0.5j],
+                             ids=["bool", "str", "none", "complex"])
+    def test_a_bool_or_non_real_proportion_is_refused(self, proportion):
+        # a proportion of True was once read as 1
+        with pytest.raises(ValueError) as refused:
+            TileAnnotation("t", "e", (("sand", 1, proportion),))
+        assert str(refused.value) == f"proportion must be a real number, got {proportion!r}"
 
     def test_proportion_range(self):
         with pytest.raises(ValueError, match="proportion"):

@@ -58,6 +58,19 @@ def test_negative_mass_rejected():
         mass_from_entries(FRAME, {"A": -0.2, "Θ": 1.2})
 
 
+@pytest.mark.parametrize("entries, message", [
+    ({"A": True}, "mass on A must be a real number, got True"),
+    ({"A": "0.5", "B": 0.5}, "mass on A must be a real number, got '0.5'"),
+    ({"A": 0.5, "B": None}, "mass on B must be a real number, got None"),
+    ({"A": 0.5j, "B": 0.5}, "mass on A must be a real number, got 0.5j"),
+], ids=["bool", "str", "none", "complex"])
+def test_a_bool_or_non_real_mass_names_the_element(entries, message):
+    # a bool was once read as 0 or 1, a str a TypeError that named no element
+    with pytest.raises(ValueError) as refused:
+        mass_from_entries(FRAME, entries)
+    assert str(refused.value) == message
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_mass_rejected(value):
     with pytest.raises(ValueError, match=f"non-finite mass {value!r} on A"):
