@@ -40,6 +40,7 @@ class Mutant(NamedTuple):
 
 _READER_MATCH = ("tests/test_corpus.py::TestColumnarReader"
                  "::test_the_same_corpus_or_error_as_the_row_loop")
+_REFUSAL = "tests/test_refusals.py::test_each_bad_input_meets_its_row"
 
 MUTANTS = (
     Mutant("src/expertfuse/mass.py",
@@ -96,8 +97,8 @@ MUTANTS = (
            "_stream(seed, n + 1)",
            ("tests/test_golden.py::test_simulate_case_matches_manifest[uniform-2..7]",)),
     Mutant("src/expertfuse/stability.py",
-           "or seed < 0:",
-           "or seed < -1:",
+           "if seed < 0:",
+           "if seed < -1:",
            ("tests/test_stability.py::TestDecisionChangeRate::test_a_negative_seed_is_refused",
             "tests/test_stability.py::TestInvariance"
             "::test_a_negative_seed_is_refused_before_drawing")),
@@ -153,8 +154,7 @@ MUTANTS = (
             "tests/test_golden.py"
             "::test_simulate_case_matches_manifest[uniform-2..7-bins30-histogram]")),
     Mutant("src/expertfuse/stability.py",
-           "        if not _is_integer(n):\n"
-           "            raise ValueError(f\"class counts must be integers, got {n}\")\n",
+           "        _check_integer(\"class count\", n)\n",
            "",
            ("tests/test_stability.py::TestCheckClassCounts"
             "::test_a_count_that_is_not_an_integer_is_refused_before_drawing[counts0-2.5]",
@@ -178,9 +178,7 @@ MUTANTS = (
             "tests/test_golden.py"
             "::test_simulate_case_matches_manifest[uniform-2..7-bins30-histogram]")),
     Mutant("src/expertfuse/stability.py",
-           "    if not _is_integer(n_samples):\n"
-           "        raise ValueError(f\"sample count must be an integer, got {n_samples}\")\n"
-           "    if n_samples < 1:",
+           "    _check_integer(\"sample count\", n_samples)\n    if n_samples < 1:",
            "    if n_samples < 1:",
            ("tests/test_stability.py::TestIntegerCounts"
             "::test_a_sample_count_that_is_not_an_integer_is_refused_before_drawing[rate-bool]",
@@ -189,9 +187,7 @@ MUTANTS = (
             "tests/test_stability.py::TestIntegerCounts"
             "::test_a_sample_count_that_is_not_an_integer_is_refused_before_drawing[table-float]")),
     Mutant("src/expertfuse/stability.py",
-           "    if not _is_integer(n_samples):\n"
-           "        raise ValueError(f\"sample count must be an integer, got {n_samples}\")\n"
-           "    if n_samples < 0:",
+           "    _check_integer(\"sample count\", n_samples)\n    if n_samples < 0:",
            "    if n_samples < 0:",
            ("tests/test_stability.py::TestIntegerCounts"
             "::test_a_sample_count_that_is_not_an_integer_is_refused_before_drawing"
@@ -239,11 +235,12 @@ MUTANTS = (
            "_TABLE_BYTES_PER_TEXT_BYTE = 400\n",
            ("tests/test_corpus.py::TestColumnarReader"
             "::test_a_table_far_larger_than_the_text_is_handed_over",)),
-    Mutant("src/expertfuse/corpus.py",
-           "if label.isascii() and label == label.strip():",
-           "if label.isascii():",
-           ("tests/test_corpus.py::TestColumnarReader"
-            "::test_a_padded_frame_label_matches_no_field",)),
+    Mutant("src/expertfuse/lattice.py",
+           "        if label != label.strip():",
+           "        if False:",
+           ("tests/test_corpus.py::TestColumnarReader::test_a_padded_frame_label_is_refused",
+            "tests/test_mass.py::test_a_mass_on_any_frame_make_frame_accepts_reads_back",
+            f"{_REFUSAL}[make_frame-padded-str]", f"{_REFUSAL}[make_frame-leading-tab]")),
     Mutant("src/expertfuse/corpus.py",
            "    except csv.Error as exc:",
            "    except ValueError as exc:",
@@ -270,8 +267,8 @@ MUTANTS = (
             "tests/test_cli.py::TestDecide"
             "::test_a_deeply_nested_mass_file_fails_without_traceback")),
     Mutant("src/expertfuse/expert_models.py",
-           "            if isinstance(v, bool) or not isinstance(v, numbers.Real):\n"
-           "                raise ValueError(f\"{name} must be a real number, got {v!r}\")\n",
+           "        for name in (\"p_a\", \"p_b\", \"c_a\", \"c_b\"):\n"
+           "            _check_fraction(name, getattr(self, name))\n",
            "",
            ("tests/test_expert_models.py::TestDeclarations"
             "::test_a_bool_or_non_real_field_is_refused[c_a-bool]",
@@ -284,42 +281,91 @@ MUTANTS = (
            "            if key not in _JSON_KEYS | {key}:\n",
            ("tests/test_mass.py::test_malformed_json_names_the_field"
             "[payload6-mass JSON has an unknown key 'wrold']",)),
-    Mutant("src/expertfuse/expert_models.py",
-           "if isinstance(value, bool) or not isinstance(value, numbers.Real):",
-           "if isinstance(value, bool) and not isinstance(value, numbers.Real):",
-           ("tests/test_expert_models.py::TestCertaintyWeights"
-            "::test_a_bool_or_non_real_weight_names_the_field[bool]",
-            "tests/test_expert_models.py::TestCertaintyWeights"
-            "::test_a_bool_or_non_real_weight_names_the_field[str]")),
+    Mutant("src/expertfuse/mass.py",
+           "isinstance(value, bool) or not isinstance(value, numbers.Real)",
+           "isinstance(value, bool) and not isinstance(value, numbers.Real)",
+           (f"{_REFUSAL}[CertaintyWeights.c1-bool]", f"{_REFUSAL}[CertaintyWeights.c2-str]")),
     Mutant("src/expertfuse/corpus.py",
            "    if not isinstance(text, str):\n"
            "        raise TypeError(f\"annotation text must be a str, got {type(text).__name__}\")\n",
            "",
            ("tests/test_corpus.py::TestParseErrors::test_anything_but_text_is_refused[lines]",
             "tests/test_corpus.py::TestParseErrors::test_anything_but_text_is_refused[stream]")),
-    Mutant("src/expertfuse/expert_models.py",
-           "if isinstance(level, bool) or not isinstance(level, numbers.Integral)",
-           "if not isinstance(level, numbers.Integral)",
+    Mutant("src/expertfuse/mass.py",
+           "isinstance(value, bool) or not isinstance(value, numbers.Integral)",
+           "not isinstance(value, numbers.Integral)",
            ("tests/test_expert_models.py::TestCertaintyWeights"
             "::test_a_bool_or_non_integer_level_is_refused[bool]",
             "tests/test_expert_models.py::TestTileAnnotationValidation"
             "::test_a_bool_or_non_integer_level_is_refused[bool]")),
     Mutant("src/expertfuse/expert_models.py",
-           "or not isinstance(level, numbers.Integral) or (",
-           "or (",
+           "    _check_integer(\"certainty level\", level)\n",
+           "",
            ("tests/test_expert_models.py::TestCertaintyWeights"
             "::test_a_bool_or_non_integer_level_is_refused[float]",
             "tests/test_expert_models.py::TestTileAnnotationValidation"
             "::test_a_bool_or_non_integer_level_is_refused[float]")),
     Mutant("src/expertfuse/expert_models.py",
-           "if isinstance(entry.proportion, bool) or not",
-           "if not",
+           "            _check_fraction(\"proportion\", entry.proportion)\n",
+           "",
            ("tests/test_expert_models.py::TestTileAnnotationValidation"
             "::test_a_bool_or_non_real_proportion_is_refused[bool]",)),
     Mutant("src/expertfuse/mass.py",
            "isinstance(value, bool) or not isinstance(value, numbers.Real)",
            "not isinstance(value, numbers.Real)",
-           ("tests/test_mass.py::test_a_bool_or_non_real_mass_names_the_element[bool]",)),
+           (f"{_REFUSAL}[mass_from_entries-bool]", f"{_REFUSAL}[ExpertDeclaration.p_a-bool]",
+            f"{_REFUSAL}[CertaintyWeights.c1-bool]")),
+    # The integer rule accepts a real number that is not an integer.
+    Mutant("src/expertfuse/mass.py",
+           "isinstance(value, numbers.Integral)",
+           "isinstance(value, numbers.Real)",
+           (f"{_REFUSAL}[check_class_counts-float]", f"{_REFUSAL}[decision_change_rate.seed-float]",
+            f"{_REFUSAL}[CertaintyWeights.weight-float]")),
+    # The [0, 1] rule refuses its upper bound.
+    Mutant("src/expertfuse/mass.py",
+           "0.0 <= value <= 1.0",
+           "0.0 <= value < 1.0",
+           (f"{_REFUSAL}[ExpertDeclaration.p_a-int]", f"{_REFUSAL}[TileAnnotation.proportion-int]",
+            f"{_REFUSAL}[StabilityResult.change_rate-int]")),
+    Mutant("src/expertfuse/stability.py",
+           "        _check_fraction(\"change rate\", self.change_rate)\n",
+           "",
+           ("tests/test_stability.py::TestDecisionChangeRate"
+            "::test_a_rate_outside_the_unit_interval_is_refused",
+            f"{_REFUSAL}[StabilityResult.change_rate-nan]")),
+    Mutant("src/expertfuse/expert_models.py",
+           "            _check_real(f\"certainty weight {name}\", getattr(self, name))\n",
+           "            pass\n",
+           (f"{_REFUSAL}[CertaintyWeights.c1-bool]", f"{_REFUSAL}[CertaintyWeights.c3-none]")),
+    Mutant("src/expertfuse/mass.py",
+           "        if type(value) is not float:\n"
+           "            _check_real(f\"mass on {format_element(element)}\", value)\n",
+           "",
+           (f"{_REFUSAL}[mass_from_entries-bool]", f"{_REFUSAL}[mass_from_entries-str]",
+            f"{_REFUSAL}[MassFunction.from_json-bool]")),
+    Mutant("src/expertfuse/stability.py",
+           "    _check_integer(\"seed\", seed)\n",
+           "",
+           (f"{_REFUSAL}[decision_change_rate.seed-float]", f"{_REFUSAL}[invariance_check.seed-none]",
+            "tests/test_stability.py::TestInvariance"
+            "::test_a_seed_that_is_not_an_integer_is_refused_before_drawing")),
+    Mutant("src/expertfuse/stability.py",
+           "    _check_integer(\"bin count\", bins)\n",
+           "",
+           (f"{_REFUSAL}[conflict_density.bins-float]",
+            "tests/test_stability.py::TestIntegerCounts"
+            "::test_a_bin_count_that_is_not_an_integer_is_refused")),
+    Mutant("src/expertfuse/expert_models.py",
+           "        _check_key((self.tile_id, self.expert_id))\n",
+           "",
+           (f"{_REFUSAL}[TileAnnotation.key-ints]", f"{_REFUSAL}[TileAnnotation.key-empty-id]")),
+    Mutant("src/expertfuse/expert_models.py",
+           "            if not isinstance(entry.label, str) or not entry.label:\n"
+           "                raise ValueError(f\"class label must be a non-empty string, "
+           "got {entry.label!r}\")\n",
+           "",
+           (f"{_REFUSAL}[TileAnnotation.label-int]", f"{_REFUSAL}[TileAnnotation.label-none]",
+            f"{_REFUSAL}[TileAnnotation.label-empty-str]")),
     # Damped PCR5 redistribution: every rate stays inside criterion 8's one
     # point, but n = 3..6 fall 3.5 to 4.8 thousandths below the reference.
     Mutant("src/expertfuse/stability.py",

@@ -43,6 +43,7 @@ from .expert_models import (
     AnnotationEntry,
     CertaintyWeights,
     TileAnnotation,
+    _check_key,
     build_generalized_m5,
     sediment_frame,
 )
@@ -78,16 +79,6 @@ def _refuse_outside(array: np.ndarray, low: float, high: float, message: str) ->
         raise ValueError(f"{message}, got {bad.item()!r}")
 
 
-def _key_fault(key: object) -> str | None:
-    """Why `key` is not a (tile, expert) tuple of two non-empty strings, or None."""
-    if (type(key) is not tuple or len(key) != 2
-            or not isinstance(key[0], str) or not isinstance(key[1], str)):
-        return "must be (tile, expert) pairs of two strings"
-    if not (key[0] and key[1]):
-        return "must not hold an empty tile or expert id"
-    return None
-
-
 @dataclass(frozen=True, eq=False, repr=False)
 class Corpus:
     """Validated annotations over one frame, one read-only array per entry field.
@@ -114,9 +105,7 @@ class Corpus:
     def __post_init__(self) -> None:
         keys = tuple(self.keys)
         for key in keys:
-            fault = _key_fault(key)
-            if fault:
-                raise ValueError(f"keys {fault}, got {key!r}")
+            _check_key(key)
         object.__setattr__(self, "keys", keys)
         if len(set(keys)) != len(keys):
             twice = next(key for key, count in Counter(keys).items() if count > 1)
@@ -360,8 +349,7 @@ def _read_plain(text: str, frame: Frame) -> Corpus | None:
     labels = table["class"]
     class_index = np.full(len(table), -1, dtype=np.intp)
     for k, label in enumerate(frame.labels):
-        # the row loop strips a field before it looks the class up
-        if label.isascii() and label == label.strip():
+        if label.isascii():
             class_index[labels == label.encode("ascii")] = k
     level_texts = table["certainty_level"]
     level = np.zeros(len(table), dtype=np.intp)

@@ -11,12 +11,12 @@ quantized to three levels.
 from __future__ import annotations
 
 import enum
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .lattice import Frame, Model, make_frame
 from .mass import SUM_TOLERANCE, MassFunction, World, _sum_in_order, mass_from_entries
+from .mass import _check_fraction, _check_integer, _check_real
 
 
 class DeclarationKind(enum.Enum):
@@ -42,12 +42,8 @@ class ExpertDeclaration:
     c_b: float
 
     def __post_init__(self) -> None:
-        for name, v in (("p_a", self.p_a), ("p_b", self.p_b),
-                        ("c_a", self.c_a), ("c_b", self.c_b)):
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {v!r}")
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
+        for name in ("p_a", "p_b", "c_a", "c_b"):
+            _check_fraction(name, getattr(self, name))
         if self.kind is DeclarationKind.SAYS_A and self.p_a != 1.0:
             raise ValueError("a says-A declaration covers the whole tile (p_a = 1)")
         if self.kind is DeclarationKind.SAYS_B and self.p_b != 1.0:
@@ -136,8 +132,8 @@ CERTAINTY_LEVELS = (1, 2, 3)
 
 def _check_level(level: object) -> None:
     """Refuse a certainty level that is not the integer 1, 2 or 3; a bool included."""
-    if isinstance(level, bool) or not isinstance(level, numbers.Integral) or (
-            level not in CERTAINTY_LEVELS):
+    _check_integer("certainty level", level)
+    if level not in CERTAINTY_LEVELS:
         raise ValueError(f"certainty level must be 1, 2 or 3, got {level!r}")
 
 
@@ -151,9 +147,7 @@ class CertaintyWeights:
 
     def __post_init__(self) -> None:
         for name in ("c1", "c2", "c3"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"certainty weight {name} must be a real number, got {value!r}")
+            _check_real(f"certainty weight {name}", getattr(self, name))
         if not 0.0 < self.c3 <= self.c2 <= self.c1 <= 1.0:
             raise ValueError("certainty weights must satisfy 0 < c3 <= c2 <= c1 <= 1")
 
@@ -171,6 +165,15 @@ class AnnotationEntry(NamedTuple):
     proportion: float
 
 
+def _check_key(key: object) -> None:
+    """Refuse a `key` that is not a (tile, expert) tuple of two non-empty strings."""
+    if (type(key) is not tuple or len(key) != 2
+            or not isinstance(key[0], str) or not isinstance(key[1], str)):
+        raise ValueError(f"keys must be (tile, expert) pairs of two strings, got {key!r}")
+    if not (key[0] and key[1]):
+        raise ValueError(f"keys must not hold an empty tile or expert id, got {key!r}")
+
+
 @dataclass(frozen=True)
 class TileAnnotation:
     """One expert's statement about one tile: class parts with certainty."""
@@ -180,18 +183,16 @@ class TileAnnotation:
     entries: tuple[AnnotationEntry, ...]
 
     def __post_init__(self) -> None:
+        _check_key((self.tile_id, self.expert_id))
         object.__setattr__(
             self, "entries", tuple(AnnotationEntry(*e) for e in self.entries)
         )
         total = 0.0
         for entry in self.entries:
+            if not isinstance(entry.label, str) or not entry.label:
+                raise ValueError(f"class label must be a non-empty string, got {entry.label!r}")
             _check_level(entry.level)
-            if isinstance(entry.proportion, bool) or not isinstance(entry.proportion, numbers.Real):
-                raise ValueError(f"proportion must be a real number, got {entry.proportion!r}")
-            if not 0.0 <= entry.proportion <= 1.0:
-                raise ValueError(
-                    f"proportion must lie in [0, 1], got {entry.proportion!r}"
-                )
+            _check_fraction("proportion", entry.proportion)
             total += entry.proportion
         if total > 1.0 + SUM_TOLERANCE:
             raise ValueError(

@@ -63,6 +63,8 @@ def _validate_labels(labels: tuple[str, ...]) -> None:
     for label in labels:
         if not isinstance(label, str) or not label:
             raise ValueError("class labels must be non-empty strings")
+        if label != label.strip():  # parse_element strips names, so it would not read back
+            raise ValueError(f"label {label!r} has surrounding whitespace")
         if label in (EMPTY_TEXT, THETA_TEXT):
             raise ValueError(f"label {label!r} is reserved")
         if any(ch in label for ch in _RESERVED_IN_LABELS):

@@ -27,6 +27,25 @@ PRUNE_THRESHOLD = 1e-12
 _JSON_KEYS = frozenset(("frame", "model", "world", "masses"))
 
 
+def _check_real(name: str, value: object) -> None:
+    """Refuse a bool or a value that is not a real number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def _check_integer(name: str, value: object) -> None:
+    """Refuse a bool or a value that is not an integer; numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_fraction(name: str, value: object) -> None:
+    """Refuse a value that is not a real number in [0, 1], NaN included."""
+    _check_real(name, value)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+
+
 class World(enum.Enum):
     CLOSED = "closed"
     OPEN = "open"
@@ -109,13 +128,7 @@ class MassFunction:
         if not isinstance(masses, Mapping):
             raise ValueError(f"mass JSON 'masses' must be an object, not {masses!r}")
         world = World(payload.get("world", "closed"))
-        frame = make_frame(labels, Model(model))
-        entries = []
-        for text, v in masses.items():
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ValueError(f"mass JSON 'masses' value for {text!r} is not a number: {v!r}")
-            entries.append((parse_element(frame, text), v))
-        return mass_from_entries(frame, entries, world)
+        return mass_from_entries(make_frame(labels, Model(model)), masses, world)
 
     @classmethod
     def from_json(cls, text: str) -> "MassFunction":
@@ -179,10 +192,8 @@ def mass_from_entries(
         elif element.frame is not frame and element.frame != frame:
             raise ValueError("entry element belongs to a different frame")
         # the float test first: an ABC isinstance costs ~20x as much per entry
-        if type(value) is not float and (
-                isinstance(value, bool) or not isinstance(value, numbers.Real)):
-            raise ValueError(
-                f"mass on {format_element(element)} must be a real number, got {value!r}")
+        if type(value) is not float:
+            _check_real(f"mass on {format_element(element)}", value)
         try:
             finite = math.isfinite(value)
         except OverflowError:  # an int past the float range, e.g. from JSON

@@ -36,6 +36,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .decision import TIE_TOLERANCE
+from .mass import _check_fraction, _check_integer
 
 SAMPLING_LAWS = ("uniform", "product")
 
@@ -73,8 +74,7 @@ def check_class_counts(class_counts: Sequence[int], law: str = "uniform") -> Non
     if law not in SAMPLING_LAWS:
         raise ValueError(f"unknown sampling law {law!r}; expected one of {SAMPLING_LAWS}")
     for k, n in enumerate(class_counts):
-        if not _is_integer(n):
-            raise ValueError(f"class counts must be integers, got {n}")
+        _check_integer("class count", n)
         if n < 2:
             raise ValueError(f"need at least two classes, got {n}")
         if n > MAX_CLASSES:
@@ -87,13 +87,10 @@ def check_class_counts(class_counts: Sequence[int], law: str = "uniform") -> Non
             raise ValueError(f"class count {n} given twice")
 
 
-def _is_integer(value: object) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _stream(seed: int, *spawn_key: int) -> np.random.Generator:
     """The generator of `seed` and `spawn_key`; `seed` must be a non-negative integer."""
-    if not _is_integer(seed) or seed < 0:
+    _check_integer("seed", seed)
+    if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=spawn_key))
 
@@ -277,8 +274,7 @@ HISTOGRAM_SUBSETS = ("all", "decision_change")
 
 
 def _check_histogram_args(bins: int, subset: str) -> None:
-    if not _is_integer(bins):
-        raise ValueError(f"bin count must be an integer, got {bins}")
+    _check_integer("bin count", bins)
     if bins < 1:
         raise ValueError("need at least one bin")
     if subset not in HISTOGRAM_SUBSETS:
@@ -304,8 +300,7 @@ class StabilityResult:
     change: np.ndarray = field(default=(), repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.change_rate <= 1.0:
-            raise ValueError("change rate must lie in [0, 1]")
+        _check_fraction("change rate", self.change_rate)
         for name, dtype in (("conflict", float), ("change", bool)):
             # a read-only view: the caller's own array stays writable
             view = np.asarray(getattr(self, name), dtype=dtype).view()
@@ -345,8 +340,7 @@ def decision_change_rate(
     The pairs are the stream of (`seed`, `n`).
     """
     check_class_counts([n], law)
-    if not _is_integer(n_samples):
-        raise ValueError(f"sample count must be an integer, got {n_samples}")
+    _check_integer("sample count", n_samples)
     if n_samples < 1:
         raise ValueError("need at least one accepted pair")
     rows, drawn = _accepted_masses(n, 2 * n_samples, _stream(seed, n), law)
@@ -413,8 +407,7 @@ def invariance_check(
     `pair_decisions`, so a pignistic tie goes to the lowest class, as in
     `decision.decide`.
     """
-    if not _is_integer(n_samples):
-        raise ValueError(f"sample count must be an integer, got {n_samples}")
+    _check_integer("sample count", n_samples)
     if n_samples < 0:
         raise ValueError("sample count cannot be negative")
     if constraint not in INVARIANCE_CONSTRAINTS:

@@ -448,12 +448,14 @@ class TestColumnarReader:
         assert _read_plain(text, sediment_frame()) is None
         assert _columns(parse_annotations(text)) == _columns(_row_loop(text, sediment_frame()))
 
-    def test_a_padded_frame_label_matches_no_field(self):
-        # the row loop strips ' B' to 'B' before it looks the class up
-        frame = make_frame(("A", " B"))
+    def test_a_padded_frame_label_is_refused(self):
+        # A frame label ' B' once matched no field, since the row loop strips
+        # ' B' to 'B'; now no frame holds it, and a padded field finds 'B'.
+        with pytest.raises(ValueError, match="^label ' B' has surrounding whitespace$"):
+            make_frame(("A", " B"))
         text = _rows("t1,e1, B,1,0.5")
-        assert _outcome(lambda: parse_annotations(text, frame)) == "line 2: unknown class 'B'"
-        assert _outcome(lambda: _row_loop(text, frame)) == "line 2: unknown class 'B'"
+        frame = make_frame(("A", "B"))
+        assert _columns(parse_annotations(text, frame)) == _columns(_row_loop(text, frame))
 
     def test_the_shipped_corpus_takes_the_columnar_reader(self, repo_root):
         text = (repo_root / "data" / "demo_corpus.csv").read_text(encoding="utf-8")

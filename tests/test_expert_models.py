@@ -236,7 +236,7 @@ class TestCertaintyWeights:
         # weight(True) was once the weight of level 1, weight(2.0) a bare TypeError
         with pytest.raises(ValueError) as refused:
             DEFAULT_WEIGHTS.weight(level)
-        assert str(refused.value) == f"certainty level must be 1, 2 or 3, got {level!r}"
+        assert str(refused.value) == f"certainty level must be an integer, got {level!r}"
 
     def test_a_numpy_integer_level_is_weighed(self):
         assert DEFAULT_WEIGHTS.weight(np.int64(2)) == 0.5
@@ -253,18 +253,6 @@ class TestCertaintyWeights:
         for weights in ((value, 0.5, 0.3), (1.0, value, 0.3), (1.0, 0.5, value)):
             with pytest.raises(ValueError, match="c3 <= c2 <= c1"):
                 CertaintyWeights(*weights)
-
-    @pytest.mark.parametrize("weights, message", [
-        ((True, 1, 1), "certainty weight c1 must be a real number, got True"),
-        ((1.0, "0.5", 0.3), "certainty weight c2 must be a real number, got '0.5'"),
-        ((1.0, 0.5, None), "certainty weight c3 must be a real number, got None"),
-        ((1.0, 0.5, 0.3j), "certainty weight c3 must be a real number, got 0.3j"),
-    ], ids=["bool", "str", "none", "complex"])
-    def test_a_bool_or_non_real_weight_names_the_field(self, weights, message):
-        # CertaintyWeights(True, 1, 1) was once accepted as weights 1, 1, 1
-        with pytest.raises(ValueError) as refused:
-            CertaintyWeights(*weights)
-        assert str(refused.value) == message
 
 
 class TestGeneralizedModel:
@@ -326,7 +314,7 @@ class TestTileAnnotationValidation:
         # a level of True was once weighed as level 1
         with pytest.raises(ValueError) as refused:
             TileAnnotation("t", "e", (("sand", level, 0.5),))
-        assert str(refused.value) == f"certainty level must be 1, 2 or 3, got {level!r}"
+        assert str(refused.value) == f"certainty level must be an integer, got {level!r}"
 
     @pytest.mark.parametrize("proportion", [True, "0.5", None, 0.5j],
                              ids=["bool", "str", "none", "complex"])

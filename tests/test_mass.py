@@ -7,7 +7,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from expertfuse.lattice import Model, enumerate_elements, make_frame
@@ -56,19 +56,6 @@ def test_sum_must_be_one():
 def test_negative_mass_rejected():
     with pytest.raises(ValueError, match="negative"):
         mass_from_entries(FRAME, {"A": -0.2, "Θ": 1.2})
-
-
-@pytest.mark.parametrize("entries, message", [
-    ({"A": True}, "mass on A must be a real number, got True"),
-    ({"A": "0.5", "B": 0.5}, "mass on A must be a real number, got '0.5'"),
-    ({"A": 0.5, "B": None}, "mass on B must be a real number, got None"),
-    ({"A": 0.5j, "B": 0.5}, "mass on A must be a real number, got 0.5j"),
-], ids=["bool", "str", "none", "complex"])
-def test_a_bool_or_non_real_mass_names_the_element(entries, message):
-    # a bool was once read as 0 or 1, a str a TypeError that named no element
-    with pytest.raises(ValueError) as refused:
-        mass_from_entries(FRAME, entries)
-    assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -166,6 +153,19 @@ def test_json_round_trip_closed_and_open():
         assert restored.frame == m.frame
         assert restored.world is m.world
         assert restored.isclose(m, tol=0.0)
+
+
+# make_frame((" A", "B")) was once accepted, and its mass JSON read back
+# failed with "unknown class label 'A'"
+@example([" A", "B"])
+@given(st.lists(st.text(max_size=3), min_size=1, max_size=3, unique=True))
+def test_a_mass_on_any_frame_make_frame_accepts_reads_back(labels):
+    try:
+        frame = make_frame(labels)
+    except ValueError:
+        return
+    m = mass_from_entries(frame, [(frame.atom(0), 0.5), (frame.theta(), 0.5)])
+    assert MassFunction.from_json(m.to_json()) == m
 
 
 def test_from_json_reports_missing_keys():
@@ -282,9 +282,9 @@ def test_malformed_json_payloads_raise_value_error(payload):
     [
         ([1, 2], "must be an object, not list"),
         (_payload(masses=[["A", 1.0]]), "'masses' must be an object"),
-        (_payload(masses={"A": "0.5", "Θ": 0.5}), "value for 'A' is not a number: '0.5'"),
-        (_payload(masses={"A": None, "Θ": 0.5}), "value for 'A' is not a number: None"),
-        (_payload(masses={"A": True}), "value for 'A' is not a number: True"),
+        (_payload(masses={"A": "0.5", "Θ": 0.5}), "mass on A must be a real number, got '0.5'"),
+        (_payload(masses={"A": None, "Θ": 0.5}), "mass on A must be a real number, got None"),
+        (_payload(masses={"A": True}), "mass on A must be a real number, got True"),
         (_payload(frame="AB"), "'frame' must be a list of class labels, not 'AB'"),
         # once loaded as a closed world, the misspelt key unread
         (_payload(wrold="open"), "mass JSON has an unknown key 'wrold'"),

@@ -133,7 +133,7 @@ class TestCheckClassCounts:
         monkeypatch.setattr(stability, "_accepted_masses", no_draw)
         with pytest.raises(ValueError) as caught:
             stability_table(counts, 10, 0)
-        assert str(caught.value) == f"class counts must be integers, got {bad}"
+        assert str(caught.value) == f"class count must be an integer, got {bad}"
 
     def test_a_repeated_count_is_refused_before_drawing(self, monkeypatch):
         def no_draw(*args):
@@ -436,13 +436,13 @@ class TestDecisionChangeRate:
     def test_a_seed_that_is_not_an_integer_is_refused(self):
         with pytest.raises(ValueError) as caught:
             decision_change_rate(3, 10, 2.0)
-        assert str(caught.value) == "seed must be a non-negative integer, got 2.0"
+        assert str(caught.value) == "seed must be an integer, got 2.0"
         assert decision_change_rate(3, 10, np.int64(2)) == decision_change_rate(3, 10, 2)
 
     def test_a_rate_outside_the_unit_interval_is_refused(self):
         with pytest.raises(ValueError) as caught:
             StabilityResult(2, 10, 20, 1.5, 0.0, 0.1, 0.2)
-        assert str(caught.value) == "change rate must lie in [0, 1]"
+        assert str(caught.value) == "change rate must lie in [0, 1], got 1.5"
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -620,7 +620,7 @@ class TestInvariance:
         monkeypatch.setattr(stability, "_kept_rows", no_draw)
         with pytest.raises(ValueError) as caught:
             invariance_check(10, 1.5)
-        assert str(caught.value) == "seed must be a non-negative integer, got 1.5"
+        assert str(caught.value) == "seed must be an integer, got 1.5"
 
     def test_zero_samples(self):
         assert invariance_check(0, seed=0) == []
