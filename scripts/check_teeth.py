@@ -41,6 +41,8 @@ class Mutant(NamedTuple):
 _READER_MATCH = ("tests/test_corpus.py::TestColumnarReader"
                  "::test_the_same_corpus_or_error_as_the_row_loop")
 _REFUSAL = "tests/test_refusals.py::test_each_bad_input_meets_its_row"
+_DIRECT = "tests/test_corpus.py::TestDirectConstruction"
+_PAIR_MATCH = "tests/test_corpus.py::TestExpertPairMatchesTheKeyLoop::test_seeded_corpora"
 
 MUTANTS = (
     Mutant("src/expertfuse/mass.py",
@@ -334,7 +336,7 @@ MUTANTS = (
             "::test_a_rate_outside_the_unit_interval_is_refused",
             f"{_REFUSAL}[StabilityResult.change_rate-nan]")),
     Mutant("src/expertfuse/expert_models.py",
-           "            _check_real(f\"certainty weight {name}\", getattr(self, name))\n",
+           "            _check_fraction(f\"certainty weight {name}\", getattr(self, name))\n",
            "            pass\n",
            (f"{_REFUSAL}[CertaintyWeights.c1-bool]", f"{_REFUSAL}[CertaintyWeights.c3-none]")),
     Mutant("src/expertfuse/mass.py",
@@ -360,12 +362,46 @@ MUTANTS = (
            "",
            (f"{_REFUSAL}[TileAnnotation.key-ints]", f"{_REFUSAL}[TileAnnotation.key-empty-id]")),
     Mutant("src/expertfuse/expert_models.py",
-           "            if not isinstance(entry.label, str) or not entry.label:\n"
-           "                raise ValueError(f\"class label must be a non-empty string, "
-           "got {entry.label!r}\")\n",
+           "            _check_label(entry.label)\n",
            "",
            (f"{_REFUSAL}[TileAnnotation.label-int]", f"{_REFUSAL}[TileAnnotation.label-none]",
             f"{_REFUSAL}[TileAnnotation.label-empty-str]")),
+    # The label rule is one helper, so a frame refuses what an annotation refuses.
+    Mutant("src/expertfuse/lattice.py",
+           "    if not isinstance(label, str) or not label:\n",
+           "    if not isinstance(label, str):\n",
+           (f"{_REFUSAL}[make_frame-empty-str]", f"{_REFUSAL}[TileAnnotation.label-empty-str]")),
+    # A corpus's codes: one pair per key, ids numbered by first appearance,
+    # names that are distinct non-empty strings.
+    Mutant("src/expertfuse/corpus.py",
+           "        if len(first) != n_keys:\n",
+           "        if len(first) < 0:\n",
+           (f"{_DIRECT}::test_code_refusals_name_the_field[repeated-pair]",
+            f"{_DIRECT}::test_a_repeated_key")),
+    Mutant("src/expertfuse/corpus.py",
+           "early = np.flatnonzero(codes > before + 1)",
+           "early = np.flatnonzero(codes > before + 2)",
+           (f"{_DIRECT}::test_code_refusals_name_the_field[tiles-out-of-order]",
+            f"{_DIRECT}::test_code_refusals_name_the_field[experts-out-of-order]")),
+    Mutant("src/expertfuse/corpus.py",
+           "    if used < len(names):\n",
+           "    if used < len(names) - 1:\n",
+           (f"{_DIRECT}::test_code_refusals_name_the_field[unused-tile]",
+            f"{_DIRECT}::test_code_refusals_name_the_field[unused-expert]")),
+    Mutant("src/expertfuse/corpus.py",
+           'if not all(map(isinstance, names, repeat(str))) or "" in names:',
+           "if not all(map(isinstance, names, repeat(str))):",
+           (f"{_DIRECT}::test_code_refusals_name_the_field[empty-name]",
+            f"{_READER_MATCH}[empty-tile-id]")),
+    Mutant("src/expertfuse/corpus.py",
+           "    if len(set(names)) != len(names):\n",
+           "    if len(set(names)) < 0:\n",
+           (f"{_DIRECT}::test_code_refusals_name_the_field[repeated-name]",)),
+    # Pair rows follow each tile's first key for either expert, not the corpus's tile order.
+    Mutant("src/expertfuse/corpus.py",
+           "row_tiles = tile_codes[np.argsort(first)]",
+           "row_tiles = tile_codes",
+           (f"{_PAIR_MATCH}[2-3-1.0-e1-e2]", f"{_PAIR_MATCH}[3-3-1.0-e3-e2]")),
     # Damped PCR5 redistribution: every rate stays inside criterion 8's one
     # point, but n = 3..6 fall 3.5 to 4.8 thousandths below the reference.
     Mutant("src/expertfuse/stability.py",

@@ -8,15 +8,18 @@ Rows group by (tile, expert) into annotations; each annotation becomes a
 mass function through the generalized proportion-times-certainty model.
 On top of that the module offers the class-pair conflict matrix between
 two experts and the fraction of tiles on which two combination rules
-reach different decisions.  Parsing fills one column per entry field;
-`expert_pair` builds both experts' mass arrays from those columns once,
-and both statistics read them.
+reach different decisions.  Parsing fills integer columns: the tile and
+expert code of each (tile, expert) key, over the distinct ids, and one
+column per entry field.  `expert_pair` selects both experts' keys and
+builds their mass arrays from those columns once, with numpy, and both
+statistics read them.
 
 Two readers fill the columns.  Plain text (the header as written above,
 printable ASCII without quotes, "\n" line ends, five fields on every
 line), as `generate_demo_corpus` writes it, goes to the columnar reader:
-one `np.loadtxt` call splits and converts it, and whole-array compares
-map its classes and levels.  Everything else (quoted, padded, CRLF or
+one `np.loadtxt` call splits and converts it, whole-array compares
+map its classes and levels, and `np.unique` codes its ids, so only
+distinct ids meet Python.  Everything else (quoted, padded, CRLF or
 non-ASCII text) goes to the row loop, as does plain text the columnar
 reader finds a fault in: the row loop is the reference and names the
 line of the first fault.  It strips and converts each row's
@@ -33,6 +36,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -64,6 +68,10 @@ class CorpusError(ValueError):
 
 
 # Each array field of a corpus: its dtype, and the array kinds accepted for it.
+_KEY_COLUMNS = (
+    ("key_tile", np.intp, "iu"),
+    ("key_expert", np.intp, "iu"),
+)
 _COLUMNS = (
     ("owner", np.intp, "iu"),
     ("class_index", np.intp, "iu"),
@@ -79,69 +87,166 @@ def _refuse_outside(array: np.ndarray, low: float, high: float, message: str) ->
         raise ValueError(f"{message}, got {bad.item()!r}")
 
 
+def _check_names(field: str, names: Sequence[str]) -> tuple[str, ...]:
+    """`names` as a tuple, refused unless its ids are distinct non-empty strings."""
+    if isinstance(names, str):  # a str would split into one-character ids
+        raise ValueError(f"{field} must be a sequence of ids, got the str {names!r}")
+    names = tuple(names)
+    if not all(map(isinstance, names, repeat(str))) or "" in names:
+        bad = next(name for name in names if not isinstance(name, str) or not name)
+        raise ValueError(f"{field} must hold non-empty strings, got {bad!r}")
+    if len(set(names)) != len(names):
+        twice = next(name for name, count in Counter(names).items() if count > 1)
+        raise ValueError(f"{field} must be distinct, got {twice!r} twice")
+    return names
+
+
+def _check_columns(group: str, spec: tuple, given: Sequence[object]) -> list[np.ndarray]:
+    """Each array of `given`, refused unless one-dimensional, of its kind and one length."""
+    columns = []
+    for (name, _, kinds), value in zip(spec, given):
+        array = np.asarray(value)
+        if array.ndim != 1 or array.dtype.kind not in kinds:
+            raise ValueError(
+                f"{name} must be a one-dimensional {'integer' if kinds == 'iu' else 'numeric'}"
+                f" array, got {array.dtype} with shape {array.shape}"
+            )
+        columns.append(array)
+    if len({len(array) for array in columns}) > 1:
+        raise ValueError(f"{group} differ in length: " + ", ".join(
+            f"{name} {len(array)}" for (name, _, _), array in zip(spec, columns)))
+    return columns
+
+
+def _check_first_appearance(codes: np.ndarray, field: str, code_field: str,
+                            names: tuple[str, ...]) -> None:
+    """Refuse codes that do not number `names` in order of first appearance.
+
+    Each code may exceed the largest before it by at most one, so code k
+    first appears after code k - 1; the largest code must then reach the
+    last name, so every name is used.
+    """
+    used = 0
+    if len(codes):
+        top = np.maximum.accumulate(codes)
+        before = np.concatenate(([-1], top[:-1]))
+        early = np.flatnonzero(codes > before + 1)
+        if len(early):
+            k = early[0]
+            raise ValueError(f"{code_field} must number the {field} in order of first "
+                             f"appearance, got {codes[k].item()} before {before[k].item() + 1}")
+        used = top[-1].item() + 1
+    if used < len(names):
+        raise ValueError(f"{field} holds {names[used]!r}, which no key uses")
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class Corpus:
-    """Validated annotations over one frame, one read-only array per entry field.
+    """Validated annotations over one frame, one read-only array per key and entry field.
 
-    `keys` holds the (tile, expert) pair of each annotation in order of
-    first appearance.  The arrays hold one element per entry in file
-    order: `owner` is the index of its annotation in `keys`, then its class
-    index in the frame, certainty level and proportion.  Build a corpus
-    with `parse_annotations` or directly from its columns; the
+    `tiles` and `experts` hold the distinct ids in order of first
+    appearance over the annotations; annotation k is tile
+    `tiles[key_tile[k]]` by expert `experts[key_expert[k]]`, and `keys`
+    spells those (tile, expert) pairs out when read.  The entry arrays
+    hold one element per entry in file order: `owner` is the index of its
+    annotation, then its class index in the frame, certainty level and
+    proportion.  Build a corpus with `parse_annotations`, from its
+    columns, or with `from_keys` from (tile, expert) pairs; the
     `TileAnnotation` objects are built only when `annotations` is read.
-    Built directly, a corpus refuses a key that is not two strings, an
-    empty id, a repeated key, columns that do not fit its keys and frame,
-    and an annotation whose proportions sum past 1; it keeps a read-only
-    copy of every writable array.
+    Built directly, a corpus refuses an id that is not a non-empty
+    string, an id listed twice, codes outside their names, codes that do
+    not number the names in order of first appearance or leave a name
+    unused, a repeated (tile, expert) pair, columns that do not fit its
+    keys and frame, and an annotation whose proportions sum past 1; it
+    keeps a read-only copy of every writable array.  Every check is one
+    numpy pass, or one Python step per distinct id.
     """
 
     frame: Frame
-    keys: tuple[tuple[str, str], ...]
+    tiles: tuple[str, ...]
+    experts: tuple[str, ...]
+    key_tile: np.ndarray
+    key_expert: np.ndarray
     owner: np.ndarray
     class_index: np.ndarray
     level: np.ndarray
     proportion: np.ndarray
 
     def __post_init__(self) -> None:
-        keys = tuple(self.keys)
-        for key in keys:
-            _check_key(key)
-        object.__setattr__(self, "keys", keys)
-        if len(set(keys)) != len(keys):
-            twice = next(key for key, count in Counter(keys).items() if count > 1)
+        tiles = _check_names("tiles", self.tiles)
+        experts = _check_names("experts", self.experts)
+        object.__setattr__(self, "tiles", tiles)
+        object.__setattr__(self, "experts", experts)
+        key_tile, key_expert = _check_columns(
+            "key columns", _KEY_COLUMNS, (self.key_tile, self.key_expert))
+        _refuse_outside(key_tile, 0, len(tiles) - 1, f"key_tile must index the {len(tiles)} tiles")
+        _refuse_outside(key_expert, 0, len(experts) - 1,
+                        f"key_expert must index the {len(experts)} experts")
+        key_tile, key_expert = self._hold(_KEY_COLUMNS, (key_tile, key_expert))
+        _check_first_appearance(key_tile, "tiles", "key_tile", tiles)
+        _check_first_appearance(key_expert, "experts", "key_expert", experts)
+        n_keys = len(key_tile)
+        _, first, counts = np.unique(key_tile * len(experts) + key_expert,
+                                     return_index=True, return_counts=True)
+        if len(first) != n_keys:
+            twice = self._key(first[counts > 1].min())
             raise ValueError(f"keys must be distinct, got {twice!r} twice")
-        columns = {}
-        for name, _, kinds in _COLUMNS:
-            array = np.asarray(getattr(self, name))
-            if array.ndim != 1 or array.dtype.kind not in kinds:
-                raise ValueError(
-                    f"{name} must be a one-dimensional {'integer' if kinds == 'iu' else 'numeric'}"
-                    f" array, got {array.dtype} with shape {array.shape}"
-                )
-            columns[name] = array
-        if len({len(array) for array in columns.values()}) > 1:
-            raise ValueError("columns differ in length: " + ", ".join(
-                f"{name} {len(array)}" for name, array in columns.items()))
-        owner, class_index, level, proportion = columns.values()
-        _refuse_outside(owner, 0, len(self.keys) - 1,
-                        f"owner must index the {len(self.keys)} keys")
+        owner, class_index, level, proportion = _check_columns(
+            "columns", _COLUMNS, [getattr(self, name) for name, _, _ in _COLUMNS])
+        _refuse_outside(owner, 0, n_keys - 1, f"owner must index the {n_keys} keys")
         _refuse_outside(class_index, 0, self.frame.n_classes - 1,
                         f"class_index must index the {self.frame.n_classes} classes")
         _refuse_outside(level, CERTAINTY_LEVELS[0], CERTAINTY_LEVELS[-1],
                         "level must be 1, 2 or 3")
         _refuse_outside(proportion, 0.0, 1.0, "proportion must lie in [0, 1]")
-        for (name, dtype, _), array in zip(_COLUMNS, columns.values()):
+        self._hold(_COLUMNS, (owner, class_index, level, proportion))
+        # bincount adds in entry order from 0.0, as parsing and TileAnnotation do
+        sums = np.bincount(self.owner, weights=self.proportion, minlength=n_keys)
+        over = np.flatnonzero(sums > 1.0 + SUM_TOLERANCE)
+        if len(over):
+            tile, expert = self._key(over[0])
+            raise ValueError(f"proportions for tile {tile!r} by expert {expert!r} "
+                             f"sum to {sums[over[0]].item()!r} > 1")
+
+    def _hold(self, spec: tuple, arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Set each field of `spec` to its array, as a read-only array of its dtype."""
+        held = []
+        for (name, dtype, _), array in zip(spec, arrays):
             if array.dtype != dtype or array.flags.writeable:
                 array = array.astype(dtype)
                 array.flags.writeable = False
             object.__setattr__(self, name, array)
-        # bincount adds in entry order from 0.0, as parsing and TileAnnotation do
-        sums = np.bincount(self.owner, weights=self.proportion, minlength=len(keys))
-        over = np.flatnonzero(sums > 1.0 + SUM_TOLERANCE)
-        if len(over):
-            tile, expert = keys[over[0]]
-            raise ValueError(f"proportions for tile {tile!r} by expert {expert!r} "
-                             f"sum to {sums[over[0]].item()!r} > 1")
+            held.append(array)
+        return held
+
+    @classmethod
+    def from_keys(
+        cls,
+        frame: Frame,
+        keys: Sequence[tuple[str, str]],
+        owner: object,
+        class_index: object,
+        level: object,
+        proportion: object,
+    ) -> Corpus:
+        """A corpus from one (tile, expert) pair per annotation and the entry columns.
+
+        Each pair must be a tuple of two non-empty strings; ids take codes
+        in order of first appearance.
+        """
+        tiles: dict[str, int] = {}
+        experts: dict[str, int] = {}
+        key_tile = []
+        key_expert = []
+        for key in keys:
+            _check_key(key)
+            key_tile.append(tiles.setdefault(key[0], len(tiles)))
+            key_expert.append(experts.setdefault(key[1], len(experts)))
+        return cls(frame, tuple(tiles), tuple(experts), np.array(key_tile, dtype=np.intp),
+                   np.array(key_expert, dtype=np.intp), owner, class_index, level, proportion)
+
+    def _key(self, k: int) -> tuple[str, str]:
+        return self.tiles[self.key_tile[k]], self.experts[self.key_expert[k]]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Corpus):
@@ -152,7 +257,14 @@ class Corpus:
         return hash((self.frame, self.annotations))
 
     def __repr__(self) -> str:
-        return f"Corpus(frame={self.frame!r}, annotations=<{len(self.keys)} annotations>)"
+        return f"Corpus(frame={self.frame!r}, annotations=<{len(self.key_tile)} annotations>)"
+
+    @cached_property
+    def keys(self) -> tuple[tuple[str, str], ...]:
+        """The (tile, expert) pair of each annotation, in order of first appearance."""
+        tiles, experts = self.tiles, self.experts
+        return tuple((tiles[t], experts[e])
+                     for t, e in zip(self.key_tile.tolist(), self.key_expert.tolist()))
 
     @cached_property
     def annotations(self) -> tuple[TileAnnotation, ...]:
@@ -173,14 +285,6 @@ class Corpus:
     @cached_property
     def _index(self) -> dict[tuple[str, str], TileAnnotation]:
         return dict(zip(self.keys, self.annotations))
-
-    @property
-    def tiles(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(tile for tile, _ in self.keys))
-
-    @property
-    def experts(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(expert for _, expert in self.keys))
 
     def annotation(self, tile_id: str, expert_id: str) -> TileAnnotation:
         try:
@@ -267,7 +371,7 @@ def _read_rows(text: str, frame: Frame) -> Corpus:
         classes.append(k)
         levels.append(level)
         proportions.append(proportion)
-    return Corpus(
+    return Corpus.from_keys(
         frame,
         tuple(ids),
         np.array(owners, dtype=np.intp),
@@ -309,6 +413,22 @@ def _field_widths(body: np.ndarray) -> list[int] | None:
         widths.append(int((ends[:, field] - before).max()) - 1)
         before = ends[:, field]
     return widths
+
+
+def _id_codes(raw: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """The distinct stripped ids of `raw` in order of first appearance, and each one's code.
+
+    Only the distinct raw ids are stripped and decoded; raw ids that strip
+    to the same id share its code.
+    """
+    distinct, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    # Plain ids hold no newline, so one join and one split decode them all.
+    names = list(map(str.strip, b"\n".join(distinct[order].tolist()).decode().split("\n")))
+    ids = dict(zip(dict.fromkeys(names), range(len(names))))
+    code = np.empty(len(distinct), dtype=np.intp)
+    code[order] = list(map(ids.__getitem__, names))
+    return tuple(ids), code[inverse]
 
 
 def _read_plain(text: str, frame: Frame) -> Corpus | None:
@@ -360,14 +480,19 @@ def _read_plain(text: str, frame: Frame) -> Corpus | None:
     tile, expert = table["tile_id"], table["expert_id"]
     run_start = np.ones(len(table), dtype=bool)
     run_start[1:] = (tile[1:] != tile[:-1]) | (expert[1:] != expert[:-1])
-    ids: dict[tuple[str, str], int] = {}
-    run_owner = [
-        ids.setdefault((tile_id.strip().decode(), expert_id.strip().decode()), len(ids))
-        for tile_id, expert_id in zip(tile[run_start].tolist(), expert[run_start].tolist())
-    ]
-    owner = np.array(run_owner, dtype=np.intp)[np.cumsum(run_start) - 1]
+    tiles, run_tile = _id_codes(tile[run_start])
+    experts, run_expert = _id_codes(expert[run_start])
+    pairs, first, run_key = np.unique(run_tile * len(experts) + run_expert,
+                                      return_index=True, return_inverse=True)
+    # Number the keys, like the ids, in order of first appearance.
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    owner = rank[run_key][np.cumsum(run_start) - 1]
     try:
-        return Corpus(frame, tuple(ids), owner, class_index, level, table["proportion"])
+        return Corpus(frame, tiles, experts, pairs[order] // len(experts),
+                      pairs[order] % len(experts), owner, class_index, level,
+                      table["proportion"])
     except ValueError:  # an unknown class or level (-1, 0), a range, an empty id, a sum
         return None
 
@@ -454,35 +579,35 @@ def expert_pair(
         raise ValueError(
             f"corpus statistics need an exclusive frame, got the {frame.model.value} model"
         )
-    keys = corpus.keys
-    order: dict[str, int] = {}
-    for tile, expert in keys:
-        if expert in experts:
-            order.setdefault(tile, len(order))
-    owned = [[owner for owner, key in enumerate(keys) if key[1] == expert]
-             for expert in experts]
-    for expert, owners in zip(experts, owned):
-        if not owners:
+    owned = []
+    for expert in experts:
+        if expert not in corpus.experts:
             raise ValueError(f"unknown expert {expert!r}")
+        owned.append(corpus.key_expert == corpus.experts.index(expert))
+    # Rows follow the first key of each tile for either expert.
+    tile_codes, first = np.unique(corpus.key_tile[owned[0] | owned[1]], return_index=True)
+    row_tiles = tile_codes[np.argsort(first)]
     # Keys are distinct, so two experts share their tile set exactly when
     # each annotates every tile of the union.
-    if any(len(owners) != len(order) for owners in owned):
+    if any(np.count_nonzero(mine) != len(row_tiles) for mine in owned):
         raise ValueError(f"experts {experts[0]!r} and {experts[1]!r} annotate different tiles")
+    row_of_tile = np.full(len(corpus.tiles), -1, dtype=np.intp)
+    row_of_tile[row_tiles] = np.arange(len(row_tiles))
+    key_row = row_of_tile[corpus.key_tile]
     scale = np.array([0.0] + [weights.weight(level) for level in CERTAINTY_LEVELS])
     share = corpus.proportion * scale[corpus.level]
 
-    def masses(owners: list[int]) -> np.ndarray:
-        row_of = np.full(len(keys), -1, dtype=np.intp)
-        row_of[owners] = [order[keys[owner][0]] for owner in owners]
-        rows = row_of[corpus.owner]
-        mine = rows >= 0
-        out = np.zeros((len(order), frame.n_classes))
-        np.add.at(out, (rows[mine], corpus.class_index[mine]), share[mine])
+    def masses(mine: np.ndarray) -> np.ndarray:
+        rows = np.where(mine, key_row, -1)[corpus.owner]
+        entries = rows >= 0
+        out = np.zeros((len(row_tiles), frame.n_classes))
+        np.add.at(out, (rows[entries], corpus.class_index[entries]), share[entries])
         out.flags.writeable = False
         return out
 
-    a, b = (masses(owners) for owners in owned)
-    return ExpertPair(labels=frame.labels, experts=experts, tiles=tuple(order), a=a, b=b)
+    a, b = (masses(mine) for mine in owned)
+    tiles = tuple(map(corpus.tiles.__getitem__, row_tiles.tolist()))
+    return ExpertPair(labels=frame.labels, experts=experts, tiles=tiles, a=a, b=b)
 
 
 @dataclass(frozen=True)

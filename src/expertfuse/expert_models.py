@@ -14,9 +14,9 @@ import enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .lattice import Frame, Model, make_frame
+from .lattice import Frame, Model, _check_label, make_frame
 from .mass import SUM_TOLERANCE, MassFunction, World, _sum_in_order, mass_from_entries
-from .mass import _check_fraction, _check_integer, _check_real
+from .mass import _check_fraction, _check_integer
 
 
 class DeclarationKind(enum.Enum):
@@ -147,9 +147,10 @@ class CertaintyWeights:
 
     def __post_init__(self) -> None:
         for name in ("c1", "c2", "c3"):
-            _check_real(f"certainty weight {name}", getattr(self, name))
-        if not 0.0 < self.c3 <= self.c2 <= self.c1 <= 1.0:
-            raise ValueError("certainty weights must satisfy 0 < c3 <= c2 <= c1 <= 1")
+            _check_fraction(f"certainty weight {name}", getattr(self, name))
+        if not 0.0 < self.c3 <= self.c2 <= self.c1:
+            raise ValueError("certainty weights must satisfy 0 < c3 <= c2 <= c1 <= 1, got "
+                             f"c1={self.c1!r}, c2={self.c2!r}, c3={self.c3!r}")
 
     def weight(self, level: int) -> float:
         _check_level(level)
@@ -189,8 +190,7 @@ class TileAnnotation:
         )
         total = 0.0
         for entry in self.entries:
-            if not isinstance(entry.label, str) or not entry.label:
-                raise ValueError(f"class label must be a non-empty string, got {entry.label!r}")
+            _check_label(entry.label)
             _check_level(entry.level)
             _check_fraction("proportion", entry.proportion)
             total += entry.proportion

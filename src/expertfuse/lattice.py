@@ -56,13 +56,18 @@ class Model(enum.Enum):
     FREE = "free"
 
 
+def _check_label(label: object) -> None:
+    """Refuse a class label that is not a non-empty str."""
+    if not isinstance(label, str) or not label:
+        raise ValueError(f"class label must be a non-empty string, got {label!r}")
+
+
 def _validate_labels(labels: tuple[str, ...]) -> None:
     if not labels:
         raise ValueError("a frame needs at least one class label")
     seen = set()
     for label in labels:
-        if not isinstance(label, str) or not label:
-            raise ValueError("class labels must be non-empty strings")
+        _check_label(label)
         if label != label.strip():  # parse_element strips names, so it would not read back
             raise ValueError(f"label {label!r} has surrounding whitespace")
         if label in (EMPTY_TEXT, THETA_TEXT):

@@ -583,13 +583,17 @@ class TestCorpus:
         assert main(["corpus", str(corpus_file), "--weights", "1,0.5"]) == 1
         assert "three comma-separated" in capsys.readouterr().err
         assert main(["corpus", str(corpus_file), "--weights", "0.2,0.5,0.9"]) == 1
-        assert "c3 <= c2 <= c1" in capsys.readouterr().err
-        for weights in ("1,nan,0.3", "inf,0.5,0.3", "1,0.5,-inf"):
+        assert capsys.readouterr().err == (
+            "error: certainty weights must satisfy 0 < c3 <= c2 <= c1 <= 1, "
+            "got c1=0.2, c2=0.5, c3=0.9\n"
+        )
+        for weights, field, shown in (("1,nan,0.3", "c2", "nan"), ("inf,0.5,0.3", "c1", "inf"),
+                                      ("1,0.5,-inf", "c3", "-inf")):
             assert main(["corpus", str(corpus_file), "--weights", weights]) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == (
-                "error: certainty weights must satisfy 0 < c3 <= c2 <= c1 <= 1\n"
+                f"error: certainty weight {field} must lie in [0, 1], got {shown}\n"
             )
 
     def test_a_bad_level_names_its_line(self, tmp_path, capsys):

@@ -367,10 +367,10 @@ def _plain_text(draw):
 
 
 def _columns(corpus):
-    """Keys, then each array's name, dtype and bytes."""
-    return corpus.keys, tuple(
+    """Keys and ids, then each array's name, dtype and bytes."""
+    return corpus.keys, corpus.tiles, corpus.experts, tuple(
         (name, getattr(corpus, name).dtype, getattr(corpus, name).tobytes())
-        for name in ("owner", "class_index", "level", "proportion")
+        for name in ("key_tile", "key_expert", "owner", "class_index", "level", "proportion")
     )
 
 
@@ -423,6 +423,15 @@ class TestColumnarReader:
                      id="a-key-returns"),
         pytest.param(_rows("t1,e1,sand,1,0.25", "t1,e2,silt,1,0.5", "t1,e1,rock,3,0.875"),
                      id="a-returning-key-past-one"),
+        pytest.param(_rows(" t1,e1,sand,1,0.25", "t1,e1,silt,1,0.25", "t1, e2,rock,1,0.5",
+                           "t2,e2 ,sand,2,0.5", "t1,e2,silt,3,0.25"),
+                     id="ids-that-strip-alike"),
+        pytest.param(_rows("t1,e1,sand,1,0.25", "t2,e1,silt,1,0.5", "t2,e2,rock,1,0.5",
+                           "t1,e2,sand,2,0.5", "t1,e1,rock,3,0.25"),
+                     id="a-key-returns-after-other-keys"),
+        pytest.param(_rows("t2,e3,rock,1,0.5", "t1,e1,sand,1,0.5", "t1,e2,silt,1,0.5",
+                           "t2,e1,sand,2,0.25", "t1,e3,silt,3,0.75", "t2,e2,rock,1,1.0"),
+                     id="three-experts"),
         pytest.param(_rows("t1,e1,sand,1,0.5", "t1,e1,silt,1,0.5000000005"),
                      id="sum-inside-the-tolerance"),
         pytest.param(_rows("t1,e1,sand,1,0.5", "t1,e1,silt,1,0.500000002"),
@@ -539,6 +548,108 @@ class TestExpertPair:
         with pytest.raises(ValueError, match="^an expert pair compares two different "
                                              "experts, got 'e1' twice$"):
             expert_pair(small_corpus, ("e1", "e1"))
+
+
+def _expert_pair_by_keys(corpus, experts=None, weights=DEFAULT_WEIGHTS):
+    """The per-key loop `expert_pair` once was, kept as its reference."""
+    if experts is None:
+        experts = corpus.experts
+        if len(experts) != 2:
+            raise ValueError(f"corpus has {len(experts)} experts; pass the two to compare")
+    experts = tuple(experts)
+    if len(experts) != 2:
+        raise ValueError(f"an expert pair compares exactly two experts, got {len(experts)}")
+    if experts[0] == experts[1]:
+        raise ValueError(
+            f"an expert pair compares two different experts, got {experts[0]!r} twice"
+        )
+    frame = corpus.frame
+    if frame.model is not Model.SHAFER:
+        raise ValueError(
+            f"corpus statistics need an exclusive frame, got the {frame.model.value} model"
+        )
+    keys = corpus.keys
+    order: dict[str, int] = {}
+    for tile, expert in keys:
+        if expert in experts:
+            order.setdefault(tile, len(order))
+    owned = [[owner for owner, key in enumerate(keys) if key[1] == expert]
+             for expert in experts]
+    for expert, owners in zip(experts, owned):
+        if not owners:
+            raise ValueError(f"unknown expert {expert!r}")
+    if any(len(owners) != len(order) for owners in owned):
+        raise ValueError(f"experts {experts[0]!r} and {experts[1]!r} annotate different tiles")
+    scale = np.array([0.0] + [weights.weight(level) for level in (1, 2, 3)])
+    share = corpus.proportion * scale[corpus.level]
+
+    def masses(owners):
+        row_of = np.full(len(keys), -1, dtype=np.intp)
+        row_of[owners] = [order[keys[owner][0]] for owner in owners]
+        rows = row_of[corpus.owner]
+        mine = rows >= 0
+        out = np.zeros((len(order), frame.n_classes))
+        np.add.at(out, (rows[mine], corpus.class_index[mine]), share[mine])
+        return out
+
+    a, b = (masses(owners) for owners in owned)
+    return tuple(order), a, b
+
+
+def _shuffled_corpus_text(seed, tiles, experts, keep):
+    """Rows for each (tile, expert) key kept with probability `keep`, one to
+    three entries each, all rows shuffled, so keys return and a tile's first
+    key may belong to any expert."""
+    rng = np.random.default_rng(seed)
+    labels = sediment_frame().labels
+    lines = []
+    for t in range(tiles):
+        for e in range(experts):
+            if rng.random() >= keep:
+                continue
+            parts = rng.integers(1, 4)
+            for p in np.floor(rng.dirichlet(np.ones(parts + 1))[:parts] * 1e4) / 1e4:
+                lines.append(f"t{t},e{e + 1},{labels[rng.integers(len(labels))]},"
+                             f"{rng.integers(1, 4)},{p:.4f}")
+    rng.shuffle(lines)
+    return "\n".join([HEADER, *lines]) + "\n"
+
+
+def _pair_outcome(make):
+    try:
+        tiles, a, b = make()
+    except ValueError as exc:
+        return str(exc)
+    return tiles, np.asarray(a).tobytes(), np.asarray(b).tobytes()
+
+
+class TestExpertPairMatchesTheKeyLoop:
+    """`expert_pair` gives the per-key loop's tiles and array bytes, or its message."""
+
+    @pytest.mark.parametrize("experts", [
+        None, ("e1", "e2"), ("e2", "e1"), ("e1", "e3"), ("e3", "e2"), ("e1", "e9"),
+        ("e9", "e1"), ("e2", "e2"), ("e1", "e2", "e3"),
+    ], ids=lambda experts: "-".join(experts) if experts else "default")
+    @pytest.mark.parametrize("seed, n_experts, keep", [
+        (1, 2, 1.0), (2, 3, 1.0), (3, 3, 1.0), (4, 2, 0.9), (5, 3, 0.95), (6, 3, 0.5),
+    ])
+    def test_seeded_corpora(self, seed, n_experts, keep, experts):
+        corpus = parse_annotations(_shuffled_corpus_text(seed, 40, n_experts, keep))
+
+        def vectorized():
+            pair = expert_pair(corpus, experts)
+            return pair.tiles, pair.a, pair.b
+
+        assert _pair_outcome(vectorized) == _pair_outcome(
+            lambda: _expert_pair_by_keys(corpus, experts))
+
+    def test_the_seeded_corpora_reorder_rows_and_split_tile_sets(self):
+        full = parse_annotations(_shuffled_corpus_text(2, 40, 3, 1.0))
+        tiles, _, _ = _expert_pair_by_keys(full, ("e1", "e2"))
+        assert list(tiles) != sorted(tiles, key=full.tiles.index)
+        sparse = parse_annotations(_shuffled_corpus_text(4, 40, 2, 0.9))
+        with pytest.raises(ValueError, match="annotate different tiles"):
+            _expert_pair_by_keys(sparse)
 
 
 class TestConflictMatrix:
@@ -859,10 +970,10 @@ class TestDirectConstruction:
     def test_an_owner_outside_the_keys(self):
         # the columns once accepted, which then failed with a bare IndexError
         with pytest.raises(ValueError, match="^owner must index the 2 keys, got 5$"):
-            Corpus(sediment_frame(), self.KEYS, np.array([0, 5]), np.array([0, 0]),
-                   np.array([1, 1]), np.array([0.5, 0.5]))
+            Corpus.from_keys(sediment_frame(), self.KEYS, np.array([0, 5]), np.array([0, 0]),
+                             np.array([1, 1]), np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="^owner must index the 2 keys, got -1$"):
-            Corpus(sediment_frame(), self.KEYS, **self._columns(owner=np.array([-1, 1])))
+            Corpus.from_keys(sediment_frame(), self.KEYS, **self._columns(owner=np.array([-1, 1])))
 
     @pytest.mark.parametrize("field, values, message", [
         ("class_index", [0, 7], "class_index must index the 7 classes, got 7"),
@@ -881,15 +992,15 @@ class TestDirectConstruction:
     def test_refusals_name_the_field(self, field, values, message):
         columns = self._columns(**{field: np.array(values)})
         with pytest.raises(ValueError) as refused:
-            Corpus(sediment_frame(), self.KEYS, **columns)
+            Corpus.from_keys(sediment_frame(), self.KEYS, **columns)
         assert str(refused.value) == message
 
     def test_a_repeated_key(self):
         # once accepted: annotation() kept the second
         with pytest.raises(ValueError) as refused:
-            Corpus(sediment_frame(), (("t1", "e1"), ("t1", "e1"), ("t1", "e2")),
-                   np.array([0, 1, 2]), np.array([2, 3, 3]), np.array([1, 1, 1]),
-                   np.array([0.5, 0.9, 0.5]))
+            Corpus.from_keys(sediment_frame(), (("t1", "e1"), ("t1", "e1"), ("t1", "e2")),
+                             np.array([0, 1, 2]), np.array([2, 3, 3]), np.array([1, 1, 1]),
+                             np.array([0.5, 0.9, 0.5]))
         assert str(refused.value) == "keys must be distinct, got ('t1', 'e1') twice"
 
     @pytest.mark.parametrize("keys, bad", [
@@ -902,7 +1013,7 @@ class TestDirectConstruction:
         # the first two keys were once accepted as they stand, the list key
         # as the tuple ("t1", "e1")
         with pytest.raises(ValueError) as refused:
-            Corpus(sediment_frame(), keys, **self._columns())
+            Corpus.from_keys(sediment_frame(), keys, **self._columns())
         assert str(refused.value) == (
             f"keys must be (tile, expert) pairs of two strings, got {bad!r}"
         )
@@ -910,14 +1021,72 @@ class TestDirectConstruction:
     @pytest.mark.parametrize("key", [("", "e2"), ("t1", "")])
     def test_an_empty_id(self, key):
         with pytest.raises(ValueError) as refused:
-            Corpus(sediment_frame(), (("t1", "e1"), key), **self._columns())
+            Corpus.from_keys(sediment_frame(), (("t1", "e1"), key), **self._columns())
         assert str(refused.value) == (
             f"keys must not hold an empty tile or expert id, got {key!r}"
         )
 
+    # t1 by e1, t1 by e2, t2 by e1; one entry each
+    CODES = {
+        "tiles": ("t1", "t2"),
+        "experts": ("e1", "e2"),
+        "key_tile": np.array([0, 0, 1]),
+        "key_expert": np.array([0, 1, 0]),
+        "owner": np.array([0, 1, 2]),
+        "class_index": np.array([0, 0, 0]),
+        "level": np.array([1, 1, 1]),
+        "proportion": np.array([0.5, 0.5, 0.5]),
+    }
+
+    def test_codes_give_the_keys(self):
+        corpus = Corpus(sediment_frame(), **self.CODES)
+        assert corpus.keys == (("t1", "e1"), ("t1", "e2"), ("t2", "e1"))
+        built = Corpus.from_keys(sediment_frame(), corpus.keys, corpus.owner,
+                                 corpus.class_index, corpus.level, corpus.proportion)
+        assert _columns(built) == _columns(corpus)
+
+    @pytest.mark.parametrize("changes, message", [
+        pytest.param({"key_tile": np.array([0, 0, 2])},
+                     "key_tile must index the 2 tiles, got 2", id="tile-code-outside"),
+        pytest.param({"key_expert": np.array([0, -1, 0])},
+                     "key_expert must index the 2 experts, got -1", id="expert-code-outside"),
+        pytest.param({"key_tile": np.array([0, 0, 1, 0]), "key_expert": np.array([0, 1, 0, 1])},
+                     "keys must be distinct, got ('t1', 'e2') twice", id="repeated-pair"),
+        pytest.param({"key_tile": np.array([1, 1, 0])},
+                     "key_tile must number the tiles in order of first appearance, got 1 before 0",
+                     id="tiles-out-of-order"),
+        pytest.param({"key_tile": np.array([0, 1, 2]), "tiles": ("t1", "t2", "t3"),
+                      "key_expert": np.array([0, 2, 1]), "experts": ("e1", "e2", "e3")},
+                     "key_expert must number the experts in order of first appearance, "
+                     "got 2 before 1", id="experts-out-of-order"),
+        pytest.param({"tiles": ("t1", "t2", "t3")}, "tiles holds 't3', which no key uses",
+                     id="unused-tile"),
+        pytest.param({"experts": ("e1", "e2", "e3")}, "experts holds 'e3', which no key uses",
+                     id="unused-expert"),
+        pytest.param({"tiles": ("t1", "")}, "tiles must hold non-empty strings, got ''",
+                     id="empty-name"),
+        pytest.param({"experts": ("e1", 2)}, "experts must hold non-empty strings, got 2",
+                     id="name-not-a-str"),
+        pytest.param({"experts": ("e1", "e1")}, "experts must be distinct, got 'e1' twice",
+                     id="repeated-name"),
+        pytest.param({"tiles": "t1"}, "tiles must be a sequence of ids, got the str 't1'",
+                     id="names-in-a-str"),
+        pytest.param({"key_tile": np.array([0.0, 0.0, 1.0])},
+                     "key_tile must be a one-dimensional integer array, got float64 with shape (3,)",
+                     id="float-codes"),
+        pytest.param({"key_expert": np.array([0, 1])},
+                     "key columns differ in length: key_tile 3, key_expert 2", id="key-lengths"),
+        pytest.param({"owner": np.array([0, 1, 3])}, "owner must index the 3 keys, got 3",
+                     id="owner-outside"),
+    ])
+    def test_code_refusals_name_the_field(self, changes, message):
+        with pytest.raises(ValueError) as refused:
+            Corpus(sediment_frame(), **{**self.CODES, **changes})
+        assert str(refused.value) == message
+
     def test_columns_of_different_lengths(self):
         with pytest.raises(ValueError) as refused:
-            Corpus(sediment_frame(), self.KEYS, **self._columns(level=np.array([1, 1, 1])))
+            Corpus.from_keys(sediment_frame(), self.KEYS, **self._columns(level=np.array([1, 1, 1])))
         assert str(refused.value) == (
             "columns differ in length: owner 2, class_index 2, level 3, proportion 2"
         )
@@ -928,14 +1097,15 @@ class TestDirectConstruction:
         columns = self._columns(owner=np.array([0, 0, 1]), class_index=np.array([0, 1, 2]),
                                 level=np.array([1, 1, 1]), proportion=np.array([0.7, 0.7, 0.5]))
         with pytest.raises(ValueError) as refused:
-            Corpus(sediment_frame(), self.KEYS, **columns)
+            Corpus.from_keys(sediment_frame(), self.KEYS, **columns)
         assert str(refused.value) == "proportions for tile 't1' by expert 'e1' sum to 1.4 > 1"
 
     def test_group_sum_on_the_tolerance_edge(self):
         # 1 + 0.5e-9 lies inside SUM_TOLERANCE (1e-9), 1 + 2e-9 outside it
         def corpus(second):
-            return Corpus(sediment_frame(), self.KEYS, np.array([1, 0, 0]), np.array([0, 0, 1]),
-                          np.array([1, 1, 1]), np.array([0.5, 0.5, second]))
+            return Corpus.from_keys(sediment_frame(), self.KEYS, np.array([1, 0, 0]),
+                                    np.array([0, 0, 1]), np.array([1, 1, 1]),
+                                    np.array([0.5, 0.5, second]))
 
         assert corpus(0.5000000005).annotation("t1", "e1").entries == (
             ("rock", 1, 0.5), ("cobble", 1, 0.5000000005)
@@ -953,7 +1123,7 @@ class TestDirectConstruction:
                                      for i in range(3))
         proportion = np.array([row[3] for row in rows], dtype=np.float64)
         try:
-            corpus = Corpus(sediment_frame(), keys, owner, class_index, level, proportion)
+            corpus = Corpus.from_keys(sediment_frame(), keys, owner, class_index, level, proportion)
         except ValueError:
             return
         assert len(corpus.annotations) == len(keys)
@@ -961,7 +1131,7 @@ class TestDirectConstruction:
 
     def test_writable_arrays_are_copied_read_only(self):
         columns = self._columns(level=np.array([1, 3], dtype=np.int8))
-        corpus = Corpus(sediment_frame(), self.KEYS, **columns)
+        corpus = Corpus.from_keys(sediment_frame(), self.KEYS, **columns)
         for name, array in columns.items():
             array[0] = 0
             held = getattr(corpus, name)
@@ -973,9 +1143,9 @@ class TestDirectConstruction:
         assert corpus.annotation("t1", "e2").entries == (("rock", 3, 0.5),)
 
     def test_read_only_arrays_are_kept(self, small_corpus):
-        rebuilt = Corpus(small_corpus.frame, small_corpus.keys, small_corpus.owner,
-                         small_corpus.class_index, small_corpus.level, small_corpus.proportion)
-        for name in ("owner", "class_index", "level", "proportion"):
+        rebuilt = Corpus(*(getattr(small_corpus, field.name)
+                           for field in dataclasses.fields(Corpus)))
+        for name in ("key_tile", "key_expert", "owner", "class_index", "level", "proportion"):
             assert getattr(rebuilt, name) is getattr(small_corpus, name)
         assert rebuilt == small_corpus
 
@@ -984,8 +1154,9 @@ class TestBuiltAndParsedCorpora:
     def test_a_built_corpus_gives_the_parsed_statistics(self):
         text = _uniform_corpus_text(4, 200, ("rock", "sand", "silt"), 5)
         parsed = parse_annotations(text)
-        built = Corpus(parsed.frame, list(parsed.keys), parsed.owner.copy(),
-                       parsed.class_index.copy(), parsed.level.copy(), parsed.proportion.copy())
+        built = Corpus.from_keys(parsed.frame, list(parsed.keys), parsed.owner.copy(),
+                                 parsed.class_index.copy(), parsed.level.copy(),
+                                 parsed.proportion.copy())
         assert built == parsed
         assert built.tiles == parsed.tiles
         assert built.experts == parsed.experts
@@ -996,9 +1167,9 @@ class TestBuiltAndParsedCorpora:
     def test_a_built_corpus_holds_the_parsed_columns(self):
         text = _uniform_corpus_text(3, 120, ("rock", "sand", "silt"), 9)
         parsed = parse_annotations(text)
-        built = Corpus(parsed.frame, parsed.keys, parsed.owner.astype(np.int32),
-                       parsed.class_index.astype(np.uint8), parsed.level.astype(np.int8),
-                       parsed.proportion.copy())
+        built = Corpus.from_keys(parsed.frame, parsed.keys, parsed.owner.astype(np.int32),
+                                 parsed.class_index.astype(np.uint8),
+                                 parsed.level.astype(np.int8), parsed.proportion.copy())
         assert built.keys == parsed.keys
         for field in ("owner", "class_index", "level", "proportion"):
             assert np.array_equal(getattr(built, field), getattr(parsed, field))
@@ -1020,6 +1191,7 @@ class TestBuiltAndParsedCorpora:
         conflict_matrix(expert_pair(corpus, ("e1", "e2")))
         decision_difference(expert_pair(corpus))
         repr(corpus)
+        assert "keys" not in vars(corpus)
         with pytest.raises(AssertionError, match="built TileAnnotation"):
             corpus.annotations
 

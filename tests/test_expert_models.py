@@ -250,9 +250,17 @@ class TestCertaintyWeights:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_weights_rejected(self, value):
-        for weights in ((value, 0.5, 0.3), (1.0, value, 0.3), (1.0, 0.5, value)):
-            with pytest.raises(ValueError, match="c3 <= c2 <= c1"):
+        for name, weights in (("c1", (value, 0.5, 0.3)), ("c2", (1.0, value, 0.3)),
+                              ("c3", (1.0, 0.5, value))):
+            with pytest.raises(ValueError) as refused:
                 CertaintyWeights(*weights)
+            assert str(refused.value) == f"certainty weight {name} must lie in [0, 1], got {value}"
+
+    def test_the_ladder_names_all_three_weights(self):
+        with pytest.raises(ValueError) as refused:
+            CertaintyWeights(0.5, 0.6, 0.3)
+        assert str(refused.value) == ("certainty weights must satisfy 0 < c3 <= c2 <= c1 <= 1, "
+                                      "got c1=0.5, c2=0.6, c3=0.3")
 
 
 class TestGeneralizedModel:

@@ -192,7 +192,7 @@ def test_frame_label_validation():
         make_frame(("A", ""))
     with pytest.raises(ValueError) as caught:
         make_frame((["A"], "B"))  # unhashable, so it skips the intern cache
-    assert str(caught.value) == "class labels must be non-empty strings"
+    assert str(caught.value) == "class label must be a non-empty string, got ['A']"
 
 
 def test_frame_needs_a_model_member():

@@ -52,7 +52,7 @@ def _from_json(value: object) -> MassFunction:
 
 
 def _corpus(proportion: object = 0.5, level: object = 1, key: object = ("t1", "e1")) -> Corpus:
-    return Corpus(sediment_frame(), (key,), [0], [0], [level], [proportion])
+    return Corpus.from_keys(sediment_frame(), (key,), [0], [0], [level], [proportion])
 
 
 ENTRY_POINTS = {
@@ -84,7 +84,7 @@ ENTRY_POINTS = {
 }
 
 _LADDER = "certainty weights must satisfy 0 < c3 <= c2 <= c1 <= 1"
-_NOT_A_LABEL = "class labels must be non-empty strings"
+_NOT_A_LABEL = "class label must be a non-empty string, got "
 
 # entry point -> input kind -> (value, exact message or Accepted)
 TABLE = {
@@ -160,13 +160,13 @@ TABLE = {
         "none": (None, "change rate must be a real number, got None"),
         "complex": (0.5j, "change rate must be a real number, got 0.5j"),
     },
-    # The weights' own ladder refuses every real number outside it.
+    # Each weight is a fraction; the ladder then orders them, naming all three.
     "CertaintyWeights.c1": {
-        "nan": (NAN, _LADDER),
-        "inf": (INF, _LADDER),
-        "-inf": (-INF, _LADDER),
-        "negative": (-0.5, _LADDER),
-        "above-1": (1.5, _LADDER),
+        "nan": (NAN, "certainty weight c1 must lie in [0, 1], got nan"),
+        "inf": (INF, "certainty weight c1 must lie in [0, 1], got inf"),
+        "-inf": (-INF, "certainty weight c1 must lie in [0, 1], got -inf"),
+        "negative": (-0.5, "certainty weight c1 must lie in [0, 1], got -0.5"),
+        "above-1": (1.5, "certainty weight c1 must lie in [0, 1], got 1.5"),
         "bool": (True, "certainty weight c1 must be a real number, got True"),
         "int": (1, Accepted("an int is a real number, and 1 >= 0.5 >= 0.3")),
         "str": ("1", "certainty weight c1 must be a real number, got '1'"),
@@ -174,11 +174,11 @@ TABLE = {
         "complex": (1j, "certainty weight c1 must be a real number, got 1j"),
     },
     "CertaintyWeights.c2": {
-        "nan": (NAN, _LADDER),
-        "inf": (INF, _LADDER),
-        "-inf": (-INF, _LADDER),
-        "negative": (-0.5, _LADDER),
-        "above-1": (1.5, _LADDER),
+        "nan": (NAN, "certainty weight c2 must lie in [0, 1], got nan"),
+        "inf": (INF, "certainty weight c2 must lie in [0, 1], got inf"),
+        "-inf": (-INF, "certainty weight c2 must lie in [0, 1], got -inf"),
+        "negative": (-0.5, "certainty weight c2 must lie in [0, 1], got -0.5"),
+        "above-1": (1.5, "certainty weight c2 must lie in [0, 1], got 1.5"),
         "bool": (True, "certainty weight c2 must be a real number, got True"),
         "int": (1, Accepted("an int is a real number, and 1 >= 1 >= 0.3")),
         "str": ("0.5", "certainty weight c2 must be a real number, got '0.5'"),
@@ -186,13 +186,13 @@ TABLE = {
         "complex": (0.5j, "certainty weight c2 must be a real number, got 0.5j"),
     },
     "CertaintyWeights.c3": {
-        "nan": (NAN, _LADDER),
-        "inf": (INF, _LADDER),
-        "-inf": (-INF, _LADDER),
-        "negative": (-0.5, _LADDER),
-        "above-1": (1.5, _LADDER),
+        "nan": (NAN, "certainty weight c3 must lie in [0, 1], got nan"),
+        "inf": (INF, "certainty weight c3 must lie in [0, 1], got inf"),
+        "-inf": (-INF, "certainty weight c3 must lie in [0, 1], got -inf"),
+        "negative": (-0.5, "certainty weight c3 must lie in [0, 1], got -0.5"),
+        "above-1": (1.5, "certainty weight c3 must lie in [0, 1], got 1.5"),
         "bool": (True, "certainty weight c3 must be a real number, got True"),
-        "int": (1, _LADDER),
+        "int": (1, _LADDER + ", got c1=1.0, c2=0.5, c3=1"),
         "str": ("0.3", "certainty weight c3 must be a real number, got '0.3'"),
         "none": (None, "certainty weight c3 must be a real number, got None"),
         "complex": (0.3j, "certainty weight c3 must be a real number, got 0.3j"),
@@ -310,16 +310,16 @@ TABLE = {
         "none": (None, "bin count must be an integer, got None"),
     },
     "make_frame": {
-        "nan": (NAN, _NOT_A_LABEL),
-        "inf": (INF, _NOT_A_LABEL),
-        "-inf": (-INF, _NOT_A_LABEL),
-        "negative": (-1, _NOT_A_LABEL),
-        "above-1": (2, _NOT_A_LABEL),
-        "bool": (True, _NOT_A_LABEL),
-        "float": (1.5, _NOT_A_LABEL),
+        "nan": (NAN, _NOT_A_LABEL + "nan"),
+        "inf": (INF, _NOT_A_LABEL + "inf"),
+        "-inf": (-INF, _NOT_A_LABEL + "-inf"),
+        "negative": (-1, _NOT_A_LABEL + "-1"),
+        "above-1": (2, _NOT_A_LABEL + "2"),
+        "bool": (True, _NOT_A_LABEL + "True"),
+        "float": (1.5, _NOT_A_LABEL + "1.5"),
         "str": ("B", Accepted("a class label is text")),
-        "none": (None, _NOT_A_LABEL),
-        "empty-str": ("", _NOT_A_LABEL),
+        "none": (None, _NOT_A_LABEL + "None"),
+        "empty-str": ("", _NOT_A_LABEL + "''"),
         "padded-str": (" B", "label ' B' has surrounding whitespace"),
         "trailing-space": ("B ", "label 'B ' has surrounding whitespace"),
         "leading-tab": ("\tB", "label '\\tB' has surrounding whitespace"),
