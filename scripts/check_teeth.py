@@ -43,6 +43,7 @@ _READER_MATCH = ("tests/test_corpus.py::TestColumnarReader"
 _REFUSAL = "tests/test_refusals.py::test_each_bad_input_meets_its_row"
 _DIRECT = "tests/test_corpus.py::TestDirectConstruction"
 _PAIR_MATCH = "tests/test_corpus.py::TestExpertPairMatchesTheKeyLoop::test_seeded_corpora"
+_EQUALITY = "tests/test_corpus.py::TestEqualityReadsTheColumns"
 
 MUTANTS = (
     Mutant("src/expertfuse/mass.py",
@@ -402,6 +403,43 @@ MUTANTS = (
            "row_tiles = tile_codes[np.argsort(first)]",
            "row_tiles = tile_codes",
            (f"{_PAIR_MATCH}[2-3-1.0-e1-e2]", f"{_PAIR_MATCH}[3-3-1.0-e3-e2]")),
+    # Equality reads the columns: each group's entries in file order, and
+    # every entry array and key code.
+    Mutant("src/expertfuse/corpus.py",
+           'np.argsort(corpus.owner, kind="stable")',
+           "np.argsort(corpus.owner)",
+           (f"{_EQUALITY}::test_agrees_with_annotation_equality_on_seeded_pairs",
+            f"{_EQUALITY}::test_an_interleaved_annotation_equals_its_grouped_copy")),
+    Mutant("src/expertfuse/corpus.py",
+           "for name, _, _ in _COLUMNS)",
+           "for name, _, _ in _COLUMNS[:-1])",
+           (f"{_EQUALITY}::test_agrees_with_annotation_equality_on_seeded_pairs",)),
+    Mutant("src/expertfuse/corpus.py",
+           "for name, _, _ in _COLUMNS)",
+           "for name, _, _ in _COLUMNS[1:])",
+           (f"{_EQUALITY}::test_corpora_that_differ_in_one_array_differ[owner]",)),
+    Mutant("src/expertfuse/corpus.py",
+           "for name, _, _ in _KEY_COLUMNS)",
+           "for name, _, _ in _KEY_COLUMNS[:0])",
+           (f"{_EQUALITY}::test_corpora_that_differ_in_one_array_differ[key-codes]",)),
+    Mutant("src/expertfuse/mass.py",
+           "    if len(payload) != len(pairs):\n",
+           "    if len(payload) < 0:\n",
+           (f"{_REFUSAL}[MassFunction.from_json.keys-repeated-mass]",
+            f"{_REFUSAL}[MassFunction.from_json.keys-repeated-frame]",
+            "tests/test_cli.py::TestDecide::test_a_repeated_mass_key_is_refused")),
+    Mutant("src/expertfuse/corpus.py",
+           'experts = _id_sequence("experts", experts)',
+           "experts = tuple(experts)",
+           (f"{_REFUSAL}[expert_pair.experts-str]",
+            "tests/test_corpus.py::TestExpertPair::test_a_str_of_expert_ids_is_refused")),
+    # A CRLF line end is one line, as newline="" counts it.
+    Mutant("src/expertfuse/corpus.py",
+           ' - head.count(b"\\r\\n")',
+           "",
+           (f"{_REFUSAL}[load_annotations-after-crlf]",
+            "tests/test_corpus.py::TestParseErrors"
+            "::test_a_byte_that_is_not_utf8_names_its_line[3-crlf]")),
     # Damped PCR5 redistribution: every rate stays inside criterion 8's one
     # point, but n = 3..6 fall 3.5 to 4.8 thousandths below the reference.
     Mutant("src/expertfuse/stability.py",

@@ -87,11 +87,16 @@ def _refuse_outside(array: np.ndarray, low: float, high: float, message: str) ->
         raise ValueError(f"{message}, got {bad.item()!r}")
 
 
+def _id_sequence(field: str, names: Sequence[str]) -> tuple[str, ...]:
+    """`names` as a tuple, refused if it is one str, which would split into one-character ids."""
+    if isinstance(names, str):
+        raise ValueError(f"{field} must be a sequence of ids, got the str {names!r}")
+    return tuple(names)
+
+
 def _check_names(field: str, names: Sequence[str]) -> tuple[str, ...]:
     """`names` as a tuple, refused unless its ids are distinct non-empty strings."""
-    if isinstance(names, str):  # a str would split into one-character ids
-        raise ValueError(f"{field} must be a sequence of ids, got the str {names!r}")
-    names = tuple(names)
+    names = _id_sequence(field, names)
     if not all(map(isinstance, names, repeat(str))) or "" in names:
         bad = next(name for name in names if not isinstance(name, str) or not name)
         raise ValueError(f"{field} must hold non-empty strings, got {bad!r}")
@@ -153,13 +158,18 @@ class Corpus:
     proportion.  Build a corpus with `parse_annotations`, from its
     columns, or with `from_keys` from (tile, expert) pairs; the
     `TileAnnotation` objects are built only when `annotations` is read.
-    Built directly, a corpus refuses an id that is not a non-empty
-    string, an id listed twice, codes outside their names, codes that do
-    not number the names in order of first appearance or leave a name
-    unused, a repeated (tile, expert) pair, columns that do not fit its
-    keys and frame, and an annotation whose proportions sum past 1; it
-    keeps a read-only copy of every writable array.  Every check is one
-    numpy pass, or one Python step per distinct id.
+    Equality and hashing read the columns alone: two corpora are equal
+    when their frame, names and key codes match and so do the entries of
+    each annotation in file order, wherever its rows stand among other
+    keys'; the hash reads the frame, the names and the entry count, so a
+    proportion of -0.0 hashes as 0.0 does.  Built directly, a corpus
+    refuses an id that is not a non-empty string, an id listed twice,
+    codes outside their names, codes that do not number the names in
+    order of first appearance or leave a name unused, a repeated (tile,
+    expert) pair, columns that do not fit its keys and frame, and an
+    annotation whose proportions sum past 1; it keeps a read-only copy of
+    every writable array.  Every check is one numpy pass, or one Python
+    step per distinct id.
     """
 
     frame: Frame
@@ -251,10 +261,17 @@ class Corpus:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Corpus):
             return NotImplemented
-        return self.frame == other.frame and self.annotations == other.annotations
+        if ((self.frame, self.tiles, self.experts) != (other.frame, other.tiles, other.experts)
+                or not all(np.array_equal(getattr(self, name), getattr(other, name))
+                           for name, _, _ in _KEY_COLUMNS)):
+            return False
+        # Entries grouped by annotation, each group in file order.
+        mine, theirs = (np.argsort(corpus.owner, kind="stable") for corpus in (self, other))
+        return all(np.array_equal(getattr(self, name)[mine], getattr(other, name)[theirs])
+                   for name, _, _ in _COLUMNS)
 
     def __hash__(self) -> int:
-        return hash((self.frame, self.annotations))
+        return hash((self.frame, self.tiles, self.experts, len(self.owner)))
 
     def __repr__(self) -> str:
         return f"Corpus(frame={self.frame!r}, annotations=<{len(self.key_tile)} annotations>)"
@@ -517,8 +534,19 @@ def parse_annotations(text: str, frame: Frame | None = None) -> Corpus:
 
 
 def load_annotations(path: str) -> Corpus:
-    with open(path, encoding="utf-8", newline="") as handle:
-        text = handle.read()
+    """Read the UTF-8 annotation file at `path` over the sediment frame.
+
+    A byte that is not UTF-8 is a CorpusError on its line, counted as
+    ``newline=""`` splits lines: LF, CRLF and CR each end one.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise CorpusError(f"line {line}: not UTF-8 text (byte 0x{data[exc.start]:02x})") from None
     return parse_annotations(text)
 
 
@@ -567,7 +595,7 @@ def expert_pair(
         experts = corpus.experts
         if len(experts) != 2:
             raise ValueError(f"corpus has {len(experts)} experts; pass the two to compare")
-    experts = tuple(experts)
+    experts = _id_sequence("experts", experts)
     if len(experts) != 2:
         raise ValueError(f"an expert pair compares exactly two experts, got {len(experts)}")
     if experts[0] == experts[1]:

@@ -13,6 +13,7 @@ import enum
 import json
 import math
 import numbers
+from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,6 +26,15 @@ PRUNE_THRESHOLD = 1e-12
 
 # The keys `MassFunction.to_json_dict` writes; `world` may be left out.
 _JSON_KEYS = frozenset(("frame", "model", "world", "masses"))
+
+
+def _refuse_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, refused if it names a key twice."""
+    payload = dict(pairs)
+    if len(payload) != len(pairs):
+        twice = next(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
+        raise ValueError(f"mass JSON repeats the key {twice!r}")
+    return payload
 
 
 def _check_real(name: str, value: object) -> None:
@@ -132,7 +142,8 @@ class MassFunction:
 
     @classmethod
     def from_json(cls, text: str) -> "MassFunction":
-        return cls.from_json_dict(json.loads(text))
+        """Read mass JSON text; an object that repeats a key is a ValueError."""
+        return cls.from_json_dict(json.loads(text, object_pairs_hook=_refuse_repeated_keys))
 
     def __str__(self) -> str:
         inner = ", ".join(

@@ -259,6 +259,16 @@ class TestDecide:
         assert captured.out == ""
         assert captured.err == f"error: {path}: not valid JSON (nested too deeply)\n"
 
+    def test_a_repeated_mass_key_is_refused(self, tmp_path, capsys):
+        # once decided with m(A) = 0.6, the 0.3 dropped
+        path = tmp_path / "repeated.json"
+        path.write_text('{"frame": ["A", "B"], "model": "shafer", '
+                        '"masses": {"A": 0.3, "A": 0.6, "Θ": 0.4}}', encoding="utf-8")
+        assert main(["decide", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: mass JSON repeats the key 'A'\n"
+
 
 class TestSimulate:
     def test_table_matches_the_library(self, capsys):
@@ -614,6 +624,16 @@ class TestCorpus:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: line 4: unknown class 'lava'\n"
+
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path, capsys):
+        # once the codec's message, with a byte offset and no line
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"tile_id,expert_id,class,certainty_level,proportion\n"
+                         b"t1,e1,sand,1,0.5\nt1,e\xe9,silt,1,0.5\n")
+        assert main(["corpus", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 3: not UTF-8 text (byte 0xe9)\n"
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["corpus", str(tmp_path / "nowhere.csv")]) == 1

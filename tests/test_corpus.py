@@ -256,6 +256,24 @@ class TestParseErrors:
                 read()
             assert str(refused.value) == message
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path, end, line):
+        lines = [HEADER, "t1,e1,sand,1,0.5", "t1,e2,silt,1,0.5"]
+        lines[line - 1] = lines[line - 1].replace(",", "\xe9,", 1)
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(end.join(lines).encode("latin-1") + end.encode())
+        with pytest.raises(CorpusError, match=f"^line {line}: not UTF-8 text \\(byte 0xe9\\)$"):
+            load_annotations(str(path))
+
+    def test_a_file_reads_as_its_text_does(self, tmp_path):
+        text = f"{HEADER}\r\n\"t1\",é1,sand,1,0.5\rt1,e2,silt,1,0.5\n"
+        path = tmp_path / "mixed.csv"
+        path.write_bytes(text.encode("utf-8"))
+        corpus = load_annotations(str(path))
+        assert corpus == parse_annotations(text)
+        assert corpus.experts == ("é1", "e2")
+
     def test_corpus_error_is_a_value_error(self):
         assert issubclass(CorpusError, ValueError)
 
@@ -548,6 +566,14 @@ class TestExpertPair:
         with pytest.raises(ValueError, match="^an expert pair compares two different "
                                              "experts, got 'e1' twice$"):
             expert_pair(small_corpus, ("e1", "e1"))
+
+    def test_a_str_of_expert_ids_is_refused(self):
+        # once compared experts 'A' and 'B'
+        corpus = parse_annotations(f"{HEADER}\nt1,A,sand,1,0.5\nt1,B,silt,1,0.5\n")
+        with pytest.raises(ValueError, match="^experts must be a sequence of ids, "
+                                             "got the str 'AB'$"):
+            expert_pair(corpus, "AB")
+        assert expert_pair(corpus, ["A", "B"]).experts == ("A", "B")
 
 
 def _expert_pair_by_keys(corpus, experts=None, weights=DEFAULT_WEIGHTS):
@@ -1148,6 +1174,117 @@ class TestDirectConstruction:
         for name in ("key_tile", "key_expert", "owner", "class_index", "level", "proportion"):
             assert getattr(rebuilt, name) is getattr(small_corpus, name)
         assert rebuilt == small_corpus
+
+
+def _corpus_of_rows(rows, frame):
+    """A corpus from (tile, expert, class index, level, proportion) rows, in row order."""
+    keys = {}
+    owner = [keys.setdefault((tile, expert), len(keys)) for tile, expert, *_ in rows]
+    return Corpus.from_keys(frame, list(keys), np.array(owner, dtype=np.intp),
+                            np.array([row[2] for row in rows], dtype=np.intp),
+                            np.array([row[3] for row in rows], dtype=np.intp),
+                            np.array([row[4] for row in rows], dtype=np.float64))
+
+
+_FRAMES = (make_frame(("A", "B", "C")), make_frame(("A", "B", "D")))
+_SHARES = (0.0, -0.0, 0.01, 0.02, 0.04)
+
+
+def _seeded_rows(rng):
+    """One to four keys of up to 20 entries each, all rows shuffled."""
+    rows = []
+    for k in range(rng.integers(1, 5)):
+        key = (f"t{rng.integers(3)}", f"e{rng.integers(2)}")
+        if any(row[:2] == key for row in rows):
+            continue
+        rows += [(*key, int(rng.integers(3)), int(rng.integers(1, 4)),
+                  _SHARES[rng.integers(len(_SHARES))]) for _ in range(rng.integers(1, 21))]
+    return [rows[i] for i in rng.permutation(len(rows))]
+
+
+def _edited(rows, rng):
+    """`rows` after one seeded edit that may or may not change the corpus."""
+    rows = list(rows)
+    i, j = rng.integers(len(rows), size=2)
+    edit = rng.integers(7)
+    if edit == 0:  # group each key's rows, in order of first appearance
+        first = {}
+        for row in rows:
+            first.setdefault(row[:2], len(first))
+        rows.sort(key=lambda row: first[row[:2]])
+    elif edit == 1:
+        rows[i], rows[j] = rows[j], rows[i]
+    elif edit == 2:  # -0.0 for 0.0 and back
+        rows = [(*row[:4], -row[4]) if row[4] == 0.0 else row for row in rows]
+    elif edit == 3:
+        rows[i] = (*rows[i][:3], 1 + rows[i][3] % 3, rows[i][4])
+    elif edit == 4:
+        rows[i] = (*rows[i][:4], _SHARES[rng.integers(len(_SHARES))])
+    elif edit == 5:
+        rows[i] = (*rows[i][:2], (rows[i][2] + 1) % 3, *rows[i][3:])
+    elif len(rows) > 1:
+        del rows[i]
+    return rows
+
+
+class TestEqualityReadsTheColumns:
+    def test_agrees_with_annotation_equality_on_seeded_pairs(self):
+        rng = np.random.default_rng(31)
+        outcomes = []
+        for _ in range(1500):
+            rows = _seeded_rows(rng)
+            a = _corpus_of_rows(rows, _FRAMES[0])
+            b = _corpus_of_rows(_edited(rows, rng), _FRAMES[rng.random() < 0.05])
+            equal = a.frame == b.frame and a.annotations == b.annotations
+            assert (a == b) is (b == a) is equal
+            if equal:
+                assert hash(a) == hash(b)
+            moved = not np.array_equal(a.owner, b.owner)
+            outcomes.append((equal, moved and np.bincount(a.owner).max() > 16))
+        # Both outcomes occur, and an interleaved annotation of more than 16
+        # entries equals its grouped copy.
+        assert {equal for equal, _ in outcomes} == {True, False}
+        assert (True, True) in outcomes
+
+    def test_an_interleaved_annotation_equals_its_grouped_copy(self):
+        frame = _FRAMES[0]
+        long = [("t1", "e1", k % 3, 1 + k % 3, k / 1000) for k in range(30)]
+        other = [("t2", "e1", 0, 1, 0.5), ("t1", "e2", 1, 2, 0.25)]
+        interleaved = long[:1] + other + long[1:]
+        grouped = _corpus_of_rows(long[:1] + long[1:] + other, frame)
+        assert _corpus_of_rows(interleaved, frame) == grouped
+        assert _corpus_of_rows(long[:1] + other + long[2:] + long[1:2], frame) != grouped
+
+    @pytest.mark.parametrize("one, other", [
+        # the same keys and entry sequence, split between the keys otherwise
+        ([("t1", "e1", 0, 1, 0.1), ("t1", "e1", 1, 2, 0.2), ("t2", "e1", 2, 3, 0.3)],
+         [("t1", "e1", 0, 1, 0.1), ("t2", "e1", 1, 2, 0.2), ("t2", "e1", 2, 3, 0.3)]),
+        # the same names, owners and entries, with the last two keys' codes swapped
+        ([("t1", "e1", 0, 1, 0.1), ("t1", "e2", 1, 2, 0.2), ("t2", "e2", 2, 3, 0.3)],
+         [("t1", "e1", 0, 1, 0.1), ("t2", "e2", 1, 2, 0.2), ("t1", "e2", 2, 3, 0.3)]),
+    ], ids=["owner", "key-codes"])
+    def test_corpora_that_differ_in_one_array_differ(self, one, other):
+        one, other = (_corpus_of_rows(rows, _FRAMES[0]) for rows in (one, other))
+        assert (one.tiles, one.experts) == (other.tiles, other.experts)
+        assert one.annotations != other.annotations
+        assert one != other
+
+    def test_a_negative_zero_proportion_equals_and_hashes_as_zero(self):
+        frame = _FRAMES[0]
+        zero = _corpus_of_rows([("t1", "e1", 0, 1, 0.0)], frame)
+        negative = _corpus_of_rows([("t1", "e1", 0, 1, -0.0)], frame)
+        assert zero == negative
+        assert hash(zero) == hash(negative)
+
+    def test_equality_and_hashing_build_no_views(self, repo_root):
+        text = (repo_root / "data" / "demo_corpus.csv").read_text(encoding="utf-8")
+        a = parse_annotations(text)
+        b = parse_annotations(text.replace("\n", "\r\n"))
+        assert a == b
+        assert hash(a) == hash(b)
+        for corpus in (a, b):
+            assert "annotations" not in vars(corpus)
+            assert "keys" not in vars(corpus)
 
 
 class TestBuiltAndParsedCorpora:

@@ -6,18 +6,22 @@ is fine there.  The kinds are NaN, ±inf, a negative value, a value above
 1, a bool, a float where an integer is meant (or an int where a real is
 meant), a str and None, plus a complex number where a real is meant.
 The real, integer and [0, 1] rules each live in one helper, so the same
-kind reads the same at every site that applies the same rule.
+kind reads the same at every site that applies the same rule.  The rows
+for ids, labels, mass JSON keys, expert lists and file bytes are not
+numbers; each of them lists its own kinds.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import tempfile
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
-from expertfuse.corpus import Corpus
+from expertfuse.corpus import Corpus, expert_pair, load_annotations
 from expertfuse.expert_models import (
     DEFAULT_WEIGHTS,
     CertaintyWeights,
@@ -55,6 +59,18 @@ def _corpus(proportion: object = 0.5, level: object = 1, key: object = ("t1", "e
     return Corpus.from_keys(sediment_frame(), (key,), [0], [0], [level], [proportion])
 
 
+def _load(data: bytes) -> Corpus:
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "annotations.csv"
+        path.write_bytes(data)
+        return load_annotations(str(path))
+
+
+_HEADER = b"tile_id,expert_id,class,certainty_level,proportion"
+_TWO_EXPERTS = Corpus.from_keys(sediment_frame(), (("t1", "A"), ("t1", "B")),
+                                [0, 1], [0, 0], [1, 1], [0.5, 0.5])
+
+
 ENTRY_POINTS = {
     "ExpertDeclaration.p_a": lambda v: ExpertDeclaration(SAYS_A, v, 0.0, 0.5, 0.0),
     "ExpertDeclaration.p_b": lambda v: ExpertDeclaration(SAYS_B, 0.0, v, 0.0, 0.5),
@@ -81,6 +97,9 @@ ENTRY_POINTS = {
     "Corpus.key": lambda v: _corpus(key=v),
     "TileAnnotation.key": lambda v: TileAnnotation(*v, [("sand", 1, 0.5)]),
     "TileAnnotation.label": lambda v: TileAnnotation("t1", "e1", [(v, 1, 0.5)]),
+    "MassFunction.from_json.keys": MassFunction.from_json,
+    "expert_pair.experts": lambda v: expert_pair(_TWO_EXPERTS, v),
+    "load_annotations": _load,
 }
 
 _LADDER = "certainty weights must satisfy 0 < c3 <= c2 <= c1 <= 1"
@@ -373,11 +392,40 @@ TABLE = {
         "empty-str": ("", "class label must be a non-empty string, got ''"),
         "unknown": ("lava", Accepted("the label is looked up in the frame the mass is built on")),
     },
+    # Once the last value of a repeated key won.
+    "MassFunction.from_json.keys": {
+        "repeated-mass": ('{"frame": ["A", "B"], "model": "shafer", '
+                          '"masses": {"A": 0.3, "A": 0.6, "Θ": 0.4}}',
+                          "mass JSON repeats the key 'A'"),
+        "repeated-frame": ('{"frame": ["A", "B"], "model": "shafer", "frame": ["A", "B", "C"], '
+                           '"masses": {"A": 0.3, "Θ": 0.7}}',
+                           "mass JSON repeats the key 'frame'"),
+        "respelled-union": ('{"frame": ["A", "B", "C"], "model": "shafer", '
+                            '"masses": {"A∪B": 0.3, "B∪A": 0.3, "Θ": 0.4}}',
+                            Accepted("A∪B and B∪A are two keys for one element, "
+                                     "whose masses are summed")),
+    },
+    # Once a str compared the one-character experts 'A' and 'B'.
+    "expert_pair.experts": {
+        "str": ("AB", "experts must be a sequence of ids, got the str 'AB'"),
+        "list": (["A", "B"], Accepted("a list of ids is a sequence of ids")),
+    },
+    "load_annotations": {
+        "latin-1": (_HEADER + b"\nt1,e1,sand,1,0.5\nt1,\xe9,silt,1,0.5\n",
+                    "line 3: not UTF-8 text (byte 0xe9)"),
+        "after-cr": (_HEADER + b"\rt1,e1,sand,1,0.5\r\xe9",
+                     "line 3: not UTF-8 text (byte 0xe9)"),
+        "after-crlf": (_HEADER + b"\r\nt1,e1,sand,1,0.5\r\nt1,e\xff,silt,1,0.5\r\n",
+                       "line 3: not UTF-8 text (byte 0xff)"),
+        "utf-8": (_HEADER + "\nt1,é1,sand,1,0.5\n".encode("utf-8"),
+                  Accepted("UTF-8 text is read")),
+    },
 }
 
 # Every number rule meets every kind; the key and label rows are not numbers.
 _NUMBER_KINDS = {"nan", "inf", "-inf", "negative", "above-1", "bool", "str", "none"}
-_NOT_NUMBERS = {"Corpus.key", "TileAnnotation.key", "TileAnnotation.label"}
+_NOT_NUMBERS = {"Corpus.key", "TileAnnotation.key", "TileAnnotation.label",
+                "MassFunction.from_json.keys", "expert_pair.experts", "load_annotations"}
 
 ROWS = [
     pytest.param(entry, value, outcome, id=f"{entry}-{kind}")
