@@ -221,8 +221,7 @@ MUTANTS = (
     Mutant("src/expertfuse/corpus.py",
            "    except ValueError:  # an unknown class or level",
            "    except IndexError:  # an unknown class or level",
-           (f"{_READER_MATCH}[proportion-1.5]", f"{_READER_MATCH}[level-4]",
-            f"{_READER_MATCH}[empty-tile-id]")),
+           (f"{_READER_MATCH}[proportion-1.5]", f"{_READER_MATCH}[level-4]")),
     Mutant("src/expertfuse/corpus.py",
            "(tile[1:] != tile[:-1]) | (expert[1:] != expert[:-1])",
            "(tile[1:] != tile[:-1])",
@@ -261,6 +260,14 @@ MUTANTS = (
             "tests/test_corpus.py::TestParseErrors"
             "::test_a_row_after_a_multi_line_id_names_its_line[proportion-not-a-number]",
             "tests/test_cli.py::TestCorpus::test_a_row_after_a_multi_line_id_names_its_line")),
+    # A mass file's CR and CRLF line ends read as a text file's do, for the JSON error's line.
+    Mutant("src/expertfuse/cli.py",
+           '.replace("\\r\\n", "\\n").replace("\\r", "\\n")',
+           "",
+           ("tests/test_cli.py::TestDecide"
+            "::test_a_json_error_names_its_line_whatever_ends_the_lines[crlf]",
+            "tests/test_cli.py::TestDecide"
+            "::test_a_json_error_names_its_line_whatever_ends_the_lines[cr]")),
     Mutant("src/expertfuse/cli.py",
            "    except RecursionError:\n"
            "        raise ValueError(f\"{path}: not valid JSON (nested too deeply)\") from None\n",
@@ -372,32 +379,16 @@ MUTANTS = (
            "    if not isinstance(label, str) or not label:\n",
            "    if not isinstance(label, str):\n",
            (f"{_REFUSAL}[make_frame-empty-str]", f"{_REFUSAL}[TileAnnotation.label-empty-str]")),
-    # A corpus's codes: one pair per key, ids numbered by first appearance,
-    # names that are distinct non-empty strings.
+    # A corpus's keys are distinct; the columnar reader hands an empty id to the row loop.
     Mutant("src/expertfuse/corpus.py",
-           "        if len(first) != n_keys:\n",
-           "        if len(first) < 0:\n",
-           (f"{_DIRECT}::test_code_refusals_name_the_field[repeated-pair]",
-            f"{_DIRECT}::test_a_repeated_key")),
+           "            if key in seen:\n",
+           "            if False:\n",
+           (f"{_DIRECT}::test_a_repeated_key",)),
     Mutant("src/expertfuse/corpus.py",
-           "early = np.flatnonzero(codes > before + 1)",
-           "early = np.flatnonzero(codes > before + 2)",
-           (f"{_DIRECT}::test_code_refusals_name_the_field[tiles-out-of-order]",
-            f"{_DIRECT}::test_code_refusals_name_the_field[experts-out-of-order]")),
-    Mutant("src/expertfuse/corpus.py",
-           "    if used < len(names):\n",
-           "    if used < len(names) - 1:\n",
-           (f"{_DIRECT}::test_code_refusals_name_the_field[unused-tile]",
-            f"{_DIRECT}::test_code_refusals_name_the_field[unused-expert]")),
-    Mutant("src/expertfuse/corpus.py",
-           'if not all(map(isinstance, names, repeat(str))) or "" in names:',
-           "if not all(map(isinstance, names, repeat(str))):",
-           (f"{_DIRECT}::test_code_refusals_name_the_field[empty-name]",
+           '    if "" in tiles or "" in experts:\n        return None\n',
+           "",
+           ("tests/test_corpus.py::TestParseErrors::test_an_empty_tile_or_expert_id",
             f"{_READER_MATCH}[empty-tile-id]")),
-    Mutant("src/expertfuse/corpus.py",
-           "    if len(set(names)) != len(names):\n",
-           "    if len(set(names)) < 0:\n",
-           (f"{_DIRECT}::test_code_refusals_name_the_field[repeated-name]",)),
     # Pair rows follow each tile's first key for either expert, not the corpus's tile order.
     Mutant("src/expertfuse/corpus.py",
            "row_tiles = tile_codes[np.argsort(first)]",
@@ -419,8 +410,8 @@ MUTANTS = (
            "for name, _, _ in _COLUMNS[1:])",
            (f"{_EQUALITY}::test_corpora_that_differ_in_one_array_differ[owner]",)),
     Mutant("src/expertfuse/corpus.py",
-           "for name, _, _ in _KEY_COLUMNS)",
-           "for name, _, _ in _KEY_COLUMNS[:0])",
+           "                or not np.array_equal(self.key_tile, other.key_tile)\n",
+           "",
            (f"{_EQUALITY}::test_corpora_that_differ_in_one_array_differ[key-codes]",)),
     Mutant("src/expertfuse/mass.py",
            "    if len(payload) != len(pairs):\n",
@@ -434,10 +425,10 @@ MUTANTS = (
            (f"{_REFUSAL}[expert_pair.experts-str]",
             "tests/test_corpus.py::TestExpertPair::test_a_str_of_expert_ids_is_refused")),
     # A CRLF line end is one line, as newline="" counts it.
-    Mutant("src/expertfuse/corpus.py",
+    Mutant("src/expertfuse/mass.py",
            ' - head.count(b"\\r\\n")',
            "",
-           (f"{_REFUSAL}[load_annotations-after-crlf]",
+           (f"{_REFUSAL}[load_annotations-after-crlf]", f"{_REFUSAL}[mass JSON file-after-crlf]",
             "tests/test_corpus.py::TestParseErrors"
             "::test_a_byte_that_is_not_utf8_names_its_line[3-crlf]")),
     # Damped PCR5 redistribution: every rate stays inside criterion 8's one

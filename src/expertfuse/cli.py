@@ -21,7 +21,7 @@ from .decision import Criterion, criteria_table, decide
 from .expert_models import CertaintyWeights, DEFAULT_WEIGHTS
 from .fusion import RULE_NAMES, combine, redistribute_conjunctions
 from .lattice import FocalElement, Model
-from .mass import MassFunction
+from .mass import MassFunction, _read_utf8
 from .stability import (
     SAMPLING_LAWS,
     Histogram,
@@ -45,8 +45,8 @@ def _positive_int(text: str) -> int:
 
 def _load_mass(path: str) -> MassFunction:
     try:
-        with open(path, encoding="utf-8") as handle:
-            return MassFunction.from_json(handle.read())
+        # CR and CRLF end lines as in a file read as text, so a JSON error names its line
+        return MassFunction.from_json(_read_utf8(path).replace("\r\n", "\n").replace("\r", "\n"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
     except RecursionError:

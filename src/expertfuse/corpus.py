@@ -33,10 +33,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -53,7 +51,7 @@ from .expert_models import (
 )
 from .fusion import RULE_NAMES
 from .lattice import Frame, Model
-from .mass import SUM_TOLERANCE, MassFunction, _sum_in_order
+from .mass import SUM_TOLERANCE, MassFunction, _read_utf8, _sum_in_order
 from .stability import pair_decisions
 
 CSV_HEADER = ("tile_id", "expert_id", "class", "certainty_level", "proportion")
@@ -67,11 +65,7 @@ class CorpusError(ValueError):
     """Malformed annotation input; the message carries the line number."""
 
 
-# Each array field of a corpus: its dtype, and the array kinds accepted for it.
-_KEY_COLUMNS = (
-    ("key_tile", np.intp, "iu"),
-    ("key_expert", np.intp, "iu"),
-)
+# Each entry column of a corpus: its dtype, and the array kinds accepted for it.
 _COLUMNS = (
     ("owner", np.intp, "iu"),
     ("class_index", np.intp, "iu"),
@@ -94,22 +88,10 @@ def _id_sequence(field: str, names: Sequence[str]) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _check_names(field: str, names: Sequence[str]) -> tuple[str, ...]:
-    """`names` as a tuple, refused unless its ids are distinct non-empty strings."""
-    names = _id_sequence(field, names)
-    if not all(map(isinstance, names, repeat(str))) or "" in names:
-        bad = next(name for name in names if not isinstance(name, str) or not name)
-        raise ValueError(f"{field} must hold non-empty strings, got {bad!r}")
-    if len(set(names)) != len(names):
-        twice = next(name for name, count in Counter(names).items() if count > 1)
-        raise ValueError(f"{field} must be distinct, got {twice!r} twice")
-    return names
-
-
-def _check_columns(group: str, spec: tuple, given: Sequence[object]) -> list[np.ndarray]:
-    """Each array of `given`, refused unless one-dimensional, of its kind and one length."""
+def _check_columns(given: Sequence[object]) -> list[np.ndarray]:
+    """Each entry column of `given`, refused unless one-dimensional, of its kind and one length."""
     columns = []
-    for (name, _, kinds), value in zip(spec, given):
+    for (name, _, kinds), value in zip(_COLUMNS, given):
         array = np.asarray(value)
         if array.ndim != 1 or array.dtype.kind not in kinds:
             raise ValueError(
@@ -118,58 +100,33 @@ def _check_columns(group: str, spec: tuple, given: Sequence[object]) -> list[np.
             )
         columns.append(array)
     if len({len(array) for array in columns}) > 1:
-        raise ValueError(f"{group} differ in length: " + ", ".join(
-            f"{name} {len(array)}" for (name, _, _), array in zip(spec, columns)))
+        raise ValueError("columns differ in length: " + ", ".join(
+            f"{name} {len(array)}" for (name, _, _), array in zip(_COLUMNS, columns)))
     return columns
 
 
-def _check_first_appearance(codes: np.ndarray, field: str, code_field: str,
-                            names: tuple[str, ...]) -> None:
-    """Refuse codes that do not number `names` in order of first appearance.
-
-    Each code may exceed the largest before it by at most one, so code k
-    first appears after code k - 1; the largest code must then reach the
-    last name, so every name is used.
-    """
-    used = 0
-    if len(codes):
-        top = np.maximum.accumulate(codes)
-        before = np.concatenate(([-1], top[:-1]))
-        early = np.flatnonzero(codes > before + 1)
-        if len(early):
-            k = early[0]
-            raise ValueError(f"{code_field} must number the {field} in order of first "
-                             f"appearance, got {codes[k].item()} before {before[k].item() + 1}")
-        used = top[-1].item() + 1
-    if used < len(names):
-        raise ValueError(f"{field} holds {names[used]!r}, which no key uses")
-
-
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Corpus:
     """Validated annotations over one frame, one read-only array per key and entry field.
 
-    `tiles` and `experts` hold the distinct ids in order of first
-    appearance over the annotations; annotation k is tile
-    `tiles[key_tile[k]]` by expert `experts[key_expert[k]]`, and `keys`
-    spells those (tile, expert) pairs out when read.  The entry arrays
-    hold one element per entry in file order: `owner` is the index of its
-    annotation, then its class index in the frame, certainty level and
-    proportion.  Build a corpus with `parse_annotations`, from its
-    columns, or with `from_keys` from (tile, expert) pairs; the
-    `TileAnnotation` objects are built only when `annotations` is read.
-    Equality and hashing read the columns alone: two corpora are equal
-    when their frame, names and key codes match and so do the entries of
-    each annotation in file order, wherever its rows stand among other
-    keys'; the hash reads the frame, the names and the entry count, so a
-    proportion of -0.0 hashes as 0.0 does.  Built directly, a corpus
-    refuses an id that is not a non-empty string, an id listed twice,
-    codes outside their names, codes that do not number the names in
-    order of first appearance or leave a name unused, a repeated (tile,
-    expert) pair, columns that do not fit its keys and frame, and an
-    annotation whose proportions sum past 1; it keeps a read-only copy of
-    every writable array.  Every check is one numpy pass, or one Python
-    step per distinct id.
+    `Corpus(frame, keys, owner, class_index, level, proportion)` takes one
+    (tile, expert) pair per annotation and the entry columns; it is the
+    one way to build a corpus besides `parse_annotations`.  `tiles` and
+    `experts` hold the distinct ids in order of first appearance over the
+    keys; annotation k is tile `tiles[key_tile[k]]` by expert
+    `experts[key_expert[k]]`, and `keys` spells those pairs out again
+    when read.  The entry arrays hold one element per entry in file
+    order: `owner` is the index of its annotation, then its class index
+    in the frame, certainty level and proportion.  The `TileAnnotation`
+    objects are built only when `annotations` is read.  Equality and
+    hashing read the columns alone: two corpora are equal when their
+    frame, ids and key codes match and so do the entries of each
+    annotation in file order, wherever its rows stand among other keys';
+    the hash reads the frame, the ids and the entry count, so a
+    proportion of -0.0 hashes as 0.0 does.  A corpus refuses a key that
+    is not a tuple of two non-empty strings, a repeated key, columns that
+    do not fit its keys and frame, and an annotation whose proportions
+    sum past 1; it keeps a read-only copy of every writable array.
     """
 
     frame: Frame
@@ -182,88 +139,67 @@ class Corpus:
     level: np.ndarray
     proportion: np.ndarray
 
-    def __post_init__(self) -> None:
-        tiles = _check_names("tiles", self.tiles)
-        experts = _check_names("experts", self.experts)
-        object.__setattr__(self, "tiles", tiles)
-        object.__setattr__(self, "experts", experts)
-        key_tile, key_expert = _check_columns(
-            "key columns", _KEY_COLUMNS, (self.key_tile, self.key_expert))
-        _refuse_outside(key_tile, 0, len(tiles) - 1, f"key_tile must index the {len(tiles)} tiles")
-        _refuse_outside(key_expert, 0, len(experts) - 1,
-                        f"key_expert must index the {len(experts)} experts")
-        key_tile, key_expert = self._hold(_KEY_COLUMNS, (key_tile, key_expert))
-        _check_first_appearance(key_tile, "tiles", "key_tile", tiles)
-        _check_first_appearance(key_expert, "experts", "key_expert", experts)
-        n_keys = len(key_tile)
-        _, first, counts = np.unique(key_tile * len(experts) + key_expert,
-                                     return_index=True, return_counts=True)
-        if len(first) != n_keys:
-            twice = self._key(first[counts > 1].min())
-            raise ValueError(f"keys must be distinct, got {twice!r} twice")
-        owner, class_index, level, proportion = _check_columns(
-            "columns", _COLUMNS, [getattr(self, name) for name, _, _ in _COLUMNS])
-        _refuse_outside(owner, 0, n_keys - 1, f"owner must index the {n_keys} keys")
-        _refuse_outside(class_index, 0, self.frame.n_classes - 1,
-                        f"class_index must index the {self.frame.n_classes} classes")
-        _refuse_outside(level, CERTAINTY_LEVELS[0], CERTAINTY_LEVELS[-1],
-                        "level must be 1, 2 or 3")
-        _refuse_outside(proportion, 0.0, 1.0, "proportion must lie in [0, 1]")
-        self._hold(_COLUMNS, (owner, class_index, level, proportion))
-        # bincount adds in entry order from 0.0, as parsing and TileAnnotation do
-        sums = np.bincount(self.owner, weights=self.proportion, minlength=n_keys)
-        over = np.flatnonzero(sums > 1.0 + SUM_TOLERANCE)
-        if len(over):
-            tile, expert = self._key(over[0])
-            raise ValueError(f"proportions for tile {tile!r} by expert {expert!r} "
-                             f"sum to {sums[over[0]].item()!r} > 1")
-
-    def _hold(self, spec: tuple, arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Set each field of `spec` to its array, as a read-only array of its dtype."""
-        held = []
-        for (name, dtype, _), array in zip(spec, arrays):
-            if array.dtype != dtype or array.flags.writeable:
-                array = array.astype(dtype)
-                array.flags.writeable = False
-            object.__setattr__(self, name, array)
-            held.append(array)
-        return held
-
-    @classmethod
-    def from_keys(
-        cls,
-        frame: Frame,
-        keys: Sequence[tuple[str, str]],
-        owner: object,
-        class_index: object,
-        level: object,
-        proportion: object,
-    ) -> Corpus:
-        """A corpus from one (tile, expert) pair per annotation and the entry columns.
-
-        Each pair must be a tuple of two non-empty strings; ids take codes
-        in order of first appearance.
-        """
+    def __init__(self, frame: Frame, keys: Sequence[tuple[str, str]], owner: object,
+                 class_index: object, level: object, proportion: object) -> None:
         tiles: dict[str, int] = {}
         experts: dict[str, int] = {}
+        seen: set[tuple[str, str]] = set()
         key_tile = []
         key_expert = []
         for key in keys:
             _check_key(key)
+            if key in seen:
+                raise ValueError(f"keys must be distinct, got {key!r} twice")
+            seen.add(key)
             key_tile.append(tiles.setdefault(key[0], len(tiles)))
             key_expert.append(experts.setdefault(key[1], len(experts)))
-        return cls(frame, tuple(tiles), tuple(experts), np.array(key_tile, dtype=np.intp),
-                   np.array(key_expert, dtype=np.intp), owner, class_index, level, proportion)
+        self._fill(frame, tuple(tiles), tuple(experts), np.array(key_tile, dtype=np.intp),
+                   np.array(key_expert, dtype=np.intp), (owner, class_index, level, proportion))
 
-    def _key(self, k: int) -> tuple[str, str]:
-        return self.tiles[self.key_tile[k]], self.experts[self.key_expert[k]]
+    @classmethod
+    def _from_codes(cls, frame: Frame, tiles: tuple[str, ...], experts: tuple[str, ...],
+                    key_tile: np.ndarray, key_expert: np.ndarray,
+                    columns: Sequence[object]) -> Corpus:
+        """A corpus from trusted `intp` key codes, as `_read_plain` builds them: distinct
+        keys over distinct non-empty ids, each numbered in order of first appearance."""
+        corpus = object.__new__(cls)
+        corpus._fill(frame, tiles, experts, key_tile, key_expert, columns)
+        return corpus
+
+    def _fill(self, frame: Frame, tiles: tuple[str, ...], experts: tuple[str, ...],
+              key_tile: np.ndarray, key_expert: np.ndarray, columns: Sequence[object]) -> None:
+        """Set every field, refusing entry columns that do not fit the keys and frame."""
+        key_tile.flags.writeable = key_expert.flags.writeable = False
+        for name, value in (("frame", frame), ("tiles", tiles), ("experts", experts),
+                            ("key_tile", key_tile), ("key_expert", key_expert)):
+            object.__setattr__(self, name, value)
+        n_keys = len(key_tile)
+        owner, class_index, level, proportion = _check_columns(columns)
+        _refuse_outside(owner, 0, n_keys - 1, f"owner must index the {n_keys} keys")
+        _refuse_outside(class_index, 0, frame.n_classes - 1,
+                        f"class_index must index the {frame.n_classes} classes")
+        _refuse_outside(level, CERTAINTY_LEVELS[0], CERTAINTY_LEVELS[-1],
+                        "level must be 1, 2 or 3")
+        _refuse_outside(proportion, 0.0, 1.0, "proportion must lie in [0, 1]")
+        for (name, dtype, _), array in zip(_COLUMNS, (owner, class_index, level, proportion)):
+            if array.dtype != dtype or array.flags.writeable:
+                array = array.astype(dtype)
+                array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        # bincount adds in entry order from 0.0, as parsing and TileAnnotation do
+        sums = np.bincount(self.owner, weights=self.proportion, minlength=n_keys)
+        over = np.flatnonzero(sums > 1.0 + SUM_TOLERANCE)
+        if len(over):
+            tile, expert = self.tiles[key_tile[over[0]]], self.experts[key_expert[over[0]]]
+            raise ValueError(f"proportions for tile {tile!r} by expert {expert!r} "
+                             f"sum to {sums[over[0]].item()!r} > 1")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Corpus):
             return NotImplemented
         if ((self.frame, self.tiles, self.experts) != (other.frame, other.tiles, other.experts)
-                or not all(np.array_equal(getattr(self, name), getattr(other, name))
-                           for name, _, _ in _KEY_COLUMNS)):
+                or not np.array_equal(self.key_tile, other.key_tile)
+                or not np.array_equal(self.key_expert, other.key_expert)):
             return False
         # Entries grouped by annotation, each group in file order.
         mine, theirs = (np.argsort(corpus.owner, kind="stable") for corpus in (self, other))
@@ -388,7 +324,7 @@ def _read_rows(text: str, frame: Frame) -> Corpus:
         classes.append(k)
         levels.append(level)
         proportions.append(proportion)
-    return Corpus.from_keys(
+    return Corpus(
         frame,
         tuple(ids),
         np.array(owners, dtype=np.intp),
@@ -456,8 +392,9 @@ def _read_plain(text: str, frame: Frame) -> Corpus | None:
     whose lines hold five fields each.  It returns None, so that the row
     loop reads the text and names the line of its first fault, for any
     other text, for a field past the csv module's size limit, for string
-    columns far larger than the text, and for any field or group the
-    row loop would refuse; the `Corpus` constructor refuses those.
+    columns far larger than the text, for an empty id, and for any field
+    or group the row loop would refuse; the entry checks of `Corpus`
+    refuse those.
     """
     if not text.isascii():
         return None
@@ -499,6 +436,8 @@ def _read_plain(text: str, frame: Frame) -> Corpus | None:
     run_start[1:] = (tile[1:] != tile[:-1]) | (expert[1:] != expert[:-1])
     tiles, run_tile = _id_codes(tile[run_start])
     experts, run_expert = _id_codes(expert[run_start])
+    if "" in tiles or "" in experts:
+        return None
     pairs, first, run_key = np.unique(run_tile * len(experts) + run_expert,
                                       return_index=True, return_inverse=True)
     # Number the keys, like the ids, in order of first appearance.
@@ -507,10 +446,10 @@ def _read_plain(text: str, frame: Frame) -> Corpus | None:
     rank[order] = np.arange(len(order))
     owner = rank[run_key][np.cumsum(run_start) - 1]
     try:
-        return Corpus(frame, tiles, experts, pairs[order] // len(experts),
-                      pairs[order] % len(experts), owner, class_index, level,
-                      table["proportion"])
-    except ValueError:  # an unknown class or level (-1, 0), a range, an empty id, a sum
+        return Corpus._from_codes(frame, tiles, experts, pairs[order] // len(experts),
+                                  pairs[order] % len(experts),
+                                  (owner, class_index, level, table["proportion"]))
+    except ValueError:  # an unknown class or level (-1, 0), a range, a sum
         return None
 
 
@@ -536,18 +475,9 @@ def parse_annotations(text: str, frame: Frame | None = None) -> Corpus:
 def load_annotations(path: str) -> Corpus:
     """Read the UTF-8 annotation file at `path` over the sediment frame.
 
-    A byte that is not UTF-8 is a CorpusError on its line, counted as
-    ``newline=""`` splits lines: LF, CRLF and CR each end one.
+    A byte that is not UTF-8 is a CorpusError on its line (`_read_utf8`).
     """
-    with open(path, "rb") as handle:
-        data = handle.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[:exc.start]
-        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-        raise CorpusError(f"line {line}: not UTF-8 text (byte 0x{data[exc.start]:02x})") from None
-    return parse_annotations(text)
+    return parse_annotations(_read_utf8(path, CorpusError))
 
 
 def tile_mass(

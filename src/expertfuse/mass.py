@@ -56,6 +56,22 @@ def _check_fraction(name: str, value: object) -> None:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
+def _read_utf8(path: str, error: type[ValueError] = ValueError) -> str:
+    """The text of the UTF-8 file at `path`, line ends as written.
+
+    A byte that is not UTF-8 raises `error` on its line, counted as
+    ``newline=""`` splits lines: LF, CRLF and CR each end one.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise error(f"line {line}: not UTF-8 text (byte 0x{data[exc.start]:02x})") from None
+
+
 class World(enum.Enum):
     CLOSED = "closed"
     OPEN = "open"

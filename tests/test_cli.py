@@ -269,6 +269,17 @@ class TestDecide:
         assert captured.out == ""
         assert captured.err == f"error: {path}: mass JSON repeats the key 'A'\n"
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_a_json_error_names_its_line_whatever_ends_the_lines(self, tmp_path, capsys, end):
+        path = tmp_path / "comma.json"
+        path.write_bytes(end.join(['{"frame": ["A", "B"],', ' "model": "shafer",',
+                                   ' "masses": {"A": 1.0,}}']).encode("ascii"))
+        assert main(["decide", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: not valid JSON (Expecting property name enclosed in double "
+            "quotes: line 3 column 22 (char 63))\n"
+        )
+
 
 class TestSimulate:
     def test_table_matches_the_library(self, capsys):

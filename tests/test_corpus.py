@@ -27,6 +27,7 @@ from expertfuse.corpus import (
     parse_annotations,
     tile_mass,
 )
+from expertfuse import corpus as corpus_module
 from expertfuse.corpus import _read_plain, _read_rows
 from expertfuse.decision import decide
 from expertfuse.expert_models import (
@@ -34,6 +35,7 @@ from expertfuse.expert_models import (
     AnnotationEntry,
     CertaintyWeights,
     TileAnnotation,
+    _check_key,
     sediment_frame,
 )
 from expertfuse.fusion import combine, combine_conjunctive
@@ -495,6 +497,21 @@ class TestColumnarReader:
             csv.reader(io.StringIO(text)))
         assert _read_plain(out.getvalue(), sediment_frame()) is None
         assert _columns(parse_annotations(out.getvalue())) == _columns(columnar)
+
+    def test_the_columnar_reader_checks_no_key_in_python(self, repo_root, monkeypatch):
+        calls = []
+
+        def counted(key):
+            calls.append(key)
+            _check_key(key)
+
+        monkeypatch.setattr(corpus_module, "_check_key", counted)
+        text = (repo_root / "data" / "demo_corpus.csv").read_text(encoding="utf-8")
+        parse_annotations(text)
+        assert calls == []
+        # the row loop builds its corpus from keys, one check per key
+        parse_annotations(text.replace("\n", "\r\n"))
+        assert len(calls) == 2 * DEMO_TILES
 
 
 class TestExpertPair:
@@ -996,10 +1013,10 @@ class TestDirectConstruction:
     def test_an_owner_outside_the_keys(self):
         # the columns once accepted, which then failed with a bare IndexError
         with pytest.raises(ValueError, match="^owner must index the 2 keys, got 5$"):
-            Corpus.from_keys(sediment_frame(), self.KEYS, np.array([0, 5]), np.array([0, 0]),
-                             np.array([1, 1]), np.array([0.5, 0.5]))
+            Corpus(sediment_frame(), self.KEYS, np.array([0, 5]), np.array([0, 0]),
+                   np.array([1, 1]), np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="^owner must index the 2 keys, got -1$"):
-            Corpus.from_keys(sediment_frame(), self.KEYS, **self._columns(owner=np.array([-1, 1])))
+            Corpus(sediment_frame(), self.KEYS, **self._columns(owner=np.array([-1, 1])))
 
     @pytest.mark.parametrize("field, values, message", [
         ("class_index", [0, 7], "class_index must index the 7 classes, got 7"),
@@ -1018,15 +1035,15 @@ class TestDirectConstruction:
     def test_refusals_name_the_field(self, field, values, message):
         columns = self._columns(**{field: np.array(values)})
         with pytest.raises(ValueError) as refused:
-            Corpus.from_keys(sediment_frame(), self.KEYS, **columns)
+            Corpus(sediment_frame(), self.KEYS, **columns)
         assert str(refused.value) == message
 
     def test_a_repeated_key(self):
         # once accepted: annotation() kept the second
         with pytest.raises(ValueError) as refused:
-            Corpus.from_keys(sediment_frame(), (("t1", "e1"), ("t1", "e1"), ("t1", "e2")),
-                             np.array([0, 1, 2]), np.array([2, 3, 3]), np.array([1, 1, 1]),
-                             np.array([0.5, 0.9, 0.5]))
+            Corpus(sediment_frame(), (("t1", "e1"), ("t1", "e1"), ("t1", "e2")),
+                   np.array([0, 1, 2]), np.array([2, 3, 3]), np.array([1, 1, 1]),
+                   np.array([0.5, 0.9, 0.5]))
         assert str(refused.value) == "keys must be distinct, got ('t1', 'e1') twice"
 
     @pytest.mark.parametrize("keys, bad", [
@@ -1039,7 +1056,7 @@ class TestDirectConstruction:
         # the first two keys were once accepted as they stand, the list key
         # as the tuple ("t1", "e1")
         with pytest.raises(ValueError) as refused:
-            Corpus.from_keys(sediment_frame(), keys, **self._columns())
+            Corpus(sediment_frame(), keys, **self._columns())
         assert str(refused.value) == (
             f"keys must be (tile, expert) pairs of two strings, got {bad!r}"
         )
@@ -1047,72 +1064,44 @@ class TestDirectConstruction:
     @pytest.mark.parametrize("key", [("", "e2"), ("t1", "")])
     def test_an_empty_id(self, key):
         with pytest.raises(ValueError) as refused:
-            Corpus.from_keys(sediment_frame(), (("t1", "e1"), key), **self._columns())
+            Corpus(sediment_frame(), (("t1", "e1"), key), **self._columns())
         assert str(refused.value) == (
             f"keys must not hold an empty tile or expert id, got {key!r}"
         )
 
-    # t1 by e1, t1 by e2, t2 by e1; one entry each
-    CODES = {
-        "tiles": ("t1", "t2"),
-        "experts": ("e1", "e2"),
-        "key_tile": np.array([0, 0, 1]),
-        "key_expert": np.array([0, 1, 0]),
-        "owner": np.array([0, 1, 2]),
-        "class_index": np.array([0, 0, 0]),
-        "level": np.array([1, 1, 1]),
-        "proportion": np.array([0.5, 0.5, 0.5]),
-    }
+    # the id refusals that outlived the id tuples and key codes Corpus once
+    # took, now made on the keys it numbers them from
+    @pytest.mark.parametrize("keys, owner, message", [
+        pytest.param((("t1", ""), ("t1", "e2")), [0, 1],
+                     "keys must not hold an empty tile or expert id, got ('t1', '')",
+                     id="empty-name"),
+        pytest.param((("t1", "e1"), (None, "e2")), [0, 1],
+                     "keys must be (tile, expert) pairs of two strings, got (None, 'e2')",
+                     id="name-not-a-str"),
+        pytest.param((("t1", "e2"), ("t2", "e1"), ("t1", "e2")), [0, 1],
+                     "keys must be distinct, got ('t1', 'e2') twice", id="repeated-pair"),
+        pytest.param(KEYS, [0, 2], "owner must index the 2 keys, got 2", id="owner-outside"),
+    ])
+    def test_code_refusals_name_the_field(self, keys, owner, message):
+        with pytest.raises(ValueError) as refused:
+            Corpus(sediment_frame(), keys, **self._columns(owner=np.array(owner)))
+        assert str(refused.value) == message
 
     def test_codes_give_the_keys(self):
-        corpus = Corpus(sediment_frame(), **self.CODES)
-        assert corpus.keys == (("t1", "e1"), ("t1", "e2"), ("t2", "e1"))
-        built = Corpus.from_keys(sediment_frame(), corpus.keys, corpus.owner,
-                                 corpus.class_index, corpus.level, corpus.proportion)
-        assert _columns(built) == _columns(corpus)
-
-    @pytest.mark.parametrize("changes, message", [
-        pytest.param({"key_tile": np.array([0, 0, 2])},
-                     "key_tile must index the 2 tiles, got 2", id="tile-code-outside"),
-        pytest.param({"key_expert": np.array([0, -1, 0])},
-                     "key_expert must index the 2 experts, got -1", id="expert-code-outside"),
-        pytest.param({"key_tile": np.array([0, 0, 1, 0]), "key_expert": np.array([0, 1, 0, 1])},
-                     "keys must be distinct, got ('t1', 'e2') twice", id="repeated-pair"),
-        pytest.param({"key_tile": np.array([1, 1, 0])},
-                     "key_tile must number the tiles in order of first appearance, got 1 before 0",
-                     id="tiles-out-of-order"),
-        pytest.param({"key_tile": np.array([0, 1, 2]), "tiles": ("t1", "t2", "t3"),
-                      "key_expert": np.array([0, 2, 1]), "experts": ("e1", "e2", "e3")},
-                     "key_expert must number the experts in order of first appearance, "
-                     "got 2 before 1", id="experts-out-of-order"),
-        pytest.param({"tiles": ("t1", "t2", "t3")}, "tiles holds 't3', which no key uses",
-                     id="unused-tile"),
-        pytest.param({"experts": ("e1", "e2", "e3")}, "experts holds 'e3', which no key uses",
-                     id="unused-expert"),
-        pytest.param({"tiles": ("t1", "")}, "tiles must hold non-empty strings, got ''",
-                     id="empty-name"),
-        pytest.param({"experts": ("e1", 2)}, "experts must hold non-empty strings, got 2",
-                     id="name-not-a-str"),
-        pytest.param({"experts": ("e1", "e1")}, "experts must be distinct, got 'e1' twice",
-                     id="repeated-name"),
-        pytest.param({"tiles": "t1"}, "tiles must be a sequence of ids, got the str 't1'",
-                     id="names-in-a-str"),
-        pytest.param({"key_tile": np.array([0.0, 0.0, 1.0])},
-                     "key_tile must be a one-dimensional integer array, got float64 with shape (3,)",
-                     id="float-codes"),
-        pytest.param({"key_expert": np.array([0, 1])},
-                     "key columns differ in length: key_tile 3, key_expert 2", id="key-lengths"),
-        pytest.param({"owner": np.array([0, 1, 3])}, "owner must index the 3 keys, got 3",
-                     id="owner-outside"),
-    ])
-    def test_code_refusals_name_the_field(self, changes, message):
-        with pytest.raises(ValueError) as refused:
-            Corpus(sediment_frame(), **{**self.CODES, **changes})
-        assert str(refused.value) == message
+        keys = (("t1", "e1"), ("t1", "e2"), ("t2", "e1"))
+        corpus = Corpus(sediment_frame(), keys, np.array([0, 1, 2]), np.array([0, 0, 0]),
+                        np.array([1, 1, 1]), np.array([0.5, 0.5, 0.5]))
+        # ids take codes in order of first appearance
+        assert (corpus.tiles, corpus.experts) == (("t1", "t2"), ("e1", "e2"))
+        assert corpus.key_tile.tolist() == [0, 0, 1]
+        assert corpus.key_expert.tolist() == [0, 1, 0]
+        assert corpus.key_tile.dtype == corpus.key_expert.dtype == np.intp
+        assert not corpus.key_tile.flags.writeable and not corpus.key_expert.flags.writeable
+        assert corpus.keys == keys
 
     def test_columns_of_different_lengths(self):
         with pytest.raises(ValueError) as refused:
-            Corpus.from_keys(sediment_frame(), self.KEYS, **self._columns(level=np.array([1, 1, 1])))
+            Corpus(sediment_frame(), self.KEYS, **self._columns(level=np.array([1, 1, 1])))
         assert str(refused.value) == (
             "columns differ in length: owner 2, class_index 2, level 3, proportion 2"
         )
@@ -1123,15 +1112,15 @@ class TestDirectConstruction:
         columns = self._columns(owner=np.array([0, 0, 1]), class_index=np.array([0, 1, 2]),
                                 level=np.array([1, 1, 1]), proportion=np.array([0.7, 0.7, 0.5]))
         with pytest.raises(ValueError) as refused:
-            Corpus.from_keys(sediment_frame(), self.KEYS, **columns)
+            Corpus(sediment_frame(), self.KEYS, **columns)
         assert str(refused.value) == "proportions for tile 't1' by expert 'e1' sum to 1.4 > 1"
 
     def test_group_sum_on_the_tolerance_edge(self):
         # 1 + 0.5e-9 lies inside SUM_TOLERANCE (1e-9), 1 + 2e-9 outside it
         def corpus(second):
-            return Corpus.from_keys(sediment_frame(), self.KEYS, np.array([1, 0, 0]),
-                                    np.array([0, 0, 1]), np.array([1, 1, 1]),
-                                    np.array([0.5, 0.5, second]))
+            return Corpus(sediment_frame(), self.KEYS, np.array([1, 0, 0]),
+                          np.array([0, 0, 1]), np.array([1, 1, 1]),
+                          np.array([0.5, 0.5, second]))
 
         assert corpus(0.5000000005).annotation("t1", "e1").entries == (
             ("rock", 1, 0.5), ("cobble", 1, 0.5000000005)
@@ -1149,7 +1138,7 @@ class TestDirectConstruction:
                                      for i in range(3))
         proportion = np.array([row[3] for row in rows], dtype=np.float64)
         try:
-            corpus = Corpus.from_keys(sediment_frame(), keys, owner, class_index, level, proportion)
+            corpus = Corpus(sediment_frame(), keys, owner, class_index, level, proportion)
         except ValueError:
             return
         assert len(corpus.annotations) == len(keys)
@@ -1157,7 +1146,7 @@ class TestDirectConstruction:
 
     def test_writable_arrays_are_copied_read_only(self):
         columns = self._columns(level=np.array([1, 3], dtype=np.int8))
-        corpus = Corpus.from_keys(sediment_frame(), self.KEYS, **columns)
+        corpus = Corpus(sediment_frame(), self.KEYS, **columns)
         for name, array in columns.items():
             array[0] = 0
             held = getattr(corpus, name)
@@ -1169,9 +1158,9 @@ class TestDirectConstruction:
         assert corpus.annotation("t1", "e2").entries == (("rock", 3, 0.5),)
 
     def test_read_only_arrays_are_kept(self, small_corpus):
-        rebuilt = Corpus(*(getattr(small_corpus, field.name)
-                           for field in dataclasses.fields(Corpus)))
-        for name in ("key_tile", "key_expert", "owner", "class_index", "level", "proportion"):
+        rebuilt = Corpus(small_corpus.frame, small_corpus.keys, small_corpus.owner,
+                         small_corpus.class_index, small_corpus.level, small_corpus.proportion)
+        for name in ("owner", "class_index", "level", "proportion"):
             assert getattr(rebuilt, name) is getattr(small_corpus, name)
         assert rebuilt == small_corpus
 
@@ -1180,10 +1169,10 @@ def _corpus_of_rows(rows, frame):
     """A corpus from (tile, expert, class index, level, proportion) rows, in row order."""
     keys = {}
     owner = [keys.setdefault((tile, expert), len(keys)) for tile, expert, *_ in rows]
-    return Corpus.from_keys(frame, list(keys), np.array(owner, dtype=np.intp),
-                            np.array([row[2] for row in rows], dtype=np.intp),
-                            np.array([row[3] for row in rows], dtype=np.intp),
-                            np.array([row[4] for row in rows], dtype=np.float64))
+    return Corpus(frame, list(keys), np.array(owner, dtype=np.intp),
+                  np.array([row[2] for row in rows], dtype=np.intp),
+                  np.array([row[3] for row in rows], dtype=np.intp),
+                  np.array([row[4] for row in rows], dtype=np.float64))
 
 
 _FRAMES = (make_frame(("A", "B", "C")), make_frame(("A", "B", "D")))
@@ -1291,9 +1280,9 @@ class TestBuiltAndParsedCorpora:
     def test_a_built_corpus_gives_the_parsed_statistics(self):
         text = _uniform_corpus_text(4, 200, ("rock", "sand", "silt"), 5)
         parsed = parse_annotations(text)
-        built = Corpus.from_keys(parsed.frame, list(parsed.keys), parsed.owner.copy(),
-                                 parsed.class_index.copy(), parsed.level.copy(),
-                                 parsed.proportion.copy())
+        built = Corpus(parsed.frame, list(parsed.keys), parsed.owner.copy(),
+                       parsed.class_index.copy(), parsed.level.copy(),
+                       parsed.proportion.copy())
         assert built == parsed
         assert built.tiles == parsed.tiles
         assert built.experts == parsed.experts
@@ -1304,9 +1293,9 @@ class TestBuiltAndParsedCorpora:
     def test_a_built_corpus_holds_the_parsed_columns(self):
         text = _uniform_corpus_text(3, 120, ("rock", "sand", "silt"), 9)
         parsed = parse_annotations(text)
-        built = Corpus.from_keys(parsed.frame, parsed.keys, parsed.owner.astype(np.int32),
-                                 parsed.class_index.astype(np.uint8),
-                                 parsed.level.astype(np.int8), parsed.proportion.copy())
+        built = Corpus(parsed.frame, parsed.keys, parsed.owner.astype(np.int32),
+                       parsed.class_index.astype(np.uint8),
+                       parsed.level.astype(np.int8), parsed.proportion.copy())
         assert built.keys == parsed.keys
         for field in ("owner", "class_index", "level", "proportion"):
             assert np.array_equal(getattr(built, field), getattr(parsed, field))

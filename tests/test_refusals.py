@@ -8,7 +8,8 @@ meant), a str and None, plus a complex number where a real is meant.
 The real, integer and [0, 1] rules each live in one helper, so the same
 kind reads the same at every site that applies the same rule.  The rows
 for ids, labels, mass JSON keys, expert lists and file bytes are not
-numbers; each of them lists its own kinds.
+numbers; each of them lists its own kinds, and so does annotation text,
+whose rows name each fault of `parse_annotations` by its line.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from typing import NamedTuple
 
 import pytest
 
-from expertfuse.corpus import Corpus, expert_pair, load_annotations
+from expertfuse.cli import _load_mass
+from expertfuse.corpus import Corpus, expert_pair, load_annotations, parse_annotations
 from expertfuse.expert_models import (
     DEFAULT_WEIGHTS,
     CertaintyWeights,
@@ -56,7 +58,7 @@ def _from_json(value: object) -> MassFunction:
 
 
 def _corpus(proportion: object = 0.5, level: object = 1, key: object = ("t1", "e1")) -> Corpus:
-    return Corpus.from_keys(sediment_frame(), (key,), [0], [0], [level], [proportion])
+    return Corpus(sediment_frame(), (key,), [0], [0], [level], [proportion])
 
 
 def _load(data: bytes) -> Corpus:
@@ -66,9 +68,21 @@ def _load(data: bytes) -> Corpus:
         return load_annotations(str(path))
 
 
+def _load_mass_file(data: bytes) -> MassFunction:
+    """`data` read as the mass file of a command; the message names the file mass.json."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "mass.json"
+        path.write_bytes(data)
+        try:
+            return _load_mass(str(path))
+        except ValueError as exc:
+            raise ValueError(str(exc).replace(str(path), "mass.json")) from None
+
+
 _HEADER = b"tile_id,expert_id,class,certainty_level,proportion"
-_TWO_EXPERTS = Corpus.from_keys(sediment_frame(), (("t1", "A"), ("t1", "B")),
-                                [0, 1], [0, 0], [1, 1], [0.5, 0.5])
+_TEXT_HEADER = _HEADER.decode("ascii")
+_TWO_EXPERTS = Corpus(sediment_frame(), (("t1", "A"), ("t1", "B")),
+                      [0, 1], [0, 0], [1, 1], [0.5, 0.5])
 
 
 ENTRY_POINTS = {
@@ -100,6 +114,8 @@ ENTRY_POINTS = {
     "MassFunction.from_json.keys": MassFunction.from_json,
     "expert_pair.experts": lambda v: expert_pair(_TWO_EXPERTS, v),
     "load_annotations": _load,
+    "parse_annotations": parse_annotations,
+    "mass JSON file": _load_mass_file,
 }
 
 _LADDER = "certainty weights must satisfy 0 < c3 <= c2 <= c1 <= 1"
@@ -420,12 +436,45 @@ TABLE = {
         "utf-8": (_HEADER + "\nt1,é1,sand,1,0.5\n".encode("utf-8"),
                   Accepted("UTF-8 text is read")),
     },
+    # Each fault of annotation text, named by the line its row ends on.
+    "parse_annotations": {
+        "empty": ("", "line 1: empty input, expected header " + _TEXT_HEADER),
+        "bad-header": ("tile,expert\n",
+                       f"line 1: bad header 'tile,expert', expected {_TEXT_HEADER}"),
+        "field-count": (f"{_TEXT_HEADER}\nt1,e1,sand,1\n", "line 2: expected 5 fields, got 4"),
+        "unknown-class": (f"{_TEXT_HEADER}\nt1,e1,lava,1,0.5\n", "line 2: unknown class 'lava'"),
+        "non-integer-level": (f"{_TEXT_HEADER}\nt1,e1,sand,1.5,0.5\n",
+                              "line 2: certainty level '1.5' is not an integer"),
+        "level-outside": (f"{_TEXT_HEADER}\nt1,e1,sand,4,0.5\n",
+                          "line 2: certainty level must be 1, 2 or 3, got 4"),
+        "non-number-proportion": (f"{_TEXT_HEADER}\nt1,e1,sand,1,half\n",
+                                  "line 2: proportion 'half' is not a number"),
+        "proportion-outside": (f"{_TEXT_HEADER}\nt1,e1,sand,1,1.5\n",
+                               "line 2: proportion must lie in [0, 1], got 1.5"),
+        "empty-tile-id": (f"{_TEXT_HEADER}\n,e1,sand,1,0.5\n", "line 2: empty tile id"),
+        "empty-expert-id": (f"{_TEXT_HEADER}\nt1,,sand,1,0.5\n", "line 2: empty expert id"),
+        "sum-past-1": (f"{_TEXT_HEADER}\nt1,e1,sand,1,0.7\nt1,e1,silt,1,0.7\n",
+                       "line 3: proportions for tile 't1' by expert 'e1' sum to 1.4 > 1"),
+        "csv-error": (f"{_TEXT_HEADER}\n{'t' * 140_000},e1,sand,1,0.5\n",
+                      "line 2: field larger than field limit (131072)"),
+        "plain": (f"{_TEXT_HEADER}\nt1,e1,sand,1,0.5\n", Accepted("plain annotation text is read")),
+    },
+    # Once the decoder's message, with a character offset and no line.
+    "mass JSON file": {
+        "latin-1": (b'{"frame": ["A", "B"],\n "model": "shafer", "masses": {"\xe9": 1.0}}\n',
+                    "mass.json: line 2: not UTF-8 text (byte 0xe9)"),
+        "after-crlf": (b'{"frame": ["A", "B"],\r\n "model": "shafer",\r\n "masses": {"A\xff": 1}}',
+                       "mass.json: line 3: not UTF-8 text (byte 0xff)"),
+        "utf-8": ('{"frame": ["é", "B"], "model": "shafer", "masses": {"é": 1.0}}'.encode("utf-8"),
+                  Accepted("UTF-8 text is read")),
+    },
 }
 
 # Every number rule meets every kind; the key and label rows are not numbers.
 _NUMBER_KINDS = {"nan", "inf", "-inf", "negative", "above-1", "bool", "str", "none"}
 _NOT_NUMBERS = {"Corpus.key", "TileAnnotation.key", "TileAnnotation.label",
-                "MassFunction.from_json.keys", "expert_pair.experts", "load_annotations"}
+                "MassFunction.from_json.keys", "expert_pair.experts", "load_annotations",
+                "parse_annotations", "mass JSON file"}
 
 ROWS = [
     pytest.param(entry, value, outcome, id=f"{entry}-{kind}")
