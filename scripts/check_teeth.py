@@ -44,6 +44,8 @@ _REFUSAL = "tests/test_refusals.py::test_each_bad_input_meets_its_row"
 _DIRECT = "tests/test_corpus.py::TestDirectConstruction"
 _PAIR_MATCH = "tests/test_corpus.py::TestExpertPairMatchesTheKeyLoop::test_seeded_corpora"
 _EQUALITY = "tests/test_corpus.py::TestEqualityReadsTheColumns"
+_CAPS = "tests/test_stability.py::TestCaps::test_a_count_above_its_cap_is_refused_before_drawing"
+_STREAMED = "tests/test_stability.py::TestStreamedStudy"
 
 MUTANTS = (
     Mutant("src/expertfuse/mass.py",
@@ -181,7 +183,7 @@ MUTANTS = (
             "tests/test_golden.py"
             "::test_simulate_case_matches_manifest[uniform-2..7-bins30-histogram]")),
     Mutant("src/expertfuse/stability.py",
-           "    _check_integer(\"sample count\", n_samples)\n    if n_samples < 1:",
+           "    _check_sample_count(n_samples)\n    if n_samples < 1:",
            "    if n_samples < 1:",
            ("tests/test_stability.py::TestIntegerCounts"
             "::test_a_sample_count_that_is_not_an_integer_is_refused_before_drawing[rate-bool]",
@@ -190,7 +192,7 @@ MUTANTS = (
             "tests/test_stability.py::TestIntegerCounts"
             "::test_a_sample_count_that_is_not_an_integer_is_refused_before_drawing[table-float]")),
     Mutant("src/expertfuse/stability.py",
-           "    _check_integer(\"sample count\", n_samples)\n    if n_samples < 0:",
+           "    _check_sample_count(n_samples)\n    if n_samples < 0:",
            "    if n_samples < 0:",
            ("tests/test_stability.py::TestIntegerCounts"
             "::test_a_sample_count_that_is_not_an_integer_is_refused_before_drawing"
@@ -431,6 +433,38 @@ MUTANTS = (
            (f"{_REFUSAL}[load_annotations-after-crlf]", f"{_REFUSAL}[mass JSON file-after-crlf]",
             "tests/test_corpus.py::TestParseErrors"
             "::test_a_byte_that_is_not_utf8_names_its_line[3-crlf]")),
+    # The caps on sample and bin counts, and the command's bin check before drawing.
+    Mutant("src/expertfuse/stability.py",
+           "if n_samples > MAX_SAMPLES:",
+           "if n_samples > 10 * MAX_SAMPLES:",
+           (f"{_CAPS}[rate]", f"{_CAPS}[table]", f"{_CAPS}[invariance]",
+            f"{_CAPS}[density-samples]",
+            f"{_REFUSAL}[decision_change_rate.n_samples-above-cap]",
+            f"{_REFUSAL}[invariance_check.n_samples-above-cap]",
+            "tests/test_cli.py::TestSimulate"
+            "::test_a_count_above_its_cap_is_refused_before_drawing[product-samples]")),
+    Mutant("src/expertfuse/stability.py",
+           "if bins > MAX_BINS:",
+           "if bins > 10 * MAX_BINS:",
+           (f"{_CAPS}[density-bins]", f"{_REFUSAL}[conflict_density.bins-above-cap]",
+            "tests/test_stability.py::TestCaps::test_a_histogram_takes_up_to_the_bin_cap",
+            "tests/test_cli.py::TestSimulate"
+            "::test_a_count_above_its_cap_is_refused_before_drawing[bins-without-histogram]")),
+    Mutant("src/expertfuse/cli.py",
+           "    check_bin_count(args.bins)\n",
+           "",
+           ("tests/test_cli.py::TestSimulate"
+            "::test_a_count_above_its_cap_is_refused_before_drawing[bins]",)),
+    # Streaming: one block for the whole sample, and kept rows dropped at a block edge.
+    Mutant("src/expertfuse/stability.py",
+           "step = 2 * _KERNEL_BLOCK",
+           "step = count",
+           (f"{_STREAMED}::test_memory_holds_one_block_not_the_sample",)),
+    Mutant("src/expertfuse/stability.py",
+           "held, count = held[size:], count - size",
+           "held, count = held[:0], count - size",
+           (f"{_STREAMED}::test_product_law_carries_kept_rows_across_a_chunk_edge[2]",
+            f"{_STREAMED}::test_invariance_counterexamples_equal_one_whole_draw[across]")),
     # Damped PCR5 redistribution: every rate stays inside criterion 8's one
     # point, but n = 3..6 fall 3.5 to 4.8 thousandths below the reference.
     Mutant("src/expertfuse/stability.py",

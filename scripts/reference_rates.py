@@ -5,8 +5,9 @@ For each class count 2..7 this pools `decision_change_rate(n, 10**6, seed)`
 over the seeds 100 000..100 099 (10⁸ pairs per count under the uniform
 law) and writes the pair and flip counts, the rate and its standard
 error.  The acceptance test reads the file; the seeds lie far from every
-seed the tests draw with, so the two samples are independent.  The run
-takes a few minutes and about 0.5 GB of memory.
+seed the tests draw with, so the two samples are independent.  On a
+2-core VM (Python 3.11, numpy 2.4) the run took 220 s and peaked at
+45 MB RSS, since each call keeps only 9 bytes a pair.
 """
 
 import json

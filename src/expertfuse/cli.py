@@ -26,6 +26,7 @@ from .stability import (
     SAMPLING_LAWS,
     Histogram,
     StabilityResult,
+    check_bin_count,
     check_class_counts,
     stability_table,
 )
@@ -167,6 +168,7 @@ def write_histogram_csv(path: str | os.PathLike,
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     counts = _parse_class_counts(args.classes, args.law)
+    check_bin_count(args.bins)
     results = stability_table(counts, args.samples, args.seed, law=args.law)
     print(f"{'n':>3}  {'samples':>9}  {'change_rate':>11}  {'ci':>8}")
     for r in results:

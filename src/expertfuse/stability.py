@@ -19,12 +19,16 @@ collapses with the class count, so it stops at 12 classes.
 
 A seed and a class count name one stream, and `decision_change_rate`
 alone draws it, from a `SeedSequence` with entropy `seed` and spawn key
-``(n,)``; its result keeps the pairs for `StabilityResult.histogram`.
-`conflict_density` is that histogram, so it needs at least one pair, and
-it checks its bin count and subset before drawing.
-`invariance_check` draws from ``default_rng(seed)``.  Every entry point
-refuses a seed that is not a non-negative integer and a sample or bin
-count that is not an integer; all is deterministic given the arguments.
+``(n,)``.  It draws, decides and drops one kernel pass of 2·`_KERNEL_BLOCK`
+rows at a time, and its result keeps only each pair's conflict and flip,
+9 bytes a pair, for `StabilityResult.histogram`; the rows are those of a
+single whole draw.  `conflict_density` is that histogram, so it needs at
+least one pair, and it checks its bin count and subset before drawing.
+`invariance_check` draws from ``default_rng(seed)``, in blocks too, and
+keeps only its counterexamples.  Every entry point refuses a seed that is
+not a non-negative integer, a sample or bin count that is not an integer,
+and, before any draw, more than `MAX_SAMPLES` pairs or `MAX_BINS` bins;
+all is deterministic given the arguments.
 """
 
 from __future__ import annotations
@@ -42,12 +46,22 @@ SAMPLING_LAWS = ("uniform", "product")
 
 _DEFAULT_CHUNK = 1 << 16
 
-# Pairs per pass of the pair kernels.  It bounds the size of each pass's
-# temporaries; the run time reads flat from 2¹² to 2¹⁵.
+# Pairs per pass of the pair kernels, and per block the study draws.  It
+# bounds the size of each pass's temporaries; on a 2-core VM the 2..7
+# table at 10⁴ pairs took 24.4, 21.2, 20.0 and 23.3 ms at 2¹⁰..2¹³.
 _KERNEL_BLOCK = 1 << 12
 
 # Most classes a simulated expert may have: one per letter A..Z.
 MAX_CLASSES = 26
+
+# Most pairs one call may draw, and most bins a histogram may have; both
+# bound memory.  A result keeps 9 bytes a pair and a table one result per
+# class count: `simulate --classes 2..26` peaked at 909 MB RSS at
+# `MAX_SAMPLES` (127 MB at 4·10⁵ pairs).  A histogram keeps its edges and
+# frequencies as Python floats: with --histogram, 25 class counts at
+# `MAX_BINS` peaked at 421 MB.
+MAX_SAMPLES = 4_000_000
+MAX_BINS = 100_000
 
 # Most classes the product law may have.  Its kept share falls ~3× per
 # class (0.7 % of draws at 10 classes, 0.08 % at 12, 0.007 % at 14): on a
@@ -87,6 +101,13 @@ def check_class_counts(class_counts: Sequence[int], law: str = "uniform") -> Non
             raise ValueError(f"class count {n} given twice")
 
 
+def _check_sample_count(n_samples: int) -> None:
+    """Refuse a sample count that is not an integer or is above `MAX_SAMPLES`."""
+    _check_integer("sample count", n_samples)
+    if n_samples > MAX_SAMPLES:
+        raise ValueError(f"at most {MAX_SAMPLES} samples are supported, got {n_samples}")
+
+
 def _stream(seed: int, *spawn_key: int) -> np.random.Generator:
     """The generator of `seed` and `spawn_key`; `seed` must be a non-negative integer."""
     _check_integer("seed", seed)
@@ -107,8 +128,8 @@ def _accepted_masses(
     of a row whose Θ part is ~1e-16 just past 1; only rows whose Θ part is
     at most `_ROUNDING_THETA` are checked, and those past 1 are stepped
     toward 0 one ulp at a time until they sum to at most 1.  Under the
-    product law candidates are drawn in fixed chunks and kept, in stream
-    order, when they sum to at most 1.
+    product law the rows are the one block of `_kept_rows` with
+    `_product_rows`.
     """
     if law == "uniform":
         e = rng.standard_exponential((count, n + 1))
@@ -123,13 +144,18 @@ def _accepted_masses(
                 over = suspect.sum(axis=1) > 1.0
             rows[near_one] = suspect
         return rows, count
+    return next(_kept_rows(rng, 2 * n, count, _product_rows, count))
 
-    def keep(u: np.ndarray) -> np.ndarray:
-        # a row is n proportions, then n certainties
-        cand = u[:, :n] * u[:, n:]
-        return cand[cand.sum(axis=1) <= 1.0]
 
-    return _kept_rows(rng, 2 * n, count, keep)
+def _product_rows(u: np.ndarray) -> np.ndarray:
+    """The product-law rows of uniform candidates that sum to at most 1.
+
+    A candidate row is n proportions, then n certainties; its masses are
+    their products.
+    """
+    n = u.shape[1] // 2
+    cand = u[:, :n] * u[:, n:]
+    return cand[cand.sum(axis=1) <= 1.0]
 
 
 def _kept_rows(
@@ -137,19 +163,52 @@ def _kept_rows(
     width: int,
     count: int,
     keep: Callable[[np.ndarray], np.ndarray],
-) -> tuple[np.ndarray, int]:
-    """The first `count` rows `keep` returns from uniform chunks, plus rows drawn.
+    block: int,
+) -> Iterator[tuple[np.ndarray, int]]:
+    """The first `count` rows `keep` returns from uniform chunks, in blocks.
 
-    Chunks of `_DEFAULT_CHUNK` rows of `width` uniforms are drawn until
-    `keep` has returned `count` rows; the kept rows stay in stream order.
+    Each block holds `block` rows, the last one the rest, so a `count` of
+    0 gives one empty block; each comes with the rows drawn so far.
+    Chunks of `_DEFAULT_CHUNK` rows of `width` uniforms are drawn, in
+    stream order, only when a block needs more kept rows, and the rows a
+    chunk leaves over open the next block.  So neither the rows nor the
+    draws depend on `block`.
     """
-    parts = [keep(np.empty((0, width)))]  # fixes the kept width when count is 0
-    got = drawn = 0
-    while got < count:
-        parts.append(keep(rng.random((_DEFAULT_CHUNK, width))))
-        drawn += _DEFAULT_CHUNK
-        got += len(parts[-1])
-    return np.concatenate(parts)[:count], drawn
+    held = keep(np.empty((0, width)))  # fixes the kept width when nothing is drawn
+    drawn = 0
+    while True:
+        size = min(block, count)
+        parts = [held]
+        got = len(held)
+        while got < size:
+            parts.append(keep(rng.random((_DEFAULT_CHUNK, width))))
+            drawn += _DEFAULT_CHUNK
+            got += len(parts[-1])
+        if len(parts) > 1:
+            held = np.concatenate(parts)
+        yield held[:size], drawn
+        held, count = held[size:], count - size
+        if count == 0:
+            return
+
+
+def _mass_blocks(
+    n: int, count: int, rng: np.random.Generator, law: str
+) -> Iterator[tuple[np.ndarray, int]]:
+    """The rows of ``_accepted_masses(n, count, rng, law)``, one kernel pass at a time.
+
+    A block holds at most 2·`_KERNEL_BLOCK` rows, the pairs of one pass,
+    and comes with the rows drawn so far.  numpy fills a chunked draw from
+    one stream as it fills a whole one, so the blocks hold the rows of
+    one call and the last count is its count.
+    """
+    step = 2 * _KERNEL_BLOCK
+    if law == "product":
+        yield from _kept_rows(rng, 2 * n, count, _product_rows, step)
+        return
+    for start in range(0, count, step):
+        rows, drawn = _accepted_masses(n, min(step, count - start), rng, law)
+        yield rows, start + drawn
 
 
 def _conjunctive_parts(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -273,10 +332,17 @@ class Histogram:
 HISTOGRAM_SUBSETS = ("all", "decision_change")
 
 
-def _check_histogram_args(bins: int, subset: str) -> None:
+def check_bin_count(bins: int) -> None:
+    """Refuse a bin count that is not an integer in 1..`MAX_BINS`."""
     _check_integer("bin count", bins)
     if bins < 1:
         raise ValueError("need at least one bin")
+    if bins > MAX_BINS:
+        raise ValueError(f"at most {MAX_BINS} bins are supported, got {bins}")
+
+
+def _check_histogram_args(bins: int, subset: str) -> None:
+    check_bin_count(bins)
     if subset not in HISTOGRAM_SUBSETS:
         raise ValueError(f"unknown subset {subset!r}; expected one of {HISTOGRAM_SUBSETS}")
 
@@ -337,15 +403,21 @@ def decision_change_rate(
 
     `n_samples` counts accepted pairs, so every class count runs at equal
     statistical power.  The half-width is the 95% normal approximation.
-    The pairs are the stream of (`seed`, `n`).
+    The pairs are the stream of (`seed`, `n`), drawn and decided one
+    kernel pass at a time; only each pair's conflict and flip are kept.
     """
     check_class_counts([n], law)
-    _check_integer("sample count", n_samples)
+    _check_sample_count(n_samples)
     if n_samples < 1:
         raise ValueError("need at least one accepted pair")
-    rows, drawn = _accepted_masses(n, 2 * n_samples, _stream(seed, n), law)
-    choice_conj, choice_pcr, conflict = pair_decisions(rows[0::2], rows[1::2])
-    change = choice_conj != choice_pcr
+    conflict = np.empty(n_samples)
+    change = np.empty(n_samples, dtype=bool)
+    done = 0
+    for rows, drawn in _mass_blocks(n, 2 * n_samples, _stream(seed, n), law):
+        pairs = slice(done, done + len(rows) // 2)
+        choice_conj, choice_pcr, conflict[pairs] = pair_decisions(rows[0::2], rows[1::2])
+        change[pairs] = choice_conj != choice_pcr
+        done = pairs.stop
     rate = float(change.mean())
     changed = conflict[change]
     return StabilityResult(
@@ -407,7 +479,7 @@ def invariance_check(
     `pair_decisions`, so a pignistic tie goes to the lowest class, as in
     `decision.decide`.
     """
-    _check_integer("sample count", n_samples)
+    _check_sample_count(n_samples)
     if n_samples < 0:
         raise ValueError("sample count cannot be negative")
     if constraint not in INVARIANCE_CONSTRAINTS:
@@ -417,12 +489,18 @@ def invariance_check(
     # a draw is (x, y, z): across, m1 = (x, y) and m2 = (z, x); within,
     # m1 = (x, x) and m2 = (y, z); both experts must stay inside E
     first, second = ([0, 1], [2, 0]) if constraint == "across" else ([0, 0], [1, 2])
-    rows, _ = _kept_rows(_stream(seed), 3, n_samples, lambda u: u[
-        (u[:, first].sum(axis=1) <= 1.0) & (u[:, second].sum(axis=1) <= 1.0)])
-    a, b = rows[:, first], rows[:, second]
-    choice_conj, choice_pcr, _ = pair_decisions(a, b)
-    return [InvarianceCase(*a[k].tolist(), *b[k].tolist(), int(choice_conj[k]), int(choice_pcr[k]))
-            for k in np.flatnonzero(choice_conj != choice_pcr)]
+
+    def keep(u: np.ndarray) -> np.ndarray:
+        return u[(u[:, first].sum(axis=1) <= 1.0) & (u[:, second].sum(axis=1) <= 1.0)]
+
+    cases = []
+    for rows, _ in _kept_rows(_stream(seed), 3, n_samples, keep, _KERNEL_BLOCK):
+        a, b = rows[:, first], rows[:, second]
+        choice_conj, choice_pcr, _ = pair_decisions(a, b)
+        cases += [InvarianceCase(*a[k].tolist(), *b[k].tolist(),
+                                 int(choice_conj[k]), int(choice_pcr[k]))
+                  for k in np.flatnonzero(choice_conj != choice_pcr)]
+    return cases
 
 
 def stability_table(

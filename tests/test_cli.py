@@ -282,6 +282,15 @@ class TestDecide:
 
 
 class TestSimulate:
+    @pytest.fixture
+    def no_draw(self, monkeypatch):
+        """Fail on any draw: `simulate` draws every row through these two samplers."""
+        def refuse(*args):
+            raise AssertionError("drew a sample")
+
+        monkeypatch.setattr(stability, "_accepted_masses", refuse)
+        monkeypatch.setattr(stability, "_kept_rows", refuse)
+
     def test_table_matches_the_library(self, capsys):
         code = main(["simulate", "--classes", "2", "--samples", "300", "--seed", "7"])
         out = capsys.readouterr().out
@@ -478,12 +487,8 @@ class TestSimulate:
         (["--law", "product", "--classes", "12,13", "--histogram", "{tmp}/hist.csv"],
          "the product law supports at most 12 classes, got 13"),
     ])
-    def test_a_bad_range_is_refused_before_drawing(self, tmp_path, capsys, monkeypatch,
+    def test_a_bad_range_is_refused_before_drawing(self, tmp_path, capsys, no_draw,
                                                    flags, message):
-        def no_draw(*args, **kwargs):
-            raise AssertionError("drew a sample")
-
-        monkeypatch.setattr(stability, "_accepted_masses", no_draw)
         flags = [flag.format(tmp=tmp_path) for flag in flags]
         assert main(["simulate", *flags, "--samples", "5",
                      "--out", str(tmp_path / "rates.csv")]) == 1
@@ -491,6 +496,29 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err == f"error: --classes: {message}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--classes", "2", "--samples", "1000000000000"],
+         "at most 4000000 samples are supported, got 1000000000000"),
+        (["--samples", "10", "--bins", "100000000000", "--histogram", "{tmp}/hist.csv"],
+         "at most 100000 bins are supported, got 100000000000"),
+        (["--law", "product", "--samples", "4000001"],
+         "at most 4000000 samples are supported, got 4000001"),
+        (["--bins", "100001"], "at most 100000 bins are supported, got 100001"),
+    ], ids=["samples", "bins", "product-samples", "bins-without-histogram"])
+    def test_a_count_above_its_cap_is_refused_before_drawing(self, tmp_path, capsys, no_draw,
+                                                             flags, message):
+        flags = [flag.format(tmp=tmp_path) for flag in flags]
+        assert main(["simulate", *flags, "--out", str(tmp_path / "rates.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("law", ["uniform", "product"])
+    def test_an_accepted_run_reaches_the_patched_samplers(self, no_draw, law):
+        with pytest.raises(AssertionError, match="^drew a sample$"):
+            main(["simulate", "--law", law, "--classes", "2", "--samples", "5"])
 
 
 class TestCorpus:

@@ -3,8 +3,9 @@
 A row names an entry point, an input kind and the value passed, then
 either the exact message of the refusal or, as `Accepted`, why the value
 is fine there.  The kinds are NaN, ±inf, a negative value, a value above
-1, a bool, a float where an integer is meant (or an int where a real is
-meant), a str and None, plus a complex number where a real is meant.
+1 (and, for a count with a cap, one above the cap), a bool, a float where
+an integer is meant (or an int where a real is meant), a str and None,
+plus a complex number where a real is meant.
 The real, integer and [0, 1] rules each live in one helper, so the same
 kind reads the same at every site that applies the same rule.  The rows
 for ids, labels, mass JSON keys, expert lists and file bytes are not
@@ -316,7 +317,8 @@ TABLE = {
         "inf": (INF, "sample count must be an integer, got inf"),
         "-inf": (-INF, "sample count must be an integer, got -inf"),
         "negative": (-1, "need at least one accepted pair"),
-        "above-1": (2, Accepted("any positive sample count is drawn")),
+        "above-1": (2, Accepted("any positive sample count up to the cap is drawn")),
+        "above-cap": (4_000_001, "at most 4000000 samples are supported, got 4000001"),
         "bool": (True, "sample count must be an integer, got True"),
         "float": (10.0, "sample count must be an integer, got 10.0"),
         "str": ("10", "sample count must be an integer, got '10'"),
@@ -327,7 +329,8 @@ TABLE = {
         "inf": (INF, "sample count must be an integer, got inf"),
         "-inf": (-INF, "sample count must be an integer, got -inf"),
         "negative": (-1, "sample count cannot be negative"),
-        "above-1": (2, Accepted("any non-negative sample count is drawn")),
+        "above-1": (2, Accepted("any non-negative sample count up to the cap is drawn")),
+        "above-cap": (4_000_001, "at most 4000000 samples are supported, got 4000001"),
         "bool": (True, "sample count must be an integer, got True"),
         "float": (2.5, "sample count must be an integer, got 2.5"),
         "str": ("10", "sample count must be an integer, got '10'"),
@@ -338,7 +341,8 @@ TABLE = {
         "inf": (INF, "bin count must be an integer, got inf"),
         "-inf": (-INF, "bin count must be an integer, got -inf"),
         "negative": (-1, "need at least one bin"),
-        "above-1": (2, Accepted("any positive bin count splits [0, 1]")),
+        "above-1": (2, Accepted("any positive bin count up to the cap splits [0, 1]")),
+        "above-cap": (100_001, "at most 100000 bins are supported, got 100001"),
         "bool": (True, "bin count must be an integer, got True"),
         "float": (2.5, "bin count must be an integer, got 2.5"),
         "str": ("3", "bin count must be an integer, got '3'"),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,10 @@ from expertfuse.lattice import Model, make_frame
 from expertfuse.mass import mass_from_entries
 from expertfuse.stability import (
     _DEFAULT_CHUNK,
+    _KERNEL_BLOCK,
+    MAX_BINS,
     MAX_CLASSES,
+    MAX_SAMPLES,
     PRODUCT_LAW_MAX_CLASSES,
     InvarianceCase,
     StabilityResult,
@@ -69,6 +73,38 @@ def _uniform_rows_checking_every_row(n, count, rng):
     return rows
 
 
+def _kept_rows_at_once(rng, width, count, keep):
+    """`_kept_rows` as one block, as it drew before the study was streamed."""
+    parts = [keep(np.empty((0, width)))]
+    got = drawn = 0
+    while got < count:
+        parts.append(keep(rng.random((_DEFAULT_CHUNK, width))))
+        drawn += _DEFAULT_CHUNK
+        got += len(parts[-1])
+    return np.concatenate(parts)[:count], drawn
+
+
+def _rows_at_once(n, count, rng, law):
+    """Every row of a law in one draw, plus rows drawn."""
+    if law == "uniform":
+        return _uniform_rows_checking_every_row(n, count, rng), count
+    return _kept_rows_at_once(rng, 2 * n, count, stability._product_rows)
+
+
+def _decision_change_rate_at_once(n, n_samples, seed, law="uniform"):
+    """`decision_change_rate` before streaming: one whole draw, one `pair_decisions` call."""
+    rows, drawn = _rows_at_once(n, 2 * n_samples, stability._stream(seed, n), law)
+    choice_conj, choice_pcr, conflict = pair_decisions(rows[0::2], rows[1::2])
+    change = choice_conj != choice_pcr
+    rate = float(change.mean())
+    changed = conflict[change]
+    return StabilityResult(
+        n, n_samples, drawn, rate, 1.96 * math.sqrt(rate * (1.0 - rate) / n_samples),
+        float(conflict.mean()), float(changed.mean()) if len(changed) else None,
+        conflict, change,
+    )
+
+
 def _pcr5_always_guarded(a, b, s):
     """`_pcr5_parts` with the zero-denominator guard on every class pair."""
     p = s.copy()
@@ -88,6 +124,29 @@ def _choice_by_argmax(values):
     """`_pignistic_choice` as the first class within the tolerance, by argmax."""
     gap = values.max(axis=0) - values
     return (gap <= TIE_TOLERANCE).argmax(axis=0)
+
+
+@pytest.fixture
+def no_draw(monkeypatch):
+    """Fail on any draw: every row of every law comes through these two samplers."""
+    def refuse(*args):
+        raise AssertionError("drew a sample")
+
+    monkeypatch.setattr(stability, "_accepted_masses", refuse)
+    monkeypatch.setattr(stability, "_kept_rows", refuse)
+
+
+class TestNoDrawFixture:
+    @pytest.mark.parametrize("call", [
+        lambda: decision_change_rate(3, 10, 0),
+        lambda: decision_change_rate(3, 10, 0, law="product"),
+        lambda: stability_table([2], 10, 0),
+        lambda: conflict_density(2, 10),
+        lambda: invariance_check(10, 0),
+    ], ids=["uniform", "product", "table", "density", "invariance"])
+    def test_an_accepted_call_reaches_the_patched_samplers(self, no_draw, call):
+        with pytest.raises(AssertionError, match="^drew a sample$"):
+            call()
 
 
 class TestClassLimit:
@@ -125,21 +184,13 @@ class TestCheckClassCounts:
         check_class_counts([np.int64(2), np.int32(7)])
 
     @pytest.mark.parametrize("counts, bad", [([2.5], "2.5"), ([3.0], "3.0"), ([True], "True")])
-    def test_a_count_that_is_not_an_integer_is_refused_before_drawing(self, monkeypatch,
+    def test_a_count_that_is_not_an_integer_is_refused_before_drawing(self, no_draw,
                                                                       counts, bad):
-        def no_draw(*args):
-            raise AssertionError("drew a sample")
-
-        monkeypatch.setattr(stability, "_accepted_masses", no_draw)
         with pytest.raises(ValueError) as caught:
             stability_table(counts, 10, 0)
         assert str(caught.value) == f"class count must be an integer, got {bad}"
 
-    def test_a_repeated_count_is_refused_before_drawing(self, monkeypatch):
-        def no_draw(*args):
-            raise AssertionError("drew a sample")
-
-        monkeypatch.setattr(stability, "_accepted_masses", no_draw)
+    def test_a_repeated_count_is_refused_before_drawing(self, no_draw):
         with pytest.raises(ValueError, match="^class count 2 given twice$"):
             stability_table([2, 2], 100, 1)
 
@@ -163,12 +214,9 @@ class TestProductLawLimit:
                 call()
         assert decision_change_rate(13, 5, 0).n_classes == 13  # the uniform law has no bound
 
-    def test_a_table_checks_every_count_before_drawing(self, monkeypatch):
-        drawn = []
-        monkeypatch.setattr(stability, "_accepted_masses", lambda *args: drawn.append(args))
+    def test_a_table_checks_every_count_before_drawing(self, no_draw):
         with pytest.raises(ValueError, match="got 13$"):
             stability_table(range(2, 14), 5, 0, law="product")
-        assert drawn == []
 
 
 class TestSampleExpert:
@@ -540,14 +588,6 @@ class TestStabilityResultHistogram:
 class TestIntegerCounts:
     """A sample or bin count must be an int or a numpy integer, not a bool."""
 
-    @pytest.fixture
-    def no_draw(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("drew a sample")
-
-        monkeypatch.setattr(stability, "_accepted_masses", refuse)
-        monkeypatch.setattr(stability, "_kept_rows", refuse)
-
     @pytest.mark.parametrize("call, message", [
         (lambda: decision_change_rate(3, True, 0), "sample count must be an integer, got True"),
         (lambda: decision_change_rate(3, 10.5, 0), "sample count must be an integer, got 10.5"),
@@ -604,20 +644,12 @@ class TestInvariance:
         with pytest.raises(ValueError):
             invariance_check(-1, seed=0)
 
-    def test_a_negative_seed_is_refused_before_drawing(self, monkeypatch):
-        def no_draw(*args):
-            raise AssertionError("drew a sample")
-
-        monkeypatch.setattr(stability, "_kept_rows", no_draw)
+    def test_a_negative_seed_is_refused_before_drawing(self, no_draw):
         with pytest.raises(ValueError) as caught:
             invariance_check(10, seed=-1)
         assert str(caught.value) == "seed must be a non-negative integer, got -1"
 
-    def test_a_seed_that_is_not_an_integer_is_refused_before_drawing(self, monkeypatch):
-        def no_draw(*args):
-            raise AssertionError("drew a sample")
-
-        monkeypatch.setattr(stability, "_kept_rows", no_draw)
+    def test_a_seed_that_is_not_an_integer_is_refused_before_drawing(self, no_draw):
         with pytest.raises(ValueError) as caught:
             invariance_check(10, 1.5)
         assert str(caught.value) == "seed must be an integer, got 1.5"
@@ -657,3 +689,95 @@ class TestStabilityTable:
     def test_row_order_follows_input(self):
         table = stability_table([4, 2], 800, seed=9)
         assert [r.n_classes for r in table] == [4, 2]
+
+
+class TestStreamedStudy:
+    """Drawn and decided a block at a time, the study gives the bits of one whole draw."""
+
+    @pytest.mark.parametrize("n_samples", [_KERNEL_BLOCK - 1, _KERNEL_BLOCK, _KERNEL_BLOCK + 1,
+                                           2 * _KERNEL_BLOCK + 1])
+    @pytest.mark.parametrize("n", [2, 7, 26])
+    def test_uniform_law_equals_one_whole_draw(self, n, n_samples):
+        row = decision_change_rate(n, n_samples, 9)
+        expected = _decision_change_rate_at_once(n, n_samples, 9)
+        assert row == expected
+        assert np.array_equal(row.conflict, expected.conflict)
+        assert np.array_equal(row.change, expected.change)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_product_law_carries_kept_rows_across_a_chunk_edge(self, n):
+        expected = _decision_change_rate_at_once(n, 40_000, 3, "product")
+        assert expected.candidate_draws >= 2 * _DEFAULT_CHUNK  # the rows span a chunk edge
+        row = decision_change_rate(n, 40_000, 3, "product")
+        assert row == expected
+        assert row.candidate_draws == expected.candidate_draws
+        assert np.array_equal(row.conflict, expected.conflict)
+        assert np.array_equal(row.change, expected.change)
+
+    def test_a_table_row_equals_one_whole_draw(self):
+        [row] = stability_table([5], 3 * _KERNEL_BLOCK + 7, 21)
+        assert row == _decision_change_rate_at_once(5, 3 * _KERNEL_BLOCK + 7, 21)
+
+    @pytest.mark.parametrize("constraint", ["across", "within"])
+    def test_invariance_counterexamples_equal_one_whole_draw(self, monkeypatch, constraint):
+        # no pair flips for real, so flip every pair whose first mass is small
+        calls = []
+
+        def flip_small_first_mass(a, b):
+            calls.append(len(a))
+            choice_conj, choice_pcr, conflict = pair_decisions(a, b)
+            small = a[:, 0] < 0.002
+            choice_pcr[small] = 1 - choice_conj[small]
+            return choice_conj, choice_pcr, conflict
+
+        first, second = ([0, 1], [2, 0]) if constraint == "across" else ([0, 0], [1, 2])
+        rows, _ = _kept_rows_at_once(stability._stream(8), 3, 3 * _KERNEL_BLOCK + 5, lambda u: u[
+            (u[:, first].sum(axis=1) <= 1.0) & (u[:, second].sum(axis=1) <= 1.0)])
+        a, b = rows[:, first], rows[:, second]
+        choice_conj, choice_pcr, _ = flip_small_first_mass(a, b)
+        expected = [InvarianceCase(*a[k].tolist(), *b[k].tolist(), int(choice_conj[k]),
+                                   int(choice_pcr[k]))
+                    for k in np.flatnonzero(choice_conj != choice_pcr)]
+        calls.clear()
+        monkeypatch.setattr(stability, "pair_decisions", flip_small_first_mass)
+        cases = invariance_check(3 * _KERNEL_BLOCK + 5, 8, constraint)
+        assert calls == [_KERNEL_BLOCK] * 3 + [5]
+        assert len(expected) > 10
+        assert cases == expected
+
+    def test_memory_holds_one_block_not_the_sample(self):
+        # drawn at once, the rows of 2·10⁵ pairs of 26 classes peaked at 95 MB;
+        # the two kept arrays take 1.8 MB and one block ~6 MB more
+        tracemalloc.start()
+        try:
+            decision_change_rate(26, 200_000, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+
+class TestCaps:
+    """Sample and bin counts above their caps are refused before any draw."""
+
+    SAMPLES = f"at most {MAX_SAMPLES} samples are supported, got {MAX_SAMPLES + 1}"
+    BINS = f"at most {MAX_BINS} bins are supported, got {MAX_BINS + 1}"
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: decision_change_rate(2, MAX_SAMPLES + 1, 0), SAMPLES),
+        (lambda: stability_table([2, 3], MAX_SAMPLES + 1, 0, "product"), SAMPLES),
+        (lambda: invariance_check(MAX_SAMPLES + 1, 0), SAMPLES),
+        (lambda: conflict_density(2, MAX_SAMPLES + 1), SAMPLES),
+        (lambda: conflict_density(2, 10, MAX_BINS + 1), BINS),
+    ], ids=["rate", "table", "invariance", "density-samples", "density-bins"])
+    def test_a_count_above_its_cap_is_refused_before_drawing(self, no_draw, call, message):
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert str(caught.value) == message
+
+    def test_a_histogram_takes_up_to_the_bin_cap(self):
+        row = decision_change_rate(2, 10, 0)
+        with pytest.raises(ValueError) as caught:
+            row.histogram(MAX_BINS + 1, "decision_change")
+        assert str(caught.value) == self.BINS
+        assert len(row.histogram(MAX_BINS).frequencies) == MAX_BINS
